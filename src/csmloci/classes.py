@@ -108,17 +108,6 @@ class ClassExpr:
 
     # -- structure ------------------------------------------------------
 
-    def same_value(self, other):
-        """Equality of the underlying class (after aligning bases)."""
-        if (self.family, self.n) != (other.family, other.n):
-            return False
-        a, b = self.schur_coeffs(), other.schur_coeffs()
-        if self.trunc is not None or other.trunc is not None:
-            bounds = [t for t in (self.trunc, other.trunc) if t is not None]
-            d = min(bounds)
-            a, b = truncate_schur(a, d), truncate_schur(b, d)
-        return a == b
-
     def lowest_term(self):
         """(degree, {partition: coeff}) of the minimal-degree Schur slice."""
         d = self.schur_coeffs()
@@ -126,10 +115,6 @@ class ClassExpr:
             return None, {}
         lo = min(sum(lam) for lam in d)
         return lo, {lam: c for lam, c in d.items() if sum(lam) == lo}
-
-
-def alpha_class(kind, orbit, poly, trunc=None, closure=False):
-    return ClassExpr(kind, ALPHA, orbit.family, orbit.n, orbit.r, poly, trunc, closure)
 
 
 def schur_class(kind, orbit, coeffs, trunc=None, closure=False):

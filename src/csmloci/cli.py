@@ -264,6 +264,8 @@ def _cmd_ktheory(args):
 
 def _cmd_verify(args):
     from .verify import run_suite
+    if args.max_n < 1:
+        raise UsageError(f"--max-n must be >= 1, got {args.max_n}")
     ok, lines = run_suite(args.suite, max_n=args.max_n)
     for line in lines:
         print(line)

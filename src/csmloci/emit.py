@@ -87,10 +87,6 @@ def poly_text(poly, latex=False):
     return " ".join(chunks)
 
 
-def poly_latex(poly):
-    return poly_text(poly, latex=True)
-
-
 def _partition_label(lam, latex):
     if not lam:
         return "s_{0}" if latex else "s0"

@@ -21,9 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from types import MappingProxyType
 
-from .classes import ClassExpr, schur_class, truncate_schur
-from .orbits import Family, OrbitId, alpha_vars, as_family, total_chern
+from .classes import ClassExpr, schur_class
+from .orbits import (Family, OrbitId, alpha_vars, as_family, base_subset_pairs,
+                     root_difference, suborbit_coranks, total_chern, weight_factor)
 from .poly import ExactDivisionError, Poly, TruncSeries, product
 from .schur import alternant_schur_pure, schur_dict_to_alpha, to_schur_basis
 
@@ -50,19 +52,17 @@ def _inner_numerator(family, k, variables, bound=None):
         for j in range(i + 1, k + 1):
             if (i, j) in blocks:
                 continue
-            factors.append(Poly.linear(variables, 0, **{v(i): 1, v(j): 1}))
-            factors.append(Poly.linear(variables, 1, **{v(i): 1, v(j): 1}))
+            factors.append(weight_factor(variables, 0, i, j))
+            factors.append(weight_factor(variables, 1, i, j))
     for (p, q) in blocks:
         if family is Family.WEDGE:
-            factors.append(Poly.linear(variables, 0, **{v(p): 1, v(q): -1}))
+            factors.append(root_difference(variables, p, q))
         else:
             # block factor (-a_q)(1 + 2 a_p)(1 - a_p + a_q), with the
             # matching Vandermonde factor already cancelled symbolically
             factors.append(Poly.linear(variables, 0, **{v(q): -1}))
-            factors.append(Poly.linear(variables, 1, **{v(p): 2}))
+            factors.append(weight_factor(variables, 1, p, p))
             factors.append(Poly.linear(variables, 1, **{v(p): -1, v(q): 1}))
-    if not factors:
-        return Poly.const(variables, 1)
     return product(factors, variables, bound=bound)
 
 
@@ -81,18 +81,12 @@ def _w_inner_schur(family, k, max_deg):
     if family is Family.WEDGE and k % 2 != 0:
         raise ValueError(f"parity violation: inner wedge function needs even k, got {k}")
     if k == 0:
-        return {(): 1}
+        return MappingProxyType({(): 1})
     av = alpha_vars(k)
     bound = None if max_deg is None else max_deg + comb(k, 2)
     num = _inner_numerator(family, k, av, bound=bound)
-    coeffs = alternant_schur_pure(num, k)
-    stab = _inner_stabilizer(family, k)
-    out = {}
-    for lam, c in coeffs.items():
-        q = Fraction(c, stab)
-        if q:
-            out[lam] = q.numerator if q.denominator == 1 else q
-    return out
+    return MappingProxyType(
+        alternant_schur_pure(num, k, _inner_stabilizer(family, k), max_deg))
 
 
 @lru_cache(maxsize=None)
@@ -111,29 +105,14 @@ def _outer_numerator(orbit, bound=None):
     """
     family, n, r = orbit.family, orbit.n, orbit.r
     av = alpha_vars(n)
-    inner = w_inner(family, n - r).map_vars(
-        av, {f"a{i}": f"a{i + r}" for i in range(1, n - r + 1)})
-    factors = []
-    for i in range(1, r + 1):
-        rng = range(i, r + 1) if family is Family.SYM else range(i + 1, r + 1)
-        for j in rng:
-            if i == j:
-                factors.append(Poly.linear(av, 0, **{f"a{i}": 2}))
-            else:
-                factors.append(Poly.linear(av, 0, **{f"a{i}": 1, f"a{j}": 1}))
-    for i in range(1, r + 1):
-        for j in range(r + 1, n + 1):
-            factors.append(Poly.linear(av, 0, **{f"a{i}": 1, f"a{j}": 1}))
-            factors.append(Poly.linear(av, 1, **{f"a{i}": 1, f"a{j}": 1}))
-    for grp in (range(1, r + 1), range(r + 1, n + 1)):
-        grp = list(grp)
-        for x in range(len(grp)):
-            for y in range(x + 1, len(grp)):
-                factors.append(Poly.linear(av, 0, **{f"a{grp[x]}": 1, f"a{grp[y]}": -1}))
-    acc = inner
-    for f in factors:
-        acc = acc.mul_trunc(f, bound) if bound is not None else acc * f
-    return acc
+    pairs = base_subset_pairs(family, n, r)
+    factors = [w_inner(family, n - r).map_vars(
+        av, {f"a{i}": f"a{i + r}" for i in range(1, n - r + 1)})]
+    factors += [weight_factor(av, 0, i, j) for i, j in pairs.inside]
+    for i, j in pairs.cross:
+        factors += [weight_factor(av, 0, i, j), weight_factor(av, 1, i, j)]
+    factors += [root_difference(av, i, j) for i, j in pairs.vandermonde]
+    return product(factors, av, bound=bound)
 
 
 def w_schur(orbit, max_deg=None):
@@ -149,20 +128,11 @@ def w_schur(orbit, max_deg=None):
 def _w_schur(orbit, max_deg):
     family, n, r = orbit.family, orbit.n, orbit.r
     if r == 0:
-        d = w_inner_schur(family, n, max_deg)
-        return dict(d) if max_deg is None else truncate_schur(d, max_deg)
+        return w_inner_schur(family, n, max_deg)
     bound = None if max_deg is None else max_deg + comb(n, 2)
     num = _outer_numerator(orbit, bound=bound)
-    coeffs = alternant_schur_pure(num, n)
-    stab = factorial(r) * factorial(n - r)
-    out = {}
-    for lam, c in coeffs.items():
-        if max_deg is not None and sum(lam) > max_deg:
-            continue
-        q = Fraction(c, stab)
-        if q:
-            out[lam] = q.numerator if q.denominator == 1 else q
-    return out
+    return MappingProxyType(
+        alternant_schur_pure(num, n, factorial(r) * factorial(n - r), max_deg))
 
 
 @dataclass
@@ -171,10 +141,6 @@ class WFunction:
 
     orbit: OrbitId
     poly: Poly
-
-    @property
-    def schur(self):
-        return w_schur(self.orbit)
 
     def top_degree(self):
         return self.poly.total_degree()
@@ -202,13 +168,8 @@ def csm_class(orbit, closure=False):
         return schur_class("csm", orbit, w_schur(orbit))
     from .classes import add_schur
     parts = [w_schur(OrbitId(orbit.family, orbit.n, m))
-             for m in _suborbit_coranks(orbit)]
+             for m in suborbit_coranks(orbit)]
     return schur_class("csm", orbit, add_schur(*parts), closure=True)
-
-
-def _suborbit_coranks(orbit):
-    step = 2 if orbit.family is Family.WEDGE else 1
-    return range(orbit.r, orbit.n + 1, step)
 
 
 def csm_to_ssm(csm, D):
@@ -410,9 +371,6 @@ class AxiomReport:
     @property
     def ok(self):
         return all(c.ok for c in self.checks)
-
-    def failures(self):
-        return [c for c in self.checks if not c.ok]
 
 
 def verify_axioms(orbit, candidate=None):

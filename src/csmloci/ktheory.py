@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import factorial
 
 from .laurent import LaurentFraction
-from .orbits import Family, OrbitId
+from .orbits import Family, OrbitId, base_subset_pairs, root_difference, weight_pairs
 from .poly import Poly, product
 from .schur import alternant_schur_coeffs, _schur_terms
 
@@ -117,59 +117,35 @@ class MotivicClass:
     notes: list = field(default_factory=list)
 
 
+def _k_exps(n, *idx):
+    """Exponent tuple of prod a_i over idx in _k_vars(n); index n + 1 is y."""
+    e = [0] * (n + 1)
+    for i in idx:
+        e[i - 1] += 1
+    return tuple(e)
+
+
 def _phi_k_numerator(n, r):
     """Cleared numerator of the base-subset term over the common denominator
     prod_{i<j} (a_i a_j + y) * Vandermonde."""
-    av = _k_vars(n)
-    factors = []
+    av, y = _k_vars(n), n + 1
 
-    def mono(coef, y=0, **alphas):
-        e = [0] * (n + 1)
-        for name, x in alphas.items():
-            e[int(name[1:]) - 1] = x
-        e[n] = y
-        return {tuple(e): coef}
+    def e(*idx):
+        return _k_exps(n, *idx)
 
-    def poly_of(*terms):
-        acc = {}
-        for t in terms:
-            for e, c in t.items():
-                acc[e] = acc.get(e, 0) + c
-        return Poly(av, acc)
-
-    for i in range(1, r + 1):
-        for j in range(i + 1, r + 1):
-            factors.append(poly_of(mono(1, **{f"a{i}": 1, f"a{j}": 1}), mono(-1)))
-    for i in range(1, r + 1):
-        for j in range(r + 1, n + 1):
-            factors.append(poly_of(mono(1, **{f"a{i}": 1, f"a{j}": 1}), mono(-1)))
-            factors.append(poly_of(mono(1, **{f"a{i}": 1}), mono(1, y=1, **{f"a{j}": 1})))
-    for i in range(r + 1, n + 1):
-        for j in range(i + 1, n + 1):
-            factors.append(poly_of(mono(1, **{f"a{i}": 1, f"a{j}": 1}), mono(1, y=1)))
-    for grp in (range(1, r + 1), range(r + 1, n + 1)):
-        grp = list(grp)
-        for x in range(len(grp)):
-            for yy in range(x + 1, len(grp)):
-                factors.append(poly_of(mono(1, **{f"a{grp[x]}": 1}),
-                                       mono(-1, **{f"a{grp[yy]}": 1})))
-    if not factors:
-        return Poly.const(av, 1)
+    pairs = base_subset_pairs(Family.WEDGE, n, r)
+    factors = [Poly(av, {e(i, j): 1, e(): -1}) for i, j in pairs.inside]
+    for i, j in pairs.cross:
+        factors += [Poly(av, {e(i, j): 1, e(): -1}), Poly(av, {e(i): 1, e(j, y): 1})]
+    factors += [Poly(av, {e(i, j): 1, e(y): 1}) for i, j in pairs.inside_j]
+    factors += [root_difference(av, i, j) for i, j in pairs.vandermonde]
     return product(factors, av)
 
 
 def _pair_denominator(n):
     av = _k_vars(n)
-    factors = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            e1 = [0] * (n + 1)
-            e1[i - 1] += 1
-            e1[j - 1] += 1
-            ey = [0] * (n + 1)
-            ey[n] = 1
-            factors.append(Poly(av, {tuple(e1): 1, tuple(ey): 1}))
-    return factors
+    return [Poly(av, {_k_exps(n, i, j): 1, _k_exps(n, n + 1): 1})
+            for i, j in weight_pairs(Family.WEDGE, n)]
 
 
 @lru_cache(maxsize=None)

@@ -153,16 +153,6 @@ class LaurentFraction:
             raise ZeroDivisionError(f"denominator vanishes at {point}")
         return Fraction(self.num.eval(point)) / d
 
-    def is_polynomial(self):
-        try:
-            self.num.exact_divide(self.den)
-            return True
-        except ExactDivisionError:
-            return False
-
-    def as_polynomial(self):
-        return self.num.exact_divide(self.den)
-
     def substitute(self, images, target_vars=None):
         num = self.num.substitute(images, target_vars)
         den = self.den.substitute(images, target_vars)

@@ -12,7 +12,7 @@ from math import comb
 
 from .classes import add_schur, schur_class
 from .interp import w_schur
-from .orbits import Family, OrbitId
+from .orbits import Family, OrbitId, suborbit_coranks
 
 
 def euler_obstruction_wedge(n, r):
@@ -29,8 +29,7 @@ def chern_mather_wedge(n, r, D=None, kind="csm"):
     ssm variant truncated at D)."""
     orbit = OrbitId(Family.WEDGE, n, r)
     coeffs = euler_obstruction_wedge(n, r)
-    parts = [w_schur(OrbitId(Family.WEDGE, n, r + 2 * k))
-             for k in range(len(coeffs))]
+    parts = [w_schur(OrbitId(Family.WEDGE, n, m)) for m in suborbit_coranks(orbit)]
     total = add_schur(*parts, coeffs=coeffs)
     cls = schur_class("mather", orbit, total, closure=True)
     if kind == "ssm":

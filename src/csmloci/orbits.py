@@ -12,8 +12,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
-from .poly import Poly
+from .poly import Poly, product
 
 
 class Family(str, enum.Enum):
@@ -89,40 +90,60 @@ def chern_vars(n):
     return tuple(f"c{i}" for i in range(1, n + 1))
 
 
+def _pairs(idx, diagonal=False):
+    """Pairs (idx[x], idx[y]) with x < y, or x <= y when diagonal."""
+    idx = list(idx)
+    return [(i, j) for x, i in enumerate(idx) for j in idx[x if diagonal else x + 1:]]
+
+
 def weight_pairs(family, n):
     """Index pairs (i, j), 1-based, of the torus weights a_i + a_j."""
-    family = as_family(family)
-    if family is Family.WEDGE:
-        return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    return [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    return _pairs(range(1, n + 1), diagonal=as_family(family) is Family.SYM)
 
 
-def chern_factor_list(family, n):
-    """The linear factors (1 + a_i + a_j) of the total Chern class c(V)."""
-    av = alpha_vars(n)
-    out = []
-    for i, j in weight_pairs(family, n):
-        if i == j:
-            out.append(Poly.linear(av, 1, **{f"a{i}": 2}))
-        else:
-            out.append(Poly.linear(av, 1, **{f"a{i}": 1, f"a{j}": 1}))
-    return out
+class BasePairs(NamedTuple):
+    """Index pairs of the base-subset term, I = {1..r} and J = {r+1..n}."""
+
+    inside: list       # weight pairs inside I
+    cross: list        # I x J
+    inside_j: list     # i < j inside J
+    vandermonde: list  # root differences left over from clearing: inside I, then J
+
+
+def base_subset_pairs(family, n, r):
+    """The pairs a localization term over the base subset I = {1..r} uses."""
+    I, J = range(1, r + 1), range(r + 1, n + 1)
+    inside_j = _pairs(J)
+    return BasePairs(weight_pairs(family, r), [(i, j) for i in I for j in J],
+                     inside_j, _pairs(I) + inside_j)
+
+
+def weight_factor(variables, const, i, j):
+    """const + a_i + a_j, or const + 2 a_i when i = j."""
+    if i == j:
+        return Poly.linear(variables, const, **{f"a{i}": 2})
+    return Poly.linear(variables, const, **{f"a{i}": 1, f"a{j}": 1})
+
+
+def root_difference(variables, i, j, const=0):
+    """const + a_i - a_j."""
+    return Poly.linear(variables, const, **{f"a{i}": 1, f"a{j}": -1})
+
+
+def suborbit_coranks(orbit):
+    """Coranks of the orbits in the closure of orbit, increasing."""
+    step = 2 if orbit.family is Family.WEDGE else 1
+    return range(orbit.r, orbit.n + 1, step)
 
 
 def total_chern(family, n, bound=None):
     """c(V) = prod (1 + a_i + a_j), optionally truncated by total degree."""
-    from .poly import product
-    return product(chern_factor_list(family, n), alpha_vars(n), bound=bound)
+    av = alpha_vars(n)
+    return product([weight_factor(av, 1, i, j) for i, j in weight_pairs(family, n)],
+                   av, bound=bound)
 
 
 def euler_class(family, n):
     """e(V) = prod (a_i + a_j) over the weights."""
-    from .poly import product
     av = alpha_vars(n)
-    factors = []
-    for i, j in weight_pairs(family, n):
-        if i == j:
-            factors.append(Poly.linear(av, 0, **{f"a{i}": 2}))
-        else:
-            factors.append(Poly.linear(av, 0, **{f"a{i}": 1, f"a{j}": 1}))
-    return product(factors, av)
+    return product([weight_factor(av, 0, i, j) for i, j in weight_pairs(family, n)], av)

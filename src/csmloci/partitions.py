@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .poly import exact_int
+
 
 def partition(parts):
     """Canonicalize to a weakly decreasing tuple of positive parts.
@@ -22,14 +24,6 @@ def partition(parts):
     return parts
 
 
-def size(lam):
-    return sum(lam)
-
-
-def length(lam):
-    return len(lam)
-
-
 def conjugate(lam):
     if not lam:
         return ()
@@ -43,11 +37,6 @@ def conjugate(lam):
 def staircase(r):
     """(r-1, r-2, ..., 1); the empty partition for r <= 1."""
     return tuple(range(r - 1, 0, -1))
-
-
-def descending_staircase(r):
-    """(r, r-1, ..., 1)."""
-    return tuple(range(r, 0, -1))
 
 
 def partitions_of(d, max_len=None, max_part=None):
@@ -90,5 +79,4 @@ def count_ssyt(lam, n):
             content = j - i
             hook = (row - j) + (conj[j] - i) - 1
             val *= Fraction(n + content, hook)
-    assert val.denominator == 1
-    return val.numerator
+    return exact_int(val, f"SSYT count of {lam}")

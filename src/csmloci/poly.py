@@ -34,6 +34,14 @@ def _norm(c):
     return c
 
 
+def exact_int(value, what):
+    """value as an int; raises ExactDivisionError unless it is whole."""
+    q = Fraction(value)
+    if q.denominator != 1:
+        raise ExactDivisionError(f"{what} is not an integer: {q}")
+    return q.numerator
+
+
 def _grlex_key(exps):
     return (sum(exps), exps)
 
@@ -118,10 +126,6 @@ class Poly:
         for e, c in self.terms.items():
             out.setdefault(sum(e), {})[e] = c
         return out
-
-    def homogeneous_part(self, d):
-        return Poly(self.vars, {e: c for e, c in self.terms.items() if sum(e) == d},
-                    _clean=False)
 
     def truncate(self, bound):
         return Poly(self.vars, {e: c for e, c in self.terms.items() if sum(e) <= bound},
@@ -264,13 +268,6 @@ class Poly:
                     else:
                         del work[ke]
         return Poly(self.vars, quo, _clean=False)
-
-    def divides(self, other):
-        try:
-            other.exact_divide(self)
-            return True
-        except ExactDivisionError:
-            return False
 
     # -- substitution and evaluation ----------------------------------
 

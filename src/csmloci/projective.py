@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .classes import add_schur
-from .interp import w_schur
+from .interp import csm_class
 from .orbits import Family, OrbitId, ambient_dim, as_family, codim, coranks
 from .partitions import count_ssyt
-from .poly import ExactDivisionError, Poly
+from .poly import ExactDivisionError, Poly, exact_int
 
 
 @dataclass
@@ -54,12 +53,7 @@ def _xi_coeffs_from_schur(schur_coeffs, n, N):
         if d >= N:
             continue
         out[d] += Fraction(c) * count_ssyt(lam, n) / (2 ** d)
-    coeffs = []
-    for v in out:
-        if v.denominator != 1:
-            raise AssertionError(f"non-integer projectivized coefficient {v}")
-        coeffs.append(v.numerator)
-    return coeffs
+    return [exact_int(v, "projectivized coefficient") for v in out]
 
 
 def projectivize(orbit, kind="csm", closure=False):
@@ -70,14 +64,7 @@ def projectivize(orbit, kind="csm", closure=False):
     if kind not in ("csm", "ssm"):
         raise ValueError(f"unknown class kind {kind!r}")
     N = ambient_dim(orbit.family, orbit.n)
-    step = 2 if orbit.family is Family.WEDGE else 1
-    if closure:
-        parts = [w_schur(OrbitId(orbit.family, orbit.n, m))
-                 for m in range(orbit.r, orbit.n + 1, step)]
-        sch = add_schur(*parts)
-    else:
-        sch = w_schur(orbit)
-    coeffs = _xi_coeffs_from_schur(sch, orbit.n, N)
+    coeffs = _xi_coeffs_from_schur(csm_class(orbit, closure=closure).payload, orbit.n, N)
     if kind == "ssm":
         # multiply by the inverse of (1+xi)^N mod xi^N
         out = []
@@ -173,6 +160,9 @@ def euler_char_table(family, n, closure=False):
     family = as_family(family)
     rmax = n - 2 if family is Family.WEDGE else n - 1
     rs = [r for r in coranks(family, n) if r <= rmax]
+    if not rs:
+        raise ValueError(f"no {family} orbit with n={n} has a nonempty projectivization;"
+                         f" --n must be >= {2 if family is Family.WEDGE else 1}")
     rows = [section_euler_chars(projectivize(OrbitId(family, n, r), closure=closure))
             for r in rs]
     return EulerTable(family, n, closure, rs, rows)
@@ -204,8 +194,7 @@ def closed_invariants(orbit):
             val = Fraction(1, 2 ** (r - 1))
             for i in range(r - 1):
                 val *= Fraction(comb(n + i, r - 1 - i), comb(2 * i + 1, i))
-            assert val.denominator == 1
-            deg = val.numerator
+            deg = exact_int(val, "closure degree")
         if r == n - 2:
             chi = comb(n, 2)
         else:
@@ -216,8 +205,7 @@ def closed_invariants(orbit):
     val = Fraction(1)
     for i in range(r):
         val *= Fraction(comb(n + i, r - i), comb(2 * i + 1, i))
-    assert val.denominator == 1
-    deg = val.numerator
+    deg = exact_int(val, "closure degree")
     if r == n - 1:
         chi = n
     elif r == n - 2:

@@ -136,9 +136,15 @@ def alternant_schur_coeffs(poly, n_alt):
     return out
 
 
-def alternant_schur_pure(poly, n_alt):
-    """alternant_schur_coeffs for a polynomial with no passive variables."""
-    return {lam: c for (lam, _), c in alternant_schur_coeffs(poly, n_alt).items()}
+def alternant_schur_pure(poly, n_alt, stab=1, max_deg=None):
+    """alternant_schur_coeffs for a polynomial with no passive variables,
+    divided by the stabilizer order stab of the symmetrized term and kept
+    for partitions of size <= max_deg."""
+    out = {}
+    for (lam, _), c in alternant_schur_coeffs(poly, n_alt).items():
+        if max_deg is None or sum(lam) <= max_deg:
+            out[lam] = _norm(Fraction(c, stab))
+    return out
 
 
 # -- elementary symmetric basis ----------------------------------------
@@ -158,10 +164,6 @@ def elementary_terms(k, n):
             e[i] = 1
         out[tuple(e)] = 1
     return out
-
-
-def elementary_poly(k, n):
-    return Poly(alpha_vars(n), dict(elementary_terms(k, n)), _clean=False)
 
 
 @lru_cache(maxsize=None)

@@ -19,10 +19,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from types import MappingProxyType
 
 from .classes import add_schur, schur_class
-from .orbits import Family, OrbitId, alpha_vars
-from .poly import Poly, TruncSeries, product
+from .orbits import (Family, OrbitId, alpha_vars, base_subset_pairs, root_difference,
+                     suborbit_coranks, weight_factor)
+from .poly import Poly, TruncSeries, exact_int, product
 from .schur import alternant_schur_pure
 
 
@@ -40,10 +42,7 @@ def euler_numbers(max_index):
     inv = TruncSeries(cosh, max_index).invert().poly
     out = []
     for k in range(max_index + 1):
-        c = inv.coefficient((k,)) * factorial(k)
-        c = Fraction(c)
-        assert c.denominator == 1
-        out.append(c.numerator)
+        out.append(exact_int(inv.coefficient((k,)) * factorial(k), f"Euler number E_{k}"))
     return out
 
 
@@ -67,25 +66,12 @@ def _phi_term_parts(family, n, r):
     """Numerator factors, unit-denominator factors and cleared Vandermonde
     complements for the base subset I = {1..r}."""
     av = alpha_vars(n)
-    lin = lambda const, **kw: Poly.linear(av, const, **kw)
-    numer, units = [], []
-    for i in range(1, r + 1):
-        rng = range(i, r + 1) if family is Family.SYM else range(i + 1, r + 1)
-        for j in rng:
-            w = {f"a{i}": 2} if i == j else {f"a{i}": 1, f"a{j}": 1}
-            numer.append(lin(0, **w))
-            units.append(lin(1, **w))
-    for i in range(1, r + 1):
-        for j in range(r + 1, n + 1):
-            numer.append(lin(0, **{f"a{i}": 1, f"a{j}": 1}))
-            numer.append(lin(1, **{f"a{i}": 1, f"a{j}": -1}))
-            units.append(lin(1, **{f"a{i}": 1, f"a{j}": 1}))
-    missing = []
-    for grp in (range(1, r + 1), range(r + 1, n + 1)):
-        grp = list(grp)
-        for x in range(len(grp)):
-            for y in range(x + 1, len(grp)):
-                missing.append(lin(0, **{f"a{grp[x]}": 1, f"a{grp[y]}": -1}))
+    pairs = base_subset_pairs(family, n, r)
+    numer = [weight_factor(av, 0, i, j) for i, j in pairs.inside]
+    units = [weight_factor(av, 1, i, j) for i, j in pairs.inside + pairs.cross]
+    for i, j in pairs.cross:
+        numer += [weight_factor(av, 0, i, j), root_difference(av, i, j, const=1)]
+    missing = [root_difference(av, i, j) for i, j in pairs.vandermonde]
     return numer, units, missing
 
 
@@ -94,23 +80,15 @@ def phi_schur(orbit, D):
     """Schur coefficients of Phi_{n,r} up to total degree D."""
     family, n, r = orbit.family, orbit.n, orbit.r
     if r == 0:
-        return {(): 1}
+        return MappingProxyType({(): 1})
     av = alpha_vars(n)
     work = D + comb(n, 2)
     numer, units, missing = _phi_term_parts(family, n, r)
     num_poly = product(numer + missing, av, bound=work)
     unit_poly = product(units, av, bound=work)
     series = TruncSeries(unit_poly, work).divide_into(TruncSeries(num_poly, work))
-    coeffs = alternant_schur_pure(series.poly, n)
-    stab = factorial(r) * factorial(n - r)
-    out = {}
-    for lam, c in coeffs.items():
-        if sum(lam) > D:
-            continue
-        q = Fraction(c, stab)
-        if q:
-            out[lam] = q.numerator if q.denominator == 1 else q
-    return out
+    return MappingProxyType(
+        alternant_schur_pure(series.poly, n, factorial(r) * factorial(n - r), D))
 
 
 def phi_class(orbit, D):
@@ -180,7 +158,7 @@ def ssm_schur(orbit, D, closure=False):
     if family is Family.WEDGE:
         if closure:
             parts = [ssm_schur(OrbitId(family, n, m), D)
-                     for m in range(r, n + 1, 2)]
+                     for m in suborbit_coranks(orbit)]
             return add_schur(*parts)
         E = euler_numbers(n - r)
         pieces, coeffs = [], []

@@ -26,18 +26,6 @@ def _rand_poly(rng, variables, max_deg=3, n_terms=4):
     return Poly(variables, terms)
 
 
-def _rand_point(rng, variables):
-    pt, seen = {}, set()
-    for v in variables:
-        while True:
-            val = Fraction(rng.randint(1, 60), rng.randint(1, 7))
-            if val not in seen:
-                seen.add(val)
-                pt[v] = val
-                break
-    return pt
-
-
 def suite_core(max_n=4, seed=20240901):
     """Ring laws, inversion, exact division, substitution, Euler numbers."""
     from .catalog import TABULATED_EULER, euler_number_warnings

@@ -62,6 +62,11 @@ def test_exit_code_usage_errors(capsys):
     assert code == 1 and "r=2" in err                          # parity, parameter named
     code, _, err = capture(capsys, ["ktheory", "--n", "6", "--r", "2"])
     assert code == 1 and "n" in err                            # out of K scope
+    for fam, n in (("wedge", "1"), ("sym", "0")):              # empty table
+        code, out, err = capture(capsys, ["table", "--family", fam, "--n", n])
+        assert code == 1 and not out and "--n" in err
+    code, out, err = capture(capsys, ["verify", "--suite", "cross", "--max-n", "-3"])
+    assert code == 1 and not out and "--max-n" in err
 
 
 def test_phi_warnings_on_divergent_print(capsys):

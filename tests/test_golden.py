@@ -1,0 +1,41 @@
+"""Golden CLI outputs: every request recorded in perfbench/expected/queries.json.
+
+Each request is run in-process through cli.run; its exit code and the sha256
+of its stdout must match the record, and no exception may escape.  Requests
+recorded with exit 1 must also name their error on stderr.  The record file
+is read, never written.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+
+from csmloci.cli import run
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+RECORDS = json.loads((ROOT / "perfbench" / "expected" / "queries.json").read_text())["records"]
+
+
+def replay(request):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(request.split())
+        except Exception as ex:  # reported as a mismatch, not raised
+            return f"raised {type(ex).__name__}: {ex}"
+    expected = RECORDS[request]
+    if code != expected["exit"]:
+        return f"exit {code}, expected {expected['exit']}"
+    if hashlib.sha256(out.getvalue().encode()).hexdigest() != expected["stdout_sha256"]:
+        return "stdout differs from the record"
+    if code == 1 and "error:" not in err.getvalue():
+        return "exit 1 without a named error"
+    return None
+
+
+def test_golden_outputs():
+    assert len(RECORDS) == 255
+    mismatches = {req: why for req in sorted(RECORDS) if (why := replay(req))}
+    assert not mismatches

@@ -135,6 +135,18 @@ def test_csm_sum_is_total_chern():
             assert total == to_schur_basis(total_chern(fam, n), n)
 
 
+def test_cached_results_are_read_only():
+    from csmloci.interp import w_inner_schur
+    from csmloci.sieve import phi_schur
+    orbit = OrbitId(S, 3, 1)
+    before = csm_class(orbit).payload
+    for cached in (w_schur(orbit), w_schur(OrbitId(S, 3, 0)), w_inner_schur(S, 3),
+                   phi_schur(orbit, 4), phi_schur(OrbitId(S, 3, 0), 4)):
+        with pytest.raises(TypeError):
+            cached[()] = 999
+    assert csm_class(orbit).payload == before
+
+
 def test_csm_to_ssm_example():
     cls = csm_to_ssm(csm_class(OrbitId(W, 2, 2)), 4)
     assert cls.chern_poly() == cpoly(2, {(1, 0): 1, (2, 0): -1, (3, 0): 1, (4, 0): -1})
