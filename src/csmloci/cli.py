@@ -88,10 +88,11 @@ def build_parser():
     return p
 
 
-def _require_trunc(args, why):
-    if args.trunc is None:
+def _require_trunc(args, why=None):
+    """Reject a negative --trunc and, unless why is None, a missing one."""
+    if args.trunc is None and why is not None:
         raise UsageError(f"--trunc is required {why} (truncation is always explicit)")
-    if args.trunc < 0:
+    if args.trunc is not None and args.trunc < 0:
         raise UsageError("--trunc must be non-negative")
 
 
@@ -117,6 +118,7 @@ def _cmd_class(args):
     from .sieve import ssm_sieve
     orbit = OrbitId(args.family, args.n, args.r)
     if args.kind == "csm" and args.route == "interp":
+        _require_trunc(args)
         cls = csm_class(orbit, closure=args.closure)
         if args.trunc is not None:
             from .classes import truncate_schur

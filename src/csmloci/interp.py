@@ -4,14 +4,17 @@ The W-function of an orbit is a subset sum of rational functions whose
 denominators are root differences; the sum collapses to an integer symmetric
 polynomial equal to the equivariant CSM class of the orbit.
 
-Computation route: every subset/permutation term is the signed permutation
-image of the term attached to the base subset {1..r} (with blocks
-(1,2),(3,4),... inside the complement), so after clearing denominators to the
-full Vandermonde the sum becomes a full signed symmetrization of a single
-polynomial numerator.  Dividing the antisymmetrization by the Vandermonde is
-done per monomial by the bialternant identity, which yields the Schur
-expansion directly.  A direct rational-point evaluator of the defining sum
-serves as an independent oracle.
+Computation route: for corank r >= 1, every subset term of W_{n,r} is the
+signed permutation image of the term attached to the base subset {1..r}, whose
+complement carries the inner function W_{n-r,0}.  After clearing denominators
+to the full Vandermonde the sum becomes a full signed symmetrization of a
+single polynomial numerator.  Dividing the antisymmetrization by the
+Vandermonde is done per monomial by the bialternant identity, which yields the
+Schur expansion directly.  The open orbit comes from additivity: the csm
+classes of all orbits add up to c(V), so W_{n,0} = c(V) - sum_{r>=1} W_{n,r},
+and the recursion closes because W_{n,r} needs only W_{n-r,0}.  The direct
+rational-point evaluators of the defining sums, w_value and w_inner_value,
+serve as independent oracles.
 """
 
 from __future__ import annotations
@@ -23,77 +26,22 @@ from functools import lru_cache
 from math import comb, factorial
 from types import MappingProxyType
 
-from .classes import ClassExpr, schur_class
-from .orbits import (Family, OrbitId, alpha_vars, as_family, base_subset_pairs,
+from .classes import ClassExpr, add_schur, schur_class
+from .orbits import (Family, OrbitId, alpha_vars, as_family, base_subset_pairs, coranks,
                      root_difference, suborbit_coranks, total_chern, weight_factor)
 from .poly import ExactDivisionError, Poly, TruncSeries, product
 from .schur import alternant_schur_pure, schur_dict_to_alpha, to_schur_basis
 
 
-# -- numerators for the base subset ------------------------------------
-
-def _pair_blocks(k):
-    """Standard blocks (1,2),(3,4),... among 1..k; odd k leaves k unpaired."""
-    return [(2 * b - 1, 2 * b) for b in range(1, k // 2 + 1)]
-
-
-def _inner_numerator(family, k, variables, bound=None):
-    """Cleared numerator of the identity term of the inner symmetrization.
-
-    Cross pairs (those not forming a block) contribute
-    (a_i + a_j)(1 + a_i + a_j); each block contributes its family-specific
-    factor times the Vandermonde factor (a_{2b-1} - a_{2b}) left over from
-    clearing.
-    """
-    blocks = set(_pair_blocks(k))
-    v = lambda i: f"a{i}"
-    factors = []
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            if (i, j) in blocks:
-                continue
-            factors.append(weight_factor(variables, 0, i, j))
-            factors.append(weight_factor(variables, 1, i, j))
-    for (p, q) in blocks:
-        if family is Family.WEDGE:
-            factors.append(root_difference(variables, p, q))
-        else:
-            # block factor (-a_q)(1 + 2 a_p)(1 - a_p + a_q), with the
-            # matching Vandermonde factor already cancelled symbolically
-            factors.append(Poly.linear(variables, 0, **{v(q): -1}))
-            factors.append(weight_factor(variables, 1, p, p))
-            factors.append(Poly.linear(variables, 1, **{v(p): -1, v(q): 1}))
-    return product(factors, variables, bound=bound)
-
-
-def _inner_stabilizer(family, k):
-    m = k // 2
-    return (2 ** m) * factorial(m) if family is Family.WEDGE else factorial(m)
-
-
-def w_inner_schur(family, k, max_deg=None):
-    """Schur coefficients of the inner function W_k (k even for wedge)."""
-    return _w_inner_schur(as_family(family), k, max_deg)
-
-
-@lru_cache(maxsize=None)
-def _w_inner_schur(family, k, max_deg):
-    if family is Family.WEDGE and k % 2 != 0:
-        raise ValueError(f"parity violation: inner wedge function needs even k, got {k}")
-    if k == 0:
-        return MappingProxyType({(): 1})
-    av = alpha_vars(k)
-    bound = None if max_deg is None else max_deg + comb(k, 2)
-    num = _inner_numerator(family, k, av, bound=bound)
-    return MappingProxyType(
-        alternant_schur_pure(num, k, _inner_stabilizer(family, k), max_deg))
-
+# -- the base-subset numerator and the W-functions ---------------------
 
 @lru_cache(maxsize=None)
 def w_inner(family, k):
-    """The inner function W_k as an exact polynomial in a_1..a_k."""
-    family = as_family(family)
-    return schur_dict_to_alpha(w_inner_schur(family, k), k)
+    """The inner function W_k = W_{k,0} as an exact polynomial in a_1..a_k
+    (the constant 1 for k = 0)."""
+    if k == 0:
+        return Poly.const((), 1)
+    return schur_dict_to_alpha(w_schur(OrbitId(family, k, 0)), k)
 
 
 def _outer_numerator(orbit, bound=None):
@@ -128,7 +76,10 @@ def w_schur(orbit, max_deg=None):
 def _w_schur(orbit, max_deg):
     family, n, r = orbit.family, orbit.n, orbit.r
     if r == 0:
-        return w_inner_schur(family, n, max_deg)
+        # additivity: the csm classes of all orbits of V add up to c(V)
+        rest = [w_schur(OrbitId(family, n, m), max_deg) for m in coranks(family, n) if m]
+        total = to_schur_basis(total_chern(family, n, bound=max_deg), n)
+        return MappingProxyType(add_schur(total, *rest, coeffs=[1] + [-1] * len(rest)))
     bound = None if max_deg is None else max_deg + comb(n, 2)
     num = _outer_numerator(orbit, bound=bound)
     return MappingProxyType(
@@ -166,7 +117,6 @@ def csm_class(orbit, closure=False):
     """csm as a ClassExpr (Schur basis, exact)."""
     if not closure:
         return schur_class("csm", orbit, w_schur(orbit))
-    from .classes import add_schur
     parts = [w_schur(OrbitId(orbit.family, orbit.n, m))
              for m in suborbit_coranks(orbit)]
     return schur_class("csm", orbit, add_schur(*parts), closure=True)
@@ -210,6 +160,16 @@ def ssm_stable_schur(family, r, D):
 
 
 # -- direct evaluation of the defining sum (independent oracle) --------
+
+def _pair_blocks(k):
+    """Standard blocks (1,2),(3,4),... among 1..k; odd k leaves k unpaired."""
+    return [(2 * b - 1, 2 * b) for b in range(1, k // 2 + 1)]
+
+
+def _inner_stabilizer(family, k):
+    m = k // 2
+    return (2 ** m) * factorial(m) if family is Family.WEDGE else factorial(m)
+
 
 def _f_val(x, y):
     return (1 + x + y) * (x + y) / (x - y)

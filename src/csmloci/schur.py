@@ -8,12 +8,14 @@ k-th elementary symmetric polynomial of the roots.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 
 from .orbits import alpha_vars, chern_vars
 from .partitions import partition
-from .poly import Poly, _norm
+from .poly import Poly, TruncSeries, _norm
 
 
 class NotSymmetricError(ValueError):
@@ -178,30 +180,33 @@ def _elem_power_product(kvec, n):
     return acc
 
 
-def _greedy_decompose(poly, n, leading_product):
-    """Shared greedy loop: peel graded-lex leading terms of a symmetric
-    polynomial using leading_product(mu) -> term dict with leading monomial mu.
+def to_chern_basis(p, n=None):
+    """Rewrite a symmetric polynomial in the elementary basis c_1..c_n.
 
-    Homogeneous pieces are independent, so each degree slice is processed on
-    its own (lowest first), which keeps truncated series consistent.
+    Greedy: the graded-lex leading monomial mu of what is left is dominant,
+    and c^kvec with kvec_i = mu_i - mu_{i+1} has the same leading monomial,
+    so it is peeled off.  Homogeneous pieces are independent, so each degree
+    slice is processed on its own (lowest first), which keeps truncated
+    series consistent.
     """
-    out = {}
-    slices = poly.by_degree()
+    if n is None:
+        n = len(p.vars)
+    terms = {}
+    slices = p.by_degree()
     for d in sorted(slices):
         work = dict(slices[d])
-        heap = [(tuple(-x for x in e)) for e in work]
+        heap = [tuple(-x for x in e) for e in work]
         heapq.heapify(heap)
         while work:
-            ne = heapq.heappop(heap)
-            e = tuple(-x for x in ne)
+            e = tuple(-x for x in heapq.heappop(heap))
             c = work.get(e)
             if c is None:
                 continue
             if any(e[i] < e[i + 1] for i in range(n - 1)):
                 raise NotSymmetricError(
                     f"not symmetric: leading monomial {e} is not dominant")
-            prod = leading_product(e)
-            for pe, pc in prod.items():
+            kvec = tuple(e[i] - (e[i + 1] if i + 1 < n else 0) for i in range(n))
+            for pe, pc in _elem_power_product(kvec, n).items():
                 s = work.get(pe, 0) - c * pc
                 if s:
                     if pe not in work:
@@ -209,26 +214,7 @@ def _greedy_decompose(poly, n, leading_product):
                     work[pe] = _norm(s)
                 elif pe in work:
                     del work[pe]
-            out[e] = _norm(c)
-    return out
-
-
-def to_chern_basis(p, n=None):
-    """Rewrite a symmetric polynomial in the elementary basis c_1..c_n."""
-    if n is None:
-        n = len(p.vars)
-    if p.is_zero():
-        return Poly.zero(chern_vars(n))
-
-    def lead(mu):
-        kvec = tuple(mu[i] - (mu[i + 1] if i + 1 < n else 0) for i in range(n))
-        return _elem_power_product(kvec, n)
-
-    decomposed = _greedy_decompose(p, n, lead)
-    terms = {}
-    for mu, c in decomposed.items():
-        kvec = tuple(mu[i] - (mu[i + 1] if i + 1 < n else 0) for i in range(n))
-        terms[kvec] = c
+            terms[kvec] = _norm(c)
     return Poly(chern_vars(n), terms)
 
 
@@ -247,26 +233,37 @@ def chern_to_alpha(p, n=None):
     return Poly(alpha_vars(n), acc)
 
 
+def _require_symmetric(p, n):
+    """Raise NotSymmetricError unless each monomial's S_n-orbit is present in
+    full, every member with the coefficient of its dominant rearrangement."""
+    orbit_terms = {}
+    for e, c in p.terms.items():
+        dom = tuple(sorted(e, reverse=True))
+        if p.terms.get(dom) != c:
+            raise NotSymmetricError(
+                f"not symmetric: the coefficient of {e} differs from that of {dom}")
+        orbit_terms[dom] = orbit_terms.get(dom, 0) + 1
+    for dom, k in orbit_terms.items():
+        if k != factorial(n) // prod(factorial(m) for m in Counter(dom).values()):
+            raise NotSymmetricError(
+                f"not symmetric: {k} of the permutations of {dom} are present")
+
+
 def to_schur_basis(p, n=None):
     """Schur coefficients {partition: coeff} of a symmetric polynomial.
 
-    Accepts a Poly or a TruncSeries (converted degreewise, lowest degree
-    first, so truncation is respected).
+    For symmetric p, Alt(p a^delta) = p * Vandermonde with delta = (n-1, ..., 0),
+    so the bialternant extraction of p with every exponent shifted by delta
+    is the Schur expansion of p.  Accepts a Poly or a TruncSeries; monomials
+    are read one by one, so a truncated series gives its truncated expansion.
     """
-    from .poly import TruncSeries
     if isinstance(p, TruncSeries):
         p = p.poly
     if n is None:
         n = len(p.vars)
-    if p.is_zero():
-        return {}
-
-    def lead(mu):
-        lam = tuple(x for x in mu if x)
-        return _schur_terms(lam, n)
-
-    decomposed = _greedy_decompose(p, n, lead)
-    return {partition(mu): c for mu, c in decomposed.items()}
+    _require_symmetric(p, n)
+    shifted = {tuple(x + n - 1 - i for i, x in enumerate(e)): c for e, c in p.terms.items()}
+    return alternant_schur_pure(Poly(p.vars, shifted, _clean=False), n)
 
 
 def chern_weighted_degree(exps):

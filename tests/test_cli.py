@@ -61,7 +61,10 @@ def test_exit_code_usage_errors(capsys):
     code, _, err = capture(capsys, ["class", "--family", "wedge", "--n", "3", "--r", "2"])
     assert code == 1 and "r=2" in err                          # parity, parameter named
     code, _, err = capture(capsys, ["ktheory", "--n", "6", "--r", "2"])
-    assert code == 1 and "n" in err                            # out of K scope
+    assert code == 1 and "n <= 4" in err and "n=6" in err      # out of K scope
+    code, out, err = capture(capsys, ["class", "--family", "wedge", "--n", "3", "--r", "1",
+                                      "--trunc", "-1"])        # default csm/interp route
+    assert code == 1 and not out and "--trunc" in err
     for fam, n in (("wedge", "1"), ("sym", "0")):              # empty table
         code, out, err = capture(capsys, ["table", "--family", fam, "--n", n])
         assert code == 1 and not out and "--n" in err

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csmloci.orbits import Family, alpha_vars, euler_class
 from csmloci.partitions import (conjugate, count_ssyt, partition, partitions_upto,
@@ -88,6 +90,13 @@ def test_to_schur_basis_examples():
     assert to_schur_basis(Poly.const(av, 1)) == {(): 1}
     with pytest.raises(NotSymmetricError):
         to_schur_basis(Poly.linear(av, 0, a1=1, a2=1))
+    av2 = alpha_vars(2)
+    # a dominant monomial without its permutations, a full orbit with unequal
+    # coefficients, and a non-symmetric series
+    for bad in (Poly.variable(av2, "a1") ** 2, Poly.linear(av2, 0, a1=1, a2=2),
+                TruncSeries(Poly.linear(av2, 1, a2=1), 2)):
+        with pytest.raises(NotSymmetricError):
+            to_schur_basis(bad)
 
 
 def test_schur_roundtrip_exact():
@@ -107,3 +116,20 @@ def test_to_schur_degreewise_on_series():
     ser = TruncSeries(Poly.const(av, 1) + e1 + e1 * e1, 2)
     d = to_schur_basis(ser)
     assert d == {(): 1, (1,): 1, (2,): 1, (1, 1): 1}
+
+
+@st.composite
+def schur_dicts(draw):
+    n = draw(st.integers(1, 4))
+    lams = draw(st.lists(st.sampled_from(list(partitions_upto(6, max_len=n))),
+                         unique=True, max_size=5))
+    return n, {lam: draw(st.integers(-4, 4).filter(bool)) for lam in lams}
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(schur_dicts())
+def test_schur_roundtrip_property(case):
+    n, coeffs = case
+    p = schur_dict_to_alpha(coeffs, n)
+    assert to_schur_basis(p, n) == coeffs
+    assert to_schur_basis(chern_to_alpha(to_chern_basis(p), n), n) == coeffs
