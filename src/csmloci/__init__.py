@@ -3,28 +3,33 @@ matrix degeneracy loci, with Schur expansions, projectivized Euler
 characteristics, Chern-Mather classes and K-theoretic Segre classes.
 """
 
-from .classes import ClassExpr
-from .interp import csm_class, csm_to_ssm, restriction_data, ssm_interp, verify_axioms, w_function
-from .ktheory import motivic_segre_sieve, phi_wedge_k, q_binomial, q_euler_numbers, q_factorial
-from .laurent import LaurentFraction
-from .mather import chern_mather_wedge, euler_obstruction_wedge
-from .orbits import Family, OrbitId
-from .partitions import partition
-from .poly import ExactDivisionError, Poly, TruncSeries
-from .projective import (aluffi_J, closed_invariants, euler_char_table,
-                         general_projectivize, projectivize)
-from .schur import schur_poly, to_chern_basis, to_schur_basis
-from .sieve import euler_numbers, invert_binomial_matrix, phi_class, ssm_sieve
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClassExpr", "ExactDivisionError", "Family", "LaurentFraction", "OrbitId",
-    "Poly", "TruncSeries", "aluffi_J", "chern_mather_wedge", "closed_invariants",
-    "csm_class", "csm_to_ssm", "euler_char_table", "euler_numbers",
-    "euler_obstruction_wedge", "general_projectivize", "invert_binomial_matrix",
-    "motivic_segre_sieve", "partition", "phi_class", "phi_wedge_k", "projectivize",
-    "q_binomial", "q_euler_numbers", "q_factorial", "restriction_data", "schur_poly",
-    "ssm_interp", "ssm_sieve", "to_chern_basis", "to_schur_basis", "verify_axioms",
-    "w_function",
-]
+# Public name -> defining submodule.  Submodules load on first access, so a
+# command pays only for the layers it uses.
+_EXPORTS = {name: module for module, names in (
+    ("classes", "ClassExpr"),
+    ("interp", "csm_class csm_to_ssm restriction_data ssm_interp verify_axioms w_function"),
+    ("ktheory", "motivic_segre_sieve phi_wedge_k q_binomial q_euler_numbers q_factorial"),
+    ("laurent", "LaurentFraction"),
+    ("mather", "chern_mather_wedge euler_obstruction_wedge"),
+    ("orbits", "Family OrbitId"),
+    ("partitions", "partition"),
+    ("poly", "ExactDivisionError Poly TruncSeries"),
+    ("projective", "aluffi_J closed_invariants euler_char_table general_projectivize "
+                   "projectivize"),
+    ("schur", "schur_poly to_chern_basis to_schur_basis"),
+    ("sieve", "euler_numbers invert_binomial_matrix phi_class ssm_sieve"),
+) for name in names.split()}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value

@@ -1,20 +1,20 @@
-"""CSM classes of the corank orbits via symmetrized interpolation polynomials.
+"""CSM classes of the corank orbits via the interpolation W-functions.
 
 The W-function of an orbit is a subset sum of rational functions whose
 denominators are root differences; the sum collapses to an integer symmetric
 polynomial equal to the equivariant CSM class of the orbit.
 
-Computation route: for corank r >= 1, every subset term of W_{n,r} is the
-signed permutation image of the term attached to the base subset {1..r}, whose
-complement carries the inner function W_{n-r,0}.  After clearing denominators
-to the full Vandermonde the sum becomes a full signed symmetrization of a
-single polynomial numerator.  Dividing the antisymmetrization by the
-Vandermonde is done per monomial by the bialternant identity, which yields the
-Schur expansion directly.  The open orbit comes from additivity: the csm
-classes of all orbits add up to c(V), so W_{n,0} = c(V) - sum_{r>=1} W_{n,r},
-and the recursion closes because W_{n,r} needs only W_{n-r,0}.  The direct
-rational-point evaluators of the defining sums, w_value and w_inner_value,
-serve as independent oracles.
+Computation route: for corank r >= 1, W_{n,r} sums over the r-subsets I the
+term at I = {1..r}, whose complement J carries the inner function W_{n-r,0}.
+That sum is a Gysin pushforward from a Grassmann bundle
+(schur.pushforward_schur): the term is kept as monomials in a_I times Schur
+polynomials in a_J, the factors over I x J enter by the Pieri rule, and the
+bialternant identity gives Schur coefficients.  The open orbit comes from
+additivity: the csm classes of all orbits add up to c(V), so
+W_{n,0} = c(V) - sum_{r>=1} W_{n,r}, and the recursion closes because
+W_{n,r} needs only W_{n-r,0}; c(V) in Schur form is the same pushforward
+with r = 1.  The direct rational-point evaluators of the defining sums,
+w_value and w_inner_value, serve as independent oracles.
 """
 
 from __future__ import annotations
@@ -27,47 +27,19 @@ from math import comb, factorial
 from types import MappingProxyType
 
 from .classes import ClassExpr, add_schur, schur_class
-from .orbits import (Family, OrbitId, alpha_vars, as_family, base_subset_pairs, coranks,
-                     root_difference, suborbit_coranks, total_chern, weight_factor)
+from .orbits import (Family, OrbitId, as_family, coranks, inside_weights, suborbit_coranks,
+                     total_chern, weight_pairs)
 from .poly import ExactDivisionError, Poly, TruncSeries, product
-from .schur import alternant_schur_pure, schur_dict_to_alpha, to_schur_basis
+from .schur import pushforward_schur, schur_dict_to_alpha, to_schur_basis
 
 
-# -- the base-subset numerator and the W-functions ---------------------
-
-@lru_cache(maxsize=None)
-def w_inner(family, k):
-    """The inner function W_k = W_{k,0} as an exact polynomial in a_1..a_k
-    (the constant 1 for k = 0)."""
-    if k == 0:
-        return Poly.const((), 1)
-    return schur_dict_to_alpha(w_schur(OrbitId(family, k, 0)), k)
-
-
-def _outer_numerator(orbit, bound=None):
-    """Cleared numerator of the base-subset term of W_{n,r}.
-
-    Base subset I = {1..r}; complement carries the inner function.  The
-    missing Vandermonde factors (pairs inside I and inside the complement)
-    multiply the numerator.
-    """
-    family, n, r = orbit.family, orbit.n, orbit.r
-    av = alpha_vars(n)
-    pairs = base_subset_pairs(family, n, r)
-    factors = [w_inner(family, n - r).map_vars(
-        av, {f"a{i}": f"a{i + r}" for i in range(1, n - r + 1)})]
-    factors += [weight_factor(av, 0, i, j) for i, j in pairs.inside]
-    for i, j in pairs.cross:
-        factors += [weight_factor(av, 0, i, j), weight_factor(av, 1, i, j)]
-    factors += [root_difference(av, i, j) for i, j in pairs.vandermonde]
-    return product(factors, av, bound=bound)
-
+# -- the W-functions ----------------------------------------------------
 
 def w_schur(orbit, max_deg=None):
     """Schur coefficients of W_{n,r} = csm(Sigma_{n,r}).
 
     With max_deg set, only coefficients of partitions of size <= max_deg are
-    produced (the numerator product is truncated accordingly).
+    produced (the pushforward products are cut accordingly).
     """
     return _w_schur(orbit, max_deg)
 
@@ -78,12 +50,30 @@ def _w_schur(orbit, max_deg):
     if r == 0:
         # additivity: the csm classes of all orbits of V add up to c(V)
         rest = [w_schur(OrbitId(family, n, m), max_deg) for m in coranks(family, n) if m]
-        total = to_schur_basis(total_chern(family, n, bound=max_deg), n)
+        total = _chern_schur(family, n, max_deg)
         return MappingProxyType(add_schur(total, *rest, coeffs=[1] + [-1] * len(rest)))
-    bound = None if max_deg is None else max_deg + comb(n, 2)
-    num = _outer_numerator(orbit, bound=bound)
-    return MappingProxyType(
-        alternant_schur_pure(num, n, factorial(r) * factorial(n - r), max_deg))
+    lam, coeff = inside_weights(family, r)
+    inner = w_schur(OrbitId(family, n - r, 0)) if r < n else {(): 1}
+    inner = {mu: coeff * c for mu, c in inner.items()}
+    # over I x J: (a_i + a_j)(1 + a_i + a_j)
+    return MappingProxyType(pushforward_schur(
+        n, r, inner, lam, cross=((0, 1, 1), (1, 1, 1)), max_deg=max_deg))
+
+
+@lru_cache(maxsize=None)
+def _chern_schur(family, n, max_deg):
+    """c(V) in Schur form, through max_deg.
+
+    c(V_n) is c(V_{n-1}) in a_2..a_n times prod_{j>1} (1 + a_1 + a_j), and
+    (1 + 2a_1) for sym; clearing with prod_{j>1} (a_1 - a_j) and summing over
+    the n choices of a_1 gives n c(V_n).
+    """
+    if n == 0:
+        return MappingProxyType({(): 1})
+    inside = [(i, j, 1) for i, j in weight_pairs(family, 1)]
+    return MappingProxyType(pushforward_schur(
+        n, 1, _chern_schur(family, n - 1, max_deg), inside=inside,
+        cross=((1, 1, 1), (0, -1, 1)), max_deg=max_deg, stab=n))
 
 
 @dataclass

@@ -152,11 +152,10 @@ def _pair_denominator(n):
 def phi_wedge_k(n, r):
     """K-theoretic Phi class of Sigma_{n,r} as an exact reduced fraction.
 
-    Same symmetrization strategy as in cohomology: the subset sum equals the
-    full signed symmetrization of one cleared numerator divided by the
-    Vandermonde, which is resolved per monomial (the y-variable rides along
-    passively); the surviving denominator is a product of (a_i a_j + y)
-    factors, enforced by explicit-factor cancellation.
+    The subset sum equals the full signed symmetrization of one cleared
+    numerator divided by the Vandermonde, which is resolved per monomial (the
+    y-variable rides along passively); the surviving denominator is a product
+    of (a_i a_j + y) factors, enforced by explicit-factor cancellation.
     """
     orbit = _check_k_scope(n, r)
     av = _k_vars(n)

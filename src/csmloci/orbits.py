@@ -118,6 +118,14 @@ def base_subset_pairs(family, n, r):
                      inside_j, _pairs(I) + inside_j)
 
 
+def inside_weights(family, r):
+    """(lam, coeff) with the product of the weights a_i + a_j inside
+    I = {1..r} equal to coeff s_lam(a_1..a_r): s_(r-1,...,1) for wedge,
+    2^r s_(r,...,1) for sym."""
+    sym = as_family(family) is Family.SYM
+    return tuple(range(r - 1 + sym, 0, -1)), 2 ** r if sym else 1
+
+
 def weight_factor(variables, const, i, j):
     """const + a_i + a_j, or const + 2 a_i when i = j."""
     if i == j:

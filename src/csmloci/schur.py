@@ -8,10 +8,11 @@ k-th elementary symmetric polynomial of the roots.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import comb, factorial, inf, prod
+from operator import add as _add
 
 from .orbits import alpha_vars, chern_vars
 from .partitions import partition
@@ -147,6 +148,115 @@ def alternant_schur_pure(poly, n_alt, stab=1, max_deg=None):
         if max_deg is None or sum(lam) <= max_deg:
             out[lam] = _norm(Fraction(c, stab))
     return out
+
+
+# -- Grassmannian pushforward -------------------------------------------
+
+def _power_terms(c, q, upto):
+    """[(t, coeff)] of (c + x)^q through x^upto, ascending; c is 0 or 1,
+    and c = 1 when q < 0."""
+    if c == 0:
+        return [(q, 1)] if 0 <= q <= upto else []
+    if q >= 0:
+        return [(t, comb(q, t)) for t in range(min(q, upto) + 1)]
+    return [(t, (-1) ** t * comb(t - q - 1, t)) for t in range(upto + 1)]
+
+
+@lru_cache(maxsize=None)
+def _strips(mu, k, m, vertical):
+    """The partitions nu with at most m parts such that nu/mu is a vertical
+    strip (no two boxes in a row) or a horizontal strip (no two in a column)
+    of k boxes: e_k s_mu, resp. h_k s_mu, is the sum of these s_nu (Pieri)."""
+    mu = mu + (0,) * (m - len(mu))
+    out = []
+
+    def fill(i, left, nu):
+        if i == m:
+            if not left:
+                out.append(tuple(p for p in nu if p))
+            return
+        top = mu[i] + (min(left, 1) if vertical else left)
+        if i:
+            top = min(top, nu[i - 1] if vertical else mu[i - 1])
+        for v in range(mu[i], top + 1):
+            fill(i + 1, left - v + mu[i], nu + (v,))
+
+    fill(0, k, ())
+    return tuple(out)
+
+
+def _pieri_mul(state, i, fk, m, vertical, bound):
+    """state times sum_k fk[k](a_i) e_k(a_J) (vertical) or h_k(a_J), where
+    fk[k] lists (t, coeff) of a polynomial in a_i by ascending t."""
+    out = defaultdict(int)
+    for (alpha, mu), c in state.items():
+        room = bound - sum(alpha) - sum(mu)
+        head, ai, tail = alpha[:i], alpha[i], alpha[i + 1:]
+        for k, terms in enumerate(fk):
+            if k > room:
+                break
+            strips = _strips(mu, k, m, vertical)
+            for t, b in terms:
+                if k + t > room:
+                    break
+                a2 = head + (ai + t,) + tail
+                cb = c * b
+                for nu in strips:
+                    out[a2, nu] += cb
+    return {key: c for key, c in out.items() if c}
+
+
+def _unit_mul(state, i, j, p, bound):
+    """state times (1 + a_i + a_j)^p, or (1 + 2a_i)^p when i = j, with
+    0-based indices into the I exponents."""
+    out = defaultdict(int)
+    for (alpha, mu), c in state.items():
+        room = bound - sum(alpha) - sum(mu)
+        for t, b in _power_terms(1, p, room):
+            for u in range(t + 1):
+                a2 = list(alpha)
+                a2[i] += u
+                a2[j] += t - u
+                out[tuple(a2), mu] += c * b * comb(t, u)
+    return {key: c for key, c in out.items() if c}
+
+
+def pushforward_schur(n, r, inner, lam=(), inside=(), cross=(), max_deg=None, stab=1):
+    """Schur coefficients of the sum over the r-subsets I of [n] of
+    P_I s_lam(a_I) / prod_{i in I, j not in I} (a_i - a_j), divided by stab:
+    the Gysin formula of a Grassmann bundle.
+
+    P is given at I = {1..r}, J = {r+1..n} (m = n - r) as the product of
+    inner, a Schur dict in a_J; (1 + a_i + a_j)^p for each (i, j, p) of
+    inside, 1-based in I (1 + 2a_i when i = j); and
+    prod_{i in I, j in J} (c + a_i + s a_j)^p for each (c, s, p) of cross,
+    p = +-1 and c = 1 when p = -1.  P must be symmetric in a_I.
+
+    The state {(alpha, mu): coeff} stands for sum coeff a_I^alpha s_mu(a_J).
+    Over J a cross factor is sum_k (p s)^k (c + a_i)^(p m - k) times e_k(a_J),
+    or h_k(a_J) when p = -1, so it enters by Pieri strips.  The sum over I is
+    Alt_n(sum coeff a_I^(alpha + lam + delta_r) a_J^(mu + delta_m)) over the
+    Vandermonde, read off by the bialternant identity.  Products are cut at
+    the degree that max_deg allows.
+    """
+    m = n - r
+    bound = inf if max_deg is None else max_deg + r * m - sum(lam)
+    state = {((0,) * r, mu): c for mu, c in inner.items() if sum(mu) <= bound}
+    for i, j, p in inside:
+        state = _unit_mul(state, i - 1, j - 1, p, bound)
+    for c, s, p in cross:
+        fk = [[(t, (p * s) ** k * b) for t, b in _power_terms(c, p * m - k, bound)]
+              for k in range((m if p > 0 else bound) + 1)]
+        for i in range(r):
+            state = _pieri_mul(state, i, fk, m, p > 0, bound)
+
+    def staircase_shift(part, k):
+        return tuple(x + k - 1 - i for i, x in enumerate(part + (0,) * (k - len(part))))
+
+    shift = staircase_shift(lam, r)
+    terms = {tuple(map(_add, alpha, shift)) + staircase_shift(mu, m): c
+             for (alpha, mu), c in state.items()}
+    return alternant_schur_pure(Poly(alpha_vars(n), terms, _clean=False), n, stab, max_deg)
 
 
 # -- elementary symmetric basis ----------------------------------------

@@ -2,12 +2,12 @@
 
 The building block is the pushforward class Phi_{n,r} of the fibered
 resolution, a subset sum over r-element subsets I of [n] of products of
-weight factors; it is computed here by equivariant-localization bookkeeping:
-unit denominators (1 + a_i + a_j) are inverted as truncated series, the root
-differences (a_i - a_j) are cleared to the full Vandermonde, the subset sum
-becomes a signed symmetrization of the base-subset numerator, and the final
-exact gradewise Vandermonde division is realized monomial-by-monomial through
-the bialternant identity (yielding Schur coefficients directly).
+weight factors.  The sum is a Gysin pushforward from a Grassmann bundle
+(schur.pushforward_schur): the unit denominators (1 + a_i + a_j) are
+inverted as truncated series, inside I on monomials and across I x J by the
+Pieri rule for h_k, and the result comes out in Schur coefficients.
+phi_reference_series, which clears every subset term to the full
+Vandermonde and divides, is the independent check.
 
 The orbit SSM classes are alternating linear combinations of Phi classes:
 Euler-number coefficients in the skew-symmetric family, plain signed
@@ -22,10 +22,9 @@ from math import comb, factorial
 from types import MappingProxyType
 
 from .classes import add_schur, schur_class
-from .orbits import (Family, OrbitId, alpha_vars, base_subset_pairs, root_difference,
-                     suborbit_coranks, weight_factor)
+from .orbits import Family, OrbitId, alpha_vars, inside_weights, suborbit_coranks, weight_pairs
 from .poly import Poly, TruncSeries, exact_int, product
-from .schur import alternant_schur_pure
+from .schur import pushforward_schur
 
 
 # -- Euler numbers ------------------------------------------------------
@@ -62,33 +61,17 @@ def invert_binomial_matrix(m, parity="even"):
 
 # -- Phi classes --------------------------------------------------------
 
-def _phi_term_parts(family, n, r):
-    """Numerator factors, unit-denominator factors and cleared Vandermonde
-    complements for the base subset I = {1..r}."""
-    av = alpha_vars(n)
-    pairs = base_subset_pairs(family, n, r)
-    numer = [weight_factor(av, 0, i, j) for i, j in pairs.inside]
-    units = [weight_factor(av, 1, i, j) for i, j in pairs.inside + pairs.cross]
-    for i, j in pairs.cross:
-        numer += [weight_factor(av, 0, i, j), root_difference(av, i, j, const=1)]
-    missing = [root_difference(av, i, j) for i, j in pairs.vandermonde]
-    return numer, units, missing
-
-
 @lru_cache(maxsize=None)
 def phi_schur(orbit, D):
     """Schur coefficients of Phi_{n,r} up to total degree D."""
     family, n, r = orbit.family, orbit.n, orbit.r
     if r == 0:
         return MappingProxyType({(): 1})
-    av = alpha_vars(n)
-    work = D + comb(n, 2)
-    numer, units, missing = _phi_term_parts(family, n, r)
-    num_poly = product(numer + missing, av, bound=work)
-    unit_poly = product(units, av, bound=work)
-    series = TruncSeries(unit_poly, work).divide_into(TruncSeries(num_poly, work))
-    return MappingProxyType(
-        alternant_schur_pure(series.poly, n, factorial(r) * factorial(n - r), D))
+    lam, coeff = inside_weights(family, r)
+    inside = [(i, j, -1) for i, j in weight_pairs(family, r)]
+    # over I x J: (a_i + a_j)(1 + a_i - a_j) / (1 + a_i + a_j)
+    return MappingProxyType(pushforward_schur(
+        n, r, {(): coeff}, lam, inside, cross=((0, 1, 1), (1, -1, 1), (1, 1, -1)), max_deg=D))
 
 
 def phi_class(orbit, D):

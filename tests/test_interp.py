@@ -7,12 +7,11 @@ import pytest
 
 from csmloci.classes import add_schur
 from csmloci.interp import (csm_class, csm_to_ssm, restriction_data, ssm_interp,
-                            verify_axioms, w_function, w_inner, w_inner_value,
-                            w_schur, w_value)
+                            verify_axioms, w_function, w_inner_value, w_schur, w_value)
 from csmloci.orbits import Family, OrbitId, alpha_vars, coranks, total_chern
 from csmloci.partitions import staircase
 from csmloci.poly import Poly
-from csmloci.schur import to_chern_basis
+from csmloci.schur import schur_dict_to_alpha, to_chern_basis
 from csmloci.sieve import ssm_sieve
 
 W, S = Family.WEDGE, Family.SYM
@@ -45,22 +44,23 @@ def test_w_matches_printed_values(key):
 
 
 def test_w_inner_wedge_2_is_one():
-    assert w_inner(W, 2) == Poly.const(alpha_vars(2), 1)
+    assert schur_dict_to_alpha(w_schur(OrbitId(W, 2, 0)), 2) == Poly.const(alpha_vars(2), 1)
 
 
 def test_w_inner_sym_2():
     av = alpha_vars(2)
-    assert w_inner(S, 2) == Poly(av, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 4})
+    assert schur_dict_to_alpha(w_schur(OrbitId(S, 2, 0)), 2) == \
+        Poly(av, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 4})
 
 
 def test_w_inner_wedge_4_printed():
-    got = to_chern_basis(w_inner(W, 4))
+    got = to_chern_basis(schur_dict_to_alpha(w_schur(OrbitId(W, 4, 0)), 4))
     assert got == cpoly(4, PRINTED_W[(W, 4, 0)])
 
 
 def test_w_inner_parity():
     with pytest.raises(ValueError):
-        w_inner(W, 3)
+        OrbitId(W, 3, 0)
 
 
 def test_w_symmetric_and_integral():
@@ -93,7 +93,8 @@ def test_w_value_oracle():
     # expanded polynomial at random rational points with distinct coordinates
     rng = random.Random(42)
     for fam, n, r in [(W, 2, 0), (W, 3, 1), (W, 4, 2), (W, 4, 4),
-                      (S, 2, 1), (S, 3, 0), (S, 3, 2), (S, 4, 1)]:
+                      (S, 2, 1), (S, 3, 0), (S, 3, 2), (S, 4, 1),
+                      (W, 5, 1), (W, 5, 3), (S, 5, 2), (W, 6, 2), (S, 6, 1), (S, 6, 3)]:
         orbit = OrbitId(fam, n, r)
         poly = w_function(orbit).poly
         for _ in range(3):
@@ -104,7 +105,7 @@ def test_w_value_oracle():
 def test_w_inner_value_oracle():
     rng = random.Random(8)
     for fam, k in [(W, 4), (S, 3), (S, 4), (W, 2), (S, 1), (S, 2), (S, 5)]:
-        poly = w_inner(fam, k)
+        poly = schur_dict_to_alpha(w_schur(OrbitId(fam, k, 0)), k)
         for _ in range(3):
             pt = [Fraction(v, 5) for v in rng.sample(range(1, 40), k)]
             assert poly.eval({f"a{i + 1}": pt[i] for i in range(k)}) == \
@@ -115,9 +116,19 @@ def test_csm_sum_is_total_chern():
     # additivity: the csm classes of all orbits add up to c(TV) = c(V)
     from csmloci.schur import to_schur_basis
     for fam in (W, S):
-        for n in range(1, 6):
+        for n in range(1, 7):
             total = add_schur(*[w_schur(OrbitId(fam, n, r)) for r in coranks(fam, n)])
             assert total == to_schur_basis(total_chern(fam, n), n)
+
+
+@pytest.mark.parametrize("fam", [W, S])
+def test_truncated_w_is_cut_of_full(fam):
+    for n in range(1, 6):
+        for r in coranks(fam, n):
+            full = w_schur(OrbitId(fam, n, r))
+            for D in (0, 1, 3, 5, 8):
+                cut = {lam: c for lam, c in full.items() if sum(lam) <= D}
+                assert w_schur(OrbitId(fam, n, r), max_deg=D) == cut
 
 
 def test_cached_results_are_read_only():

@@ -11,7 +11,7 @@ from csmloci.orbits import Family, alpha_vars, euler_class
 from csmloci.partitions import (conjugate, count_ssyt, partition, partitions_upto,
                                 staircase)
 from csmloci.poly import Poly, TruncSeries
-from csmloci.schur import (NotSymmetricError, chern_to_alpha, schur_dict_to_alpha,
+from csmloci.schur import (NotSymmetricError, _strips, chern_to_alpha, schur_dict_to_alpha,
                            schur_poly, to_chern_basis, to_schur_basis)
 
 
@@ -133,3 +133,16 @@ def test_schur_roundtrip_property(case):
     p = schur_dict_to_alpha(coeffs, n)
     assert to_schur_basis(p, n) == coeffs
     assert to_schur_basis(chern_to_alpha(to_chern_basis(p), n), n) == coeffs
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(1, 4).flatmap(lambda m: st.tuples(
+    st.just(m), st.sampled_from(list(partitions_upto(6, max_len=m))), st.integers(0, 4))))
+def test_pieri_strips(case):
+    # e_k s_mu sums the vertical k-strips over mu, h_k s_mu the horizontal ones
+    m, mu, k = case
+    for vertical, factor in ((True, (1,) * k), (False, (k,))):
+        expect = Poly.zero(alpha_vars(m))
+        for nu in _strips(mu, k, m, vertical):
+            expect = expect + schur_poly(nu, m)
+        assert schur_poly(mu, m) * schur_poly(factor, m) == expect

@@ -96,9 +96,20 @@ def test_phi_against_reference_clearing_route():
     # the literal per-subset route (common-denominator clearing + gradewise
     # exact division, zero remainder required) agrees with the production one
     for fam, n, r, D in [(W, 2, 2, 5), (W, 3, 1, 5), (W, 3, 3, 4), (W, 4, 2, 3),
-                         (S, 2, 1, 5), (S, 2, 2, 4), (S, 3, 2, 4), (S, 3, 1, 3)]:
+                         (S, 2, 1, 5), (S, 2, 2, 4), (S, 3, 2, 4), (S, 3, 1, 3),
+                         (S, 5, 1, 3), (S, 5, 2, 4), (W, 5, 3, 4)]:
         ref = phi_reference_series(OrbitId(fam, n, r), D)
         assert to_schur_basis(ref, n) == phi_schur(OrbitId(fam, n, r), D)
+
+
+@pytest.mark.parametrize("fam", [W, S])
+def test_truncated_phi_is_cut_of_longer(fam):
+    for n in range(1, 6):
+        for r in coranks(fam, n):
+            for D in (0, 2, 5):
+                longer = phi_schur(OrbitId(fam, n, r), D + 3)
+                cut = {lam: c for lam, c in longer.items() if sum(lam) <= D}
+                assert phi_schur(OrbitId(fam, n, r), D) == cut
 
 
 def test_ssm_wedge_2_0():
