@@ -3,6 +3,11 @@
 A ClassExpr is a symmetric class together with its basis (alpha monomials,
 Chern classes c_i, or Schur coefficients), the orbit it belongs to, and an
 optional truncation degree (None means the payload is an exact polynomial).
+
+The classes are computed in Schur form.  Chern and Schur convert into each
+other by vertical Pieri strips (schur.chern_to_schur, schur.schur_to_chern),
+without expanding into the Chern roots; the alpha basis is an output format
+only, expanded from the Schur form.
 """
 
 from __future__ import annotations
@@ -11,8 +16,8 @@ from dataclasses import dataclass, field
 
 from .orbits import Family, OrbitId
 from .partitions import partition
-from .poly import TruncSeries, _norm
-from .schur import chern_to_alpha, schur_dict_to_alpha, to_chern_basis, to_schur_basis
+from .poly import _norm
+from .schur import chern_to_schur, schur_dict_to_alpha, schur_to_chern
 
 ALPHA, CHERN, SCHUR = "alpha", "chern", "schur"
 
@@ -66,31 +71,24 @@ class ClassExpr:
     def schur_coeffs(self):
         if self.basis == SCHUR:
             return dict(self.payload)
-        p = self.payload if self.basis == ALPHA else chern_to_alpha(self.payload, self.n)
-        d = to_schur_basis(p, self.n)
-        if self.trunc is not None:
-            d = truncate_schur(d, self.trunc)
-        return d
+        if self.basis == ALPHA:
+            raise ValueError("an alpha payload is output only; convert from the "
+                             "Schur or Chern basis")
+        return self._cut(chern_to_schur(self.payload, self.n))
 
     def alpha_poly(self):
         if self.basis == ALPHA:
             return self.payload
-        if self.basis == CHERN:
-            p = chern_to_alpha(self.payload, self.n)
-        else:
-            p = schur_dict_to_alpha(self.payload, self.n, max_deg=self.trunc)
+        p = schur_dict_to_alpha(self.schur_coeffs(), self.n, max_deg=self.trunc)
         return p.truncate(self.trunc) if self.trunc is not None else p
-
-    def alpha_series(self, bound=None):
-        bound = self.trunc if bound is None else bound
-        if bound is None:
-            raise ValueError("exact class: pass an explicit bound for a series view")
-        return TruncSeries(self.alpha_poly().truncate(bound), bound)
 
     def chern_poly(self):
         if self.basis == CHERN:
             return self.payload
-        return to_chern_basis(self.alpha_poly(), self.n)
+        return schur_to_chern(self._cut(self.schur_coeffs()), self.n)
+
+    def _cut(self, coeffs):
+        return coeffs if self.trunc is None else truncate_schur(coeffs, self.trunc)
 
     def in_basis(self, basis):
         if basis == self.basis:

@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import emit
-from .classes import ClassExpr
 from .orbits import OrbitId, as_family
 
 
@@ -26,7 +26,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built on first use and shared by later calls:
+    parsing keeps no state in it."""
     p = _Parser(prog="csmloci",
                 description="Exact CSM/SSM classes of skew-symmetric and "
                             "symmetric matrix degeneracy loci")
@@ -111,32 +114,26 @@ def _emit_class(cls, fmt, extra_warnings=()):
 
 
 def _cmd_class(args):
-    from .interp import csm_class, csm_to_ssm
-    from .orbits import total_chern
-    from .poly import TruncSeries
-    from .schur import to_schur_basis
-    from .sieve import ssm_sieve
+    from .classes import schur_class, truncate_schur
+    from .interp import csm_class, ssm_interp
+    from .sieve import csm_sieve_schur, ssm_sieve
     orbit = OrbitId(args.family, args.n, args.r)
     if args.kind == "csm" and args.route == "interp":
         _require_trunc(args)
         cls = csm_class(orbit, closure=args.closure)
         if args.trunc is not None:
-            from .classes import truncate_schur
             cls.payload = truncate_schur(cls.payload, args.trunc)
             cls.trunc = args.trunc
     elif args.kind == "ssm" and args.route == "interp":
         _require_trunc(args, "for ssm output")
-        cls = csm_to_ssm(csm_class(orbit, closure=args.closure), args.trunc)
+        cls = ssm_interp(orbit, args.trunc, closure=args.closure)
     elif args.kind == "ssm":
         _require_trunc(args, "for the sieve route")
         cls = ssm_sieve(orbit, args.trunc, closure=args.closure)
     else:
         _require_trunc(args, "for csm via the sieve route")
-        ssm = ssm_sieve(orbit, args.trunc, closure=args.closure)
-        cv = TruncSeries(total_chern(orbit.family, orbit.n, bound=args.trunc), args.trunc)
-        csm = cv * ssm.alpha_series()
-        cls = ClassExpr("csm", "schur", orbit.family, orbit.n, orbit.r,
-                        to_schur_basis(csm, orbit.n), args.trunc, args.closure)
+        csm = truncate_schur(csm_sieve_schur(orbit, closure=args.closure), args.trunc)
+        cls = schur_class("csm", orbit, csm, trunc=args.trunc, closure=args.closure)
     _emit_class(cls.in_basis(args.basis), args.format)
     return 0
 

@@ -19,19 +19,16 @@ def _split_name(name):
     return head, tail
 
 
-def _term_degree(vars_, exps):
-    d = 0
-    for name, x in zip(vars_, exps):
-        head, tail = _split_name(name)
-        w = int(tail) if head == "c" and tail else 1
-        d += w * x
-    return d
+def _degree_weight(name):
+    head, tail = _split_name(name)
+    return int(tail) if head == "c" and tail else 1
 
 
 def sorted_terms(poly):
     """Deterministic display/serialization order for a Poly."""
+    weights = [_degree_weight(name) for name in poly.vars]
     return sorted(poly.terms.items(),
-                  key=lambda item: (_term_degree(poly.vars, item[0]),
+                  key=lambda item: (sum(w * x for w, x in zip(weights, item[0])),
                                     tuple(-x for x in item[0])))
 
 
@@ -58,14 +55,13 @@ def _monomial(vars_, exps, latex):
     for name, x in zip(vars_, exps):
         if not x:
             continue
-        head, tail = _split_name(name)
         if latex:
+            head, tail = _split_name(name)
             base = _GREEK.get(head, head)
             sym = f"{base}_{{{tail}}}" if tail else base
             parts.append(sym if x == 1 else f"{sym}^{{{x}}}")
         else:
-            sym = name
-            parts.append(sym if x == 1 else f"{sym}^{x}")
+            parts.append(name if x == 1 else f"{name}^{x}")
     return "".join(parts)
 
 

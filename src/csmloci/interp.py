@@ -13,8 +13,17 @@ bialternant identity gives Schur coefficients.  The open orbit comes from
 additivity: the csm classes of all orbits add up to c(V), so
 W_{n,0} = c(V) - sum_{r>=1} W_{n,r}, and the recursion closes because
 W_{n,r} needs only W_{n-r,0}; c(V) in Schur form is the same pushforward
-with r = 1.  The direct rational-point evaluators of the defining sums,
-w_value and w_inner_value, serve as independent oracles.
+with r = 1.
+
+The ssm class W_{n,r} / c(V) is computed the same way: c(V) is symmetric,
+so it divides each subset term, which leaves the inner ssm of the open orbit
+on J, the unit factors (1 + a_i + a_j) inside I inverted, and (a_i + a_j)
+over I x J.  The open orbit again comes from additivity, the ssm classes
+adding up to 1.  Closures and the Chern-Mather ssm are sums of these.
+
+The direct rational-point evaluators of the defining sums, w_value and
+w_inner_value, serve as independent oracles, and csm_to_ssm, which divides
+by c(V) as a series in the Chern roots, checks the ssm classes.
 """
 
 from __future__ import annotations
@@ -48,10 +57,7 @@ def w_schur(orbit, max_deg=None):
 def _w_schur(orbit, max_deg):
     family, n, r = orbit.family, orbit.n, orbit.r
     if r == 0:
-        # additivity: the csm classes of all orbits of V add up to c(V)
-        rest = [w_schur(OrbitId(family, n, m), max_deg) for m in coranks(family, n) if m]
-        total = _chern_schur(family, n, max_deg)
-        return MappingProxyType(add_schur(total, *rest, coeffs=[1] + [-1] * len(rest)))
+        return _by_additivity(w_schur, orbit, max_deg, chern_schur(family, n, max_deg))
     lam, coeff = inside_weights(family, r)
     inner = w_schur(OrbitId(family, n - r, 0)) if r < n else {(): 1}
     inner = {mu: coeff * c for mu, c in inner.items()}
@@ -60,8 +66,41 @@ def _w_schur(orbit, max_deg):
         n, r, inner, lam, cross=((0, 1, 1), (1, 1, 1)), max_deg=max_deg))
 
 
+def ssm_interp_schur(orbit, D):
+    """Schur coefficients of ssm(Sigma_{n,r}) = W_{n,r} / c(V) through degree D.
+
+    Dividing each subset term of W by c(V) leaves the inner ssm of the open
+    orbit on J, the inverted unit factors inside I and (a_i + a_j) over
+    I x J, so the same pushforward computes it; the open orbit comes from
+    additivity, ssm(Sigma_{n,0}) = 1 - sum_{r>=1} ssm(Sigma_{n,r}).
+    """
+    if D < 0:
+        raise ValueError("truncation bound must be non-negative")
+    return _ssm_interp_schur(orbit, D)
+
+
 @lru_cache(maxsize=None)
-def _chern_schur(family, n, max_deg):
+def _ssm_interp_schur(orbit, D):
+    family, n, r = orbit.family, orbit.n, orbit.r
+    if r == 0:
+        return _by_additivity(ssm_interp_schur, orbit, D, {(): 1})
+    lam, coeff = inside_weights(family, r)
+    inner = ssm_interp_schur(OrbitId(family, n - r, 0), D) if r < n else {(): 1}
+    inner = {mu: coeff * c for mu, c in inner.items()}
+    inside = [(i, j, -1) for i, j in weight_pairs(family, r)]
+    return MappingProxyType(pushforward_schur(
+        n, r, inner, lam, inside, cross=((0, 1, 1),), max_deg=D))
+
+
+def _by_additivity(orbit_class, orbit, max_deg, total):
+    """The open orbit's class: total minus the classes of the other orbits."""
+    family, n = orbit.family, orbit.n
+    rest = [orbit_class(OrbitId(family, n, m), max_deg) for m in coranks(family, n) if m]
+    return MappingProxyType(add_schur(total, *rest, coeffs=[1] + [-1] * len(rest)))
+
+
+@lru_cache(maxsize=None)
+def chern_schur(family, n, max_deg):
     """c(V) in Schur form, through max_deg.
 
     c(V_n) is c(V_{n-1}) in a_2..a_n times prod_{j>1} (1 + a_1 + a_j), and
@@ -72,7 +111,7 @@ def _chern_schur(family, n, max_deg):
         return MappingProxyType({(): 1})
     inside = [(i, j, 1) for i, j in weight_pairs(family, 1)]
     return MappingProxyType(pushforward_schur(
-        n, 1, _chern_schur(family, n - 1, max_deg), inside=inside,
+        n, 1, chern_schur(family, n - 1, max_deg), inside=inside,
         cross=((1, 1, 1), (0, -1, 1)), max_deg=max_deg, stab=n))
 
 
@@ -113,23 +152,21 @@ def csm_class(orbit, closure=False):
 
 
 def csm_to_ssm(csm, D):
-    """ssm = csm / c(V): multiply by the inverted total Chern class.
-
-    Accepts a ClassExpr (or a raw Schur dict plus family/n via ClassExpr);
-    returns a Schur-basis ClassExpr truncated at D.
-    """
+    """ssm = csm / c(V) by series division in the Chern roots: the test
+    oracle for ssm_interp_schur.  Returns a Schur-basis ClassExpr truncated
+    at D."""
     family, n = csm.family, csm.n
     cv = TruncSeries(total_chern(family, n, bound=D), D)
     num = TruncSeries(csm.alpha_poly().truncate(D), D)
-    ser = cv.divide_into(num)
-    coeffs = to_schur_basis(ser, n)
-    out = ClassExpr("ssm", "schur", family, n, csm.r, coeffs, D, csm.closure)
-    return out
+    coeffs = to_schur_basis(cv.divide_into(num), n)
+    return ClassExpr("ssm", "schur", family, n, csm.r, coeffs, D, csm.closure)
 
 
 def ssm_interp(orbit, D, closure=False):
-    """ssm via the interpolation route."""
-    return csm_to_ssm(csm_class(orbit, closure=closure), D)
+    """ssm via the interpolation route, as a Schur-basis ClassExpr."""
+    ranks = suborbit_coranks(orbit) if closure else (orbit.r,)
+    parts = [ssm_interp_schur(OrbitId(orbit.family, orbit.n, m), D) for m in ranks]
+    return schur_class("ssm", orbit, add_schur(*parts), trunc=D, closure=closure)
 
 
 def ssm_stable_schur(family, r, D):
@@ -144,9 +181,7 @@ def ssm_stable_schur(family, r, D):
     n = max(r, D, 1)
     if family is Family.WEDGE and (n - r) % 2 != 0:
         n += 1
-    orbit = OrbitId(family, n, r)
-    csm = schur_class("csm", orbit, w_schur(orbit, max_deg=D), trunc=D)
-    return csm_to_ssm(csm, D).payload
+    return dict(ssm_interp_schur(OrbitId(family, n, r), D))
 
 
 # -- direct evaluation of the defining sum (independent oracle) --------

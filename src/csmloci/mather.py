@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import comb
 
 from .classes import add_schur, schur_class
-from .interp import w_schur
+from .interp import ssm_interp_schur, w_schur
 from .orbits import Family, OrbitId, suborbit_coranks
 
 
@@ -28,16 +28,14 @@ def chern_mather_wedge(n, r, D=None, kind="csm"):
     obstruction combination of orbit CSM classes (exact; optionally the
     ssm variant truncated at D)."""
     orbit = OrbitId(Family.WEDGE, n, r)
-    coeffs = euler_obstruction_wedge(n, r)
-    parts = [w_schur(OrbitId(Family.WEDGE, n, m)) for m in suborbit_coranks(orbit)]
-    total = add_schur(*parts, coeffs=coeffs)
-    cls = schur_class("mather", orbit, total, closure=True)
-    if kind == "ssm":
+    if kind == "csm":
+        label, part = "mather", w_schur
+    elif kind == "ssm":
         if D is None:
             raise ValueError("the ssm variant needs an explicit truncation degree")
-        from .interp import csm_to_ssm
-        cls = csm_to_ssm(cls, D)
-        cls.kind = "mather-ssm"
-    elif kind != "csm":
+        label, part = "mather-ssm", lambda o: ssm_interp_schur(o, D)
+    else:
         raise ValueError(f"unknown kind {kind!r}")
-    return cls
+    parts = [part(OrbitId(Family.WEDGE, n, m)) for m in suborbit_coranks(orbit)]
+    total = add_schur(*parts, coeffs=euler_obstruction_wedge(n, r))
+    return schur_class(label, orbit, total, trunc=D if kind == "ssm" else None, closure=True)

@@ -3,6 +3,13 @@
 Conventions: s_lambda is the ordinary Schur polynomial in the Chern roots
 (s_11 = sum_{i<j} a_i a_j, s_2 = sum_{i<=j} a_i a_j), and c_k denotes the
 k-th elementary symmetric polynomial of the roots.
+
+Classes live in Schur form.  Chern and Schur convert into each other through
+the Schur expansion of each Chern monomial, built by vertical Pieri strips:
+a weighted sum of these expansions one way, a unitriangular peel the other
+(Macdonald, Symmetric Functions, I.3, I.5).  The conversions through the
+full polynomial in the roots (to_schur_basis, to_chern_basis, chern_to_alpha)
+are kept as test oracles; schur_dict_to_alpha serves the alpha output.
 """
 
 from __future__ import annotations
@@ -11,8 +18,9 @@ import heapq
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, inf, prod
+from math import comb, factorial, inf, lcm, prod
 from operator import add as _add
+from types import MappingProxyType
 
 from .orbits import alpha_vars, chern_vars
 from .partitions import partition
@@ -259,7 +267,62 @@ def pushforward_schur(n, r, inner, lam=(), inside=(), cross=(), max_deg=None, st
     return alternant_schur_pure(Poly(alpha_vars(n), terms, _clean=False), n, stab, max_deg)
 
 
-# -- elementary symmetric basis ----------------------------------------
+# -- Chern <-> Schur by vertical strips -----------------------------------
+
+@lru_cache(maxsize=None)
+def _elementary_schur(kvec, n):
+    """Read-only Schur dict of c^kvec = prod_k e_k^kvec[k-1] in n variables:
+    each factor e_k adds the vertical k-strips (Pieri)."""
+    if not any(kvec):
+        return MappingProxyType({(): 1})
+    k = max(i for i, x in enumerate(kvec) if x) + 1
+    rest = kvec[:k - 1] + (kvec[k - 1] - 1,) + kvec[k:]
+    out = defaultdict(int)
+    for mu, c in _elementary_schur(rest, n).items():
+        for nu in _strips(mu, k, n, True):
+            out[nu] += c
+    return MappingProxyType(dict(out))
+
+
+def chern_to_schur(p, n):
+    """Schur coefficients {partition: coeff} of a polynomial in c_1..c_n."""
+    out = defaultdict(int)
+    for kvec, c in p.terms.items():
+        for lam, k in _elementary_schur(kvec, n).items():
+            out[lam] += c * k
+    return {lam: _norm(c) for lam, c in out.items() if c}
+
+
+def schur_to_chern(coeffs, n):
+    """A Schur dict rewritten in c_1..c_n (partitions longer than n vanish).
+
+    Unitriangular peel: c^kvec with kvec_i = lam_i - lam_{i+1} is s_lam plus
+    Schur polynomials of partitions of the same size below lam in dominance,
+    hence below it in lex order, so the largest lam by (size, lex) of what
+    is left is peeled off with its coefficient.
+    """
+    work = {lam: c for lam, c in coeffs.items() if c and len(lam) <= n}
+    heap = [(-sum(lam), tuple(-x for x in lam)) for lam in work]
+    heapq.heapify(heap)
+    terms = {}
+    while heap:
+        lam = tuple(-x for x in heapq.heappop(heap)[1])
+        c = work.pop(lam, 0)
+        if not c:
+            continue
+        padded = lam + (0,) * (n + 1 - len(lam))
+        kvec = tuple(padded[i] - padded[i + 1] for i in range(n))
+        terms[kvec] = _norm(c)
+        for nu, k in _elementary_schur(kvec, n).items():
+            if nu == lam:
+                continue
+            if nu not in work:
+                heapq.heappush(heap, (-sum(nu), tuple(-x for x in nu)))
+            work[nu] = work.get(nu, 0) - c * k
+    return Poly(chern_vars(n), terms)
+
+
+# -- alpha-route conversions (test oracles) -------------------------------
 
 @lru_cache(maxsize=None)
 def elementary_terms(k, n):
@@ -382,43 +445,44 @@ def chern_weighted_degree(exps):
 
 
 def _det(rows):
-    """Exact determinant by fraction Gaussian elimination."""
-    m = [list(map(Fraction, row)) for row in rows]
+    """Exact determinant of an integer matrix, fraction-free (Bareiss)."""
+    m = [list(row) for row in rows]
     n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
-
-
-def schur_value(lam, vals):
-    """s_lambda at an exact rational point with distinct coordinates,
-    via the ratio of alternant determinants."""
-    n = len(vals)
-    lam = partition(lam)
-    if len(lam) > n:
-        return Fraction(0)
-    padded = list(lam) + [0] * (n - len(lam))
-    num = _det([[Fraction(v) ** (padded[j] + n - 1 - j) for j in range(n)] for v in vals])
-    den = _det([[Fraction(v) ** (n - 1 - j) for j in range(n)] for v in vals])
-    return num / den
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
 
 
 def schur_dict_value(coeffs, vals):
-    """Evaluate a Schur coefficient dict at an exact rational point."""
+    """Evaluate a Schur coefficient dict at an exact rational point with
+    distinct coordinates, by the ratio of alternant determinants.
+
+    s_lam is homogeneous of degree |lam|, so the point is scaled to integers
+    v = q * vals by the common denominator q, and s_lam(vals) is
+    det(v_i^(lam_j + n - j)) / (q^|lam| det(v_i^(n - j))).
+    """
+    n = len(vals)
+    vals = [Fraction(v) for v in vals]
+    q = lcm(*(v.denominator for v in vals))
+    ints = [int(v * q) for v in vals]
+
+    def alternant(lam):
+        padded = lam + (0,) * (n - len(lam))
+        return _det([[v ** (padded[j] + n - 1 - j) for j in range(n)] for v in ints])
+
     total = Fraction(0)
     for lam, c in coeffs.items():
-        total += c * schur_value(lam, vals)
-    return total
+        lam = partition(lam)
+        if len(lam) <= n:
+            total += c * Fraction(alternant(lam), q ** sum(lam))
+    return total / alternant(())

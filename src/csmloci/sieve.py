@@ -11,19 +11,22 @@ Vandermonde and divides, is the independent check.
 
 The orbit SSM classes are alternating linear combinations of Phi classes:
 Euler-number coefficients in the skew-symmetric family, plain signed
-binomials in the symmetric family.
+binomials in the symmetric family.  The same combination of the polynomials
+Phi_{n,r} c(V) gives the CSM classes exactly: multiplying by c(V) clears
+every unit denominator, so Phi c(V) is the pushforward with inner c(V) on J
+and no truncation.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 from types import MappingProxyType
 
 from .classes import add_schur, schur_class
+from .interp import chern_schur
 from .orbits import Family, OrbitId, alpha_vars, inside_weights, suborbit_coranks, weight_pairs
-from .poly import Poly, TruncSeries, exact_int, product
+from .poly import Poly, TruncSeries, product
 from .schur import pushforward_schur
 
 
@@ -33,16 +36,14 @@ from .schur import pushforward_schur
 def euler_numbers(max_index):
     """E_0..E_max with 1/cosh(x) = sum E_n x^n / n!.
 
-    Computed by exact inversion of the truncated cosh series; odd entries
+    Matching coefficients in cosh(x) * sum E_n x^n / n! = 1 gives the
+    integer recurrence sum_j binom(2k, 2j) E_2j = 0 for k >= 1; odd entries
     vanish and even entries alternate in sign (1, -1, 5, -61, 1385, ...).
     """
-    tv = ("t",)
-    cosh = Poly(tv, {(k,): Fraction(1, factorial(k)) for k in range(0, max_index + 1, 2)})
-    inv = TruncSeries(cosh, max_index).invert().poly
-    out = []
-    for k in range(max_index + 1):
-        out.append(exact_int(inv.coefficient((k,)) * factorial(k), f"Euler number E_{k}"))
-    return out
+    even = [1]
+    for k in range(1, max_index // 2 + 1):
+        even.append(-sum(comb(2 * k, 2 * j) * even[j] for j in range(k)))
+    return [0 if k % 2 else even[k // 2] for k in range(max_index + 1)]
 
 
 def binomial_matrix(m, parity="even"):
@@ -135,29 +136,59 @@ def phi_reference_series(orbit, D):
 
 # -- sieve formulas ------------------------------------------------------
 
-def ssm_schur(orbit, D, closure=False):
-    """Schur coefficients of ssm(Sigma_{n,r}) (or of the closure) up to D."""
+@lru_cache(maxsize=None)
+def phi_cv_schur(orbit):
+    """Schur coefficients of the polynomial Phi_{n,r} c(V), exact.
+
+    c(V) cancels every unit denominator of the Phi term and leaves
+    c(V_{n-r}) on J, so the pushforward has inner c(V_{n-r}) and the factors
+    (a_i + a_j)(1 + a_i - a_j) over I x J.
+    """
+    family, n, r = orbit.family, orbit.n, orbit.r
+    if r == 0:
+        return chern_schur(family, n, None)
+    lam, coeff = inside_weights(family, r)
+    inner = {mu: coeff * c for mu, c in chern_schur(family, n - r, None).items()}
+    return MappingProxyType(pushforward_schur(
+        n, r, inner, lam, cross=((0, 1, 1), (1, -1, 1))))
+
+
+def _sieve_terms(orbit, closure):
+    """[(corank s, coeff)]: ssm(Sigma_{n,r}), or of its closure, is
+    sum coeff Phi_{n,s}.  Euler-number coefficients in the skew-symmetric
+    family, plain signed binomials in the symmetric family."""
     family, n, r = orbit.family, orbit.n, orbit.r
     if family is Family.WEDGE:
         if closure:
-            parts = [ssm_schur(OrbitId(family, n, m), D)
-                     for m in suborbit_coranks(orbit)]
-            return add_schur(*parts)
+            return [term for m in suborbit_coranks(orbit)
+                    for term in _sieve_terms(OrbitId(family, n, m), False)]
         E = euler_numbers(n - r)
-        pieces, coeffs = [], []
-        for i in range(0, (n - r) // 2 + 1):
-            pieces.append(phi_schur(OrbitId(family, n, r + 2 * i), D))
-            coeffs.append(comb(r + 2 * i, r) * E[2 * i])
-        return add_schur(*pieces, coeffs=coeffs)
-    pieces, coeffs = [], []
-    for i in range(0, n - r + 1):
-        pieces.append(phi_schur(OrbitId(family, n, r + i), D))
+        return [(r + 2 * i, comb(r + 2 * i, r) * E[2 * i]) for i in range((n - r) // 2 + 1)]
+    terms = []
+    for i in range(n - r + 1):
         if closure:
             c = 1 if r == 0 and i == 0 else (0 if r == 0 else comb(r + i - 1, r - 1))
         else:
             c = comb(r + i, r)
-        coeffs.append((-1) ** i * c)
-    return add_schur(*pieces, coeffs=coeffs)
+        terms.append((r + i, (-1) ** i * c))
+    return terms
+
+
+def _sieve_sum(orbit, closure, piece):
+    ranks, coeffs = zip(*((s, c) for s, c in _sieve_terms(orbit, closure) if c))
+    return add_schur(*(piece(OrbitId(orbit.family, orbit.n, s)) for s in ranks),
+                     coeffs=coeffs)
+
+
+def ssm_schur(orbit, D, closure=False):
+    """Schur coefficients of ssm(Sigma_{n,r}) (or of the closure) up to D."""
+    return _sieve_sum(orbit, closure, lambda o: phi_schur(o, D))
+
+
+def csm_sieve_schur(orbit, closure=False):
+    """Schur coefficients of csm(Sigma_{n,r}) (or of the closure), exact:
+    the sieve combination of the Phi_{n,s} c(V)."""
+    return _sieve_sum(orbit, closure, phi_cv_schur)
 
 
 def ssm_sieve(orbit, D, closure=False):

@@ -1,8 +1,14 @@
 """CLI surface: formats, exit codes, round trips, route agreement."""
 
+import contextlib
+import io
 import json
 
-from csmloci.cli import run
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from csmloci.cli import build_parser, run
 from csmloci.emit import class_json_dict, parse_class_json
 
 
@@ -130,3 +136,70 @@ def test_ktheory_command_json(capsys):
                                 {"key": [1, 1, 0], "coeff": "1/1"}]
     assert doc["denominator"] == [{"key": [0, 0, 1], "coeff": "1/1"},
                                   {"key": [1, 1, 0], "coeff": "1/1"}]
+
+
+# Every subcommand with each of its flags and a value domain that includes
+# out-of-range numbers; --help is left out (argparse exits through SystemExit).
+FAMILY = ["wedge", "sym"]
+FORMAT = ["text", "json", "latex"]
+BASIS = ["chern", "schur", "alpha"]
+NUMBERS = {"--n": range(-1, 5), "--r": range(-1, 5), "--trunc": range(-1, 7),
+           "--max-n": range(-1, 4)}
+ORBIT = {"--family": FAMILY, "--n": None, "--r": None, "--format": FORMAT}
+SUBCOMMANDS = {
+    "class": {**ORBIT, "--trunc": None, "--kind": ["csm", "ssm"],
+              "--route": ["interp", "sieve"], "--basis": BASIS, "--closure": True},
+    "phi": {**ORBIT, "--trunc": None, "--basis": BASIS},
+    "projective": {**ORBIT, "--kind": ["csm", "ssm"], "--closure": True},
+    "table": {"--family": FAMILY, "--n": None, "--format": FORMAT, "--closures": True},
+    "invariants": dict(ORBIT),
+    "mather": {"--n": None, "--r": None, "--basis": BASIS, "--format": FORMAT},
+    "ktheory": {"--n": None, "--r": None, "--class": ["phi", "segre"],
+                "--q-convention": ["minus-y", "symbolic"], "--format": FORMAT},
+    "verify": {"--suite": ["core", "axioms", "cross", "conjectures"], "--max-n": None},
+}
+
+
+@st.composite
+def requests(draw, command):
+    flags = SUBCOMMANDS[command]
+    missing = draw(st.sampled_from([None] * 3 + list(flags)))  # now and then one
+    argv = [command]
+    for flag, values in flags.items():
+        if flag == missing:
+            continue
+        if values is True:
+            if draw(st.booleans()):
+                argv.append(flag)
+            continue
+        argv += [flag, str(draw(st.sampled_from(list(values or NUMBERS[flag]))))]
+    if draw(st.sampled_from([False] * 9 + [True])):
+        argv.append("--bogus")
+    return argv
+
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(data=st.data())
+def test_cli_fuzz_exit_codes_and_replay(command, data):
+    argv = data.draw(requests(command))
+    # any request gives a result or a named error, never a traceback; an
+    # accepted one prints the same bytes when replayed after a usage error
+    # and on a freshly built parser, so the shared parser keeps no state
+    code, out, err = run_captured(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        assert "error:" in err
+    if code == 0:
+        assert run_captured(["class", "--family", "wedge", "--n", "oops"])[0] == 1
+        replayed = run_captured(argv)
+        build_parser.cache_clear()       # a parser that has parsed nothing yet
+        assert replayed[:2] == run_captured(argv)[:2] == (code, out)

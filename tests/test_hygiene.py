@@ -1,4 +1,5 @@
-"""Source hygiene: no assert statements and no unreferenced definitions."""
+"""Source hygiene: no assert statements, no unreferenced definitions, and no
+production caller of the alpha-route conversions."""
 
 import ast
 import collections
@@ -9,6 +10,9 @@ PACKAGE = ROOT / "src" / "csmloci"
 # perfbench is a consumer of the library too: what only it calls stays.
 USERS = [ROOT / "src", ROOT / "tests", ROOT / "perfbench"]
 CALLED_BY_LIBRARIES = {"error"}  # argparse.ArgumentParser.error, overridden in cli
+# Conversions through the full polynomial in the Chern roots: test oracles only.
+ALPHA_ROUTE = {"csm_to_ssm", "to_chern_basis", "chern_to_alpha", "to_schur_basis",
+               "alpha_series"}
 
 
 def trees(dirs):
@@ -39,3 +43,23 @@ def test_every_definition_is_referenced():
     unused = sorted(name for name in defined - CALLED_BY_LIBRARIES
                     if not name.startswith("__") and not refs[name])
     assert not unused
+
+
+def test_alpha_route_has_no_production_caller():
+    # a call may sit only inside the definition of another alpha-route oracle
+    found = []
+
+    def visit(node, path, inside_oracle):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ALPHA_ROUTE and not inside_oracle:
+                    found.append(f"{path.name}:{child.lineno} {name}")
+            visit(child, path, inside_oracle or (
+                isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and child.name in ALPHA_ROUTE))
+
+    for path, tree in trees([PACKAGE]):
+        visit(tree, path, False)
+    assert not found

@@ -7,12 +7,13 @@ import pytest
 
 from csmloci.classes import add_schur
 from csmloci.interp import (csm_class, csm_to_ssm, restriction_data, ssm_interp,
-                            verify_axioms, w_function, w_inner_value, w_schur, w_value)
+                            ssm_interp_schur, verify_axioms, w_function, w_inner_value,
+                            w_schur, w_value)
 from csmloci.orbits import Family, OrbitId, alpha_vars, coranks, total_chern
 from csmloci.partitions import staircase
 from csmloci.poly import Poly
-from csmloci.schur import schur_dict_to_alpha, to_chern_basis
-from csmloci.sieve import ssm_sieve
+from csmloci.schur import schur_dict_to_alpha, schur_dict_value, to_chern_basis
+from csmloci.sieve import ssm_schur, ssm_sieve
 
 W, S = Family.WEDGE, Family.SYM
 
@@ -90,16 +91,15 @@ def test_w_lowest_term_is_staircase():
 
 def test_w_value_oracle():
     # the defining rational subset sum, evaluated directly, agrees with the
-    # expanded polynomial at random rational points with distinct coordinates
+    # Schur form at random rational points with distinct coordinates
     rng = random.Random(42)
     for fam, n, r in [(W, 2, 0), (W, 3, 1), (W, 4, 2), (W, 4, 4),
                       (S, 2, 1), (S, 3, 0), (S, 3, 2), (S, 4, 1),
                       (W, 5, 1), (W, 5, 3), (S, 5, 2), (W, 6, 2), (S, 6, 1), (S, 6, 3)]:
         orbit = OrbitId(fam, n, r)
-        poly = w_function(orbit).poly
         for _ in range(3):
             pt = [Fraction(v, 7) for v in rng.sample(range(2, 60), n)]
-            assert poly.eval({f"a{i + 1}": pt[i] for i in range(n)}) == w_value(orbit, pt)
+            assert schur_dict_value(w_schur(orbit), pt) == w_value(orbit, pt)
 
 
 def test_w_inner_value_oracle():
@@ -132,11 +132,15 @@ def test_truncated_w_is_cut_of_full(fam):
 
 
 def test_cached_results_are_read_only():
-    from csmloci.sieve import phi_schur
+    from csmloci.schur import _elementary_schur
+    from csmloci.sieve import phi_cv_schur, phi_schur
     orbit = OrbitId(S, 3, 1)
     before = csm_class(orbit).payload
     for cached in (w_schur(orbit), w_schur(OrbitId(S, 3, 0)),
-                   phi_schur(orbit, 4), phi_schur(OrbitId(S, 3, 0), 4)):
+                   phi_schur(orbit, 4), phi_schur(OrbitId(S, 3, 0), 4),
+                   ssm_interp_schur(orbit, 4), ssm_interp_schur(OrbitId(S, 3, 0), 4),
+                   phi_cv_schur(orbit), phi_cv_schur(OrbitId(S, 3, 0)),
+                   _elementary_schur((1, 2, 0), 3)):
         with pytest.raises(TypeError):
             cached[()] = 999
     assert csm_class(orbit).payload == before
@@ -158,6 +162,15 @@ def test_cross_route_equality():
             for r in coranks(fam, n):
                 orbit = OrbitId(fam, n, r)
                 assert ssm_interp(orbit, 6).payload == ssm_sieve(orbit, 6).payload
+                # the kernel ssm against the series division of csm by c(V)
+                assert ssm_interp(orbit, 6).payload == \
+                    csm_to_ssm(csm_class(orbit), 6).payload
+                assert ssm_interp(orbit, 6, closure=True).payload == \
+                    ssm_sieve(orbit, 6, closure=True).payload
+        for n in range(1, 6):
+            for r in coranks(fam, n):
+                orbit = OrbitId(fam, n, r)
+                assert ssm_interp_schur(orbit, 12) == ssm_schur(orbit, 12)
 
 
 def test_stable_schur_output():

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csmloci.orbits import Family, alpha_vars, euler_class
+from csmloci.orbits import Family, alpha_vars, chern_vars, euler_class
 from csmloci.partitions import (conjugate, count_ssyt, partition, partitions_upto,
                                 staircase)
 from csmloci.poly import Poly, TruncSeries
-from csmloci.schur import (NotSymmetricError, _strips, chern_to_alpha, schur_dict_to_alpha,
-                           schur_poly, to_chern_basis, to_schur_basis)
+from csmloci.schur import (NotSymmetricError, _strips, chern_to_alpha, chern_to_schur,
+                           schur_dict_to_alpha, schur_poly, schur_to_chern, to_chern_basis,
+                           to_schur_basis)
 
 
 def test_partition_normalization():
@@ -146,3 +147,32 @@ def test_pieri_strips(case):
         for nu in _strips(mu, k, m, vertical):
             expect = expect + schur_poly(nu, m)
         assert schur_poly(mu, m) * schur_poly(factor, m) == expect
+
+
+@st.composite
+def conversion_cases(draw):
+    # partitions may be longer than n (they vanish in n variables); the dict
+    # may be cut at a degree, as a truncated class is
+    n = draw(st.integers(1, 5))
+    lams = draw(st.lists(st.sampled_from(list(partitions_upto(7))), unique=True, max_size=6))
+    coeffs = {lam: draw(st.integers(-4, 4).filter(bool)) for lam in lams}
+    cut = draw(st.none() | st.integers(0, 7))
+    if cut is not None:
+        coeffs = {lam: c for lam, c in coeffs.items() if sum(lam) <= cut}
+    kvecs = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), unique=True, max_size=4))
+    chern = Poly(chern_vars(n), {k: Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 3)))
+                                 for k in kvecs})
+    return n, coeffs, chern
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(conversion_cases())
+def test_strip_conversions_match_alpha_route(case):
+    # Schur -> Chern by the unitriangular peel and Chern -> Schur by vertical
+    # strips agree with the conversions through the Chern roots
+    n, coeffs, chern = case
+    got = schur_to_chern(coeffs, n)
+    assert got == to_chern_basis(schur_dict_to_alpha(coeffs, n), n)
+    assert chern_to_schur(got, n) == {lam: c for lam, c in coeffs.items() if len(lam) <= n}
+    assert chern_to_schur(chern, n) == to_schur_basis(chern_to_alpha(chern, n), n)
+    assert schur_to_chern(chern_to_schur(chern, n), n) == chern

@@ -8,9 +8,9 @@ from csmloci.classes import add_schur
 from csmloci.orbits import Family, OrbitId, coranks
 from csmloci.poly import Poly
 from csmloci.schur import to_schur_basis
-from csmloci.sieve import (binomial_matrix, euler_numbers, invert_binomial_matrix,
-                           phi_class, phi_from_ssm, phi_reference_series, phi_schur,
-                           ssm_schur, ssm_sieve)
+from csmloci.sieve import (binomial_matrix, csm_sieve_schur, euler_numbers,
+                           invert_binomial_matrix, phi_class, phi_from_ssm,
+                           phi_reference_series, phi_schur, ssm_schur, ssm_sieve)
 
 W, S = Family.WEDGE, Family.SYM
 
@@ -161,6 +161,20 @@ def test_wedge_closure_is_suborbit_sum():
 def test_closure_of_dense_orbit_is_one():
     assert ssm_schur(OrbitId(S, 3, 0), 4, closure=True) == {(): 1}
     assert ssm_schur(OrbitId(W, 4, 0), 4, closure=True) == {(): 1}
+
+
+def test_exact_sieve_csm_equals_w():
+    # the sieve combination of the polynomials Phi c(V), untruncated, is the
+    # interpolation class W; closures are the suborbit sums
+    from csmloci.interp import csm_class, w_schur
+    cases = [(fam, n) for fam in (W, S) for n in range(1, 6)] + [(W, 6)]
+    for fam, n in cases:
+        for r in coranks(fam, n):
+            orbit = OrbitId(fam, n, r)
+            assert csm_sieve_schur(orbit) == w_schur(orbit)
+            if n <= 4:
+                assert csm_sieve_schur(orbit, closure=True) == \
+                    csm_class(orbit, closure=True).payload
 
 
 def test_phi_equals_binomial_sum_of_ssm():
