@@ -79,8 +79,7 @@ class ClassExpr:
     def alpha_poly(self):
         if self.basis == ALPHA:
             return self.payload
-        p = schur_dict_to_alpha(self.schur_coeffs(), self.n, max_deg=self.trunc)
-        return p.truncate(self.trunc) if self.trunc is not None else p
+        return schur_dict_to_alpha(self.schur_coeffs(), self.n, max_deg=self.trunc)
 
     def chern_poly(self):
         if self.basis == CHERN:

@@ -2,8 +2,8 @@
 
 Subcommands: class, phi, projective, table, invariants, mather, ktheory,
 verify.  Output formats: text (default), json, latex.  Exit status 0 on
-success, 1 on a usage error (the offending parameter is named), 2 on a
-verification failure.
+success and after --help, 1 on a usage error (the offending parameter is
+named), 2 on a verification failure.
 """
 
 from __future__ import annotations
@@ -99,8 +99,7 @@ def _require_trunc(args, why=None):
         raise UsageError("--trunc must be non-negative")
 
 
-def _emit_class(cls, fmt, extra_warnings=()):
-    cls.warnings.extend(w for w in extra_warnings if w not in cls.warnings)
+def _emit_class(cls, fmt):
     if fmt == "json":
         print(json.dumps(emit.class_json_dict(cls), indent=2))
     elif fmt == "latex":
@@ -144,10 +143,10 @@ def _cmd_phi(args):
     orbit = OrbitId(args.family, args.n, args.r)
     _require_trunc(args, "for phi output")
     cls = phi_class(orbit, args.trunc)
-    warnings = phi_warnings(orbit.family, orbit.n, orbit.r,
-                            cls.chern_poly() if orbit.n == 3 else None,
-                            max_deg=args.trunc)
-    _emit_class(cls.in_basis(args.basis), args.format, warnings)
+    cls.warnings = phi_warnings(orbit.family, orbit.n, orbit.r,
+                                cls.chern_poly() if orbit.n == 3 else None,
+                                max_deg=args.trunc)
+    _emit_class(cls.in_basis(args.basis), args.format)
     return 0
 
 
@@ -262,10 +261,10 @@ def _cmd_ktheory(args):
 
 
 def _cmd_verify(args):
-    from .verify import run_suite
+    from .verify import SUITES
     if args.max_n < 1:
         raise UsageError(f"--max-n must be >= 1, got {args.max_n}")
-    ok, lines = run_suite(args.suite, max_n=args.max_n)
+    ok, lines = SUITES[args.suite](args.max_n)
     for line in lines:
         print(line)
     print(f"suite {args.suite}: {'PASS' if ok else 'FAIL'}")
@@ -289,6 +288,8 @@ def run(argv=None):
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
+    except SystemExit as ex:  # --help: argparse has printed the usage
+        return ex.code
     except UsageError as ex:
         print(f"usage error: {ex}", file=sys.stderr)
         return 1

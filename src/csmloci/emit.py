@@ -117,7 +117,7 @@ def class_text(cls, latex=False):
     return poly_text(cls.payload, latex=latex)
 
 
-def class_json_dict(cls, extra_warnings=()):
+def class_json_dict(cls):
     """JSON document for a ClassExpr, matching the CLI wire format."""
     if cls.basis == "schur":
         terms = [{"key": list(lam), "coeff": coeff_str(c)}
@@ -134,7 +134,7 @@ def class_json_dict(cls, extra_warnings=()):
         "basis": cls.basis,
         "trunc": cls.trunc,
         "terms": terms,
-        "warnings": list(cls.warnings) + list(extra_warnings),
+        "warnings": list(cls.warnings),
     }
 
 
@@ -145,7 +145,6 @@ def parse_class_json(doc):
     basis = doc["basis"]
     if basis == "schur":
         payload = {tuple(t["key"]): Fraction(t["coeff"]) for t in doc["terms"]}
-        payload = {k: v for k, v in payload.items()}
     else:
         n = doc["n"]
         vars_ = chern_vars(n) if basis == "chern" else alpha_vars(n)

@@ -38,32 +38,28 @@ from types import MappingProxyType
 from .classes import ClassExpr, add_schur, schur_class
 from .orbits import (Family, OrbitId, as_family, coranks, inside_weights, suborbit_coranks,
                      total_chern, weight_pairs)
-from .poly import ExactDivisionError, Poly, TruncSeries, product
+from .poly import ExactDivisionError, Poly, TruncSeries, exact_int, product
 from .schur import pushforward_schur, schur_dict_to_alpha, to_schur_basis
 
 
 # -- the W-functions ----------------------------------------------------
 
-def w_schur(orbit, max_deg=None):
-    """Schur coefficients of W_{n,r} = csm(Sigma_{n,r}).
-
-    With max_deg set, only coefficients of partitions of size <= max_deg are
-    produced (the pushforward products are cut accordingly).
-    """
-    return _w_schur(orbit, max_deg)
-
-
 @lru_cache(maxsize=None)
-def _w_schur(orbit, max_deg):
+def w_schur(orbit):
+    """Schur coefficients of W_{n,r} = csm(Sigma_{n,r}), read-only.
+
+    For r >= 1 the kernel pushes the base-subset term forward; the open
+    orbit is c(V) minus the other orbits' classes.
+    """
     family, n, r = orbit.family, orbit.n, orbit.r
     if r == 0:
-        return _by_additivity(w_schur, orbit, max_deg, chern_schur(family, n, max_deg))
+        return _by_additivity(w_schur, orbit, chern_schur(family, n))
     lam, coeff = inside_weights(family, r)
     inner = w_schur(OrbitId(family, n - r, 0)) if r < n else {(): 1}
     inner = {mu: coeff * c for mu, c in inner.items()}
     # over I x J: (a_i + a_j)(1 + a_i + a_j)
     return MappingProxyType(pushforward_schur(
-        n, r, inner, lam, cross=((0, 1, 1), (1, 1, 1)), max_deg=max_deg))
+        n, r, inner, lam, cross=((0, 1, 1), (1, 1, 1))))
 
 
 def ssm_interp_schur(orbit, D):
@@ -83,7 +79,7 @@ def ssm_interp_schur(orbit, D):
 def _ssm_interp_schur(orbit, D):
     family, n, r = orbit.family, orbit.n, orbit.r
     if r == 0:
-        return _by_additivity(ssm_interp_schur, orbit, D, {(): 1})
+        return _by_additivity(lambda o: ssm_interp_schur(o, D), orbit, {(): 1})
     lam, coeff = inside_weights(family, r)
     inner = ssm_interp_schur(OrbitId(family, n - r, 0), D) if r < n else {(): 1}
     inner = {mu: coeff * c for mu, c in inner.items()}
@@ -92,27 +88,28 @@ def _ssm_interp_schur(orbit, D):
         n, r, inner, lam, inside, cross=((0, 1, 1),), max_deg=D))
 
 
-def _by_additivity(orbit_class, orbit, max_deg, total):
+def _by_additivity(orbit_class, orbit, total):
     """The open orbit's class: total minus the classes of the other orbits."""
     family, n = orbit.family, orbit.n
-    rest = [orbit_class(OrbitId(family, n, m), max_deg) for m in coranks(family, n) if m]
+    rest = [orbit_class(OrbitId(family, n, m)) for m in coranks(family, n) if m]
     return MappingProxyType(add_schur(total, *rest, coeffs=[1] + [-1] * len(rest)))
 
 
 @lru_cache(maxsize=None)
-def chern_schur(family, n, max_deg):
-    """c(V) in Schur form, through max_deg.
+def chern_schur(family, n):
+    """c(V) in Schur form, exact and read-only.
 
     c(V_n) is c(V_{n-1}) in a_2..a_n times prod_{j>1} (1 + a_1 + a_j), and
     (1 + 2a_1) for sym; clearing with prod_{j>1} (a_1 - a_j) and summing over
-    the n choices of a_1 gives n c(V_n).
+    the n choices of a_1 gives n c(V_n), whose division by n is checked.
     """
     if n == 0:
         return MappingProxyType({(): 1})
     inside = [(i, j, 1) for i, j in weight_pairs(family, 1)]
-    return MappingProxyType(pushforward_schur(
-        n, 1, chern_schur(family, n - 1, max_deg), inside=inside,
-        cross=((1, 1, 1), (0, -1, 1)), max_deg=max_deg, stab=n))
+    n_cv = pushforward_schur(n, 1, chern_schur(family, n - 1), inside=inside,
+                             cross=((1, 1, 1), (0, -1, 1)))
+    return MappingProxyType({lam: exact_int(Fraction(c, n), f"c(V) coefficient of s{lam}")
+                             for lam, c in n_cv.items()})
 
 
 @dataclass
@@ -132,14 +129,9 @@ class WFunction:
         return n * (n + 1) // 2 - (n - r + 1) // 2
 
 
-@lru_cache(maxsize=None)
 def w_function(orbit):
     """The W-function of an orbit; equals csm(Sigma) by interpolation."""
-    poly = schur_dict_to_alpha(w_schur(orbit), orbit.n)
-    for c in poly.terms.values():
-        if not isinstance(c, int):
-            raise AssertionError(f"non-integer coefficient in W for {orbit}: {c}")
-    return WFunction(orbit, poly)
+    return WFunction(orbit, schur_dict_to_alpha(w_schur(orbit), orbit.n))
 
 
 def csm_class(orbit, closure=False):

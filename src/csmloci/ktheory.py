@@ -15,15 +15,16 @@ metadata (see Q_CONVENTION_NOTE).
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 from .laurent import LaurentFraction
-from .orbits import Family, OrbitId, base_subset_pairs, root_difference, weight_pairs
+from .orbits import Family, OrbitId, weight_pairs
 from .poly import Poly, product
-from .schur import alternant_schur_coeffs, _schur_terms
+from .schur import alternant_schur_coeffs, schur_dict_to_alpha
 
 KSCOPE_MAX_N = 4  # exact fraction sizes grow quickly with n
 
@@ -64,13 +65,13 @@ def q_binomial(n, m):
 class QEulerTable:
     """E_0(q)..E_max(q) with 1/cosh_q(t) = sum E_n(q) t^n / [n]_q!."""
 
-    values: list
+    values: tuple
 
     def __getitem__(self, k):
         return self.values[k]
 
     def at_q1(self):
-        return [p.eval({"q": 1}) for p in self.values]
+        return tuple(p.eval({"q": 1}) for p in self.values)
 
 
 @lru_cache(maxsize=None)
@@ -87,10 +88,8 @@ def q_euler_numbers(max_index):
         for j in range(k):
             acc = acc + q_binomial(2 * k, 2 * j) * values[j]
         values.append(-acc)
-    out = []
-    for k in range(max_index + 1):
-        out.append(values[k // 2] if k % 2 == 0 else Poly.zero(QV))
-    return QEulerTable(out)
+    return QEulerTable(tuple(values[k // 2] if k % 2 == 0 else Poly.zero(QV)
+                             for k in range(max_index + 1)))
 
 
 # -- K-theoretic Phi classes ---------------------------------------------
@@ -133,12 +132,15 @@ def _phi_k_numerator(n, r):
     def e(*idx):
         return _k_exps(n, *idx)
 
-    pairs = base_subset_pairs(Family.WEDGE, n, r)
-    factors = [Poly(av, {e(i, j): 1, e(): -1}) for i, j in pairs.inside]
-    for i, j in pairs.cross:
-        factors += [Poly(av, {e(i, j): 1, e(): -1}), Poly(av, {e(i): 1, e(j, y): 1})]
-    factors += [Poly(av, {e(i, j): 1, e(y): 1}) for i, j in pairs.inside_j]
-    factors += [root_difference(av, i, j) for i, j in pairs.vandermonde]
+    I, J = range(1, r + 1), range(r + 1, n + 1)
+    inside_i, inside_j = weight_pairs(Family.WEDGE, r), [(i, j) for i in J for j in J if i < j]
+    factors = [Poly(av, {e(i, j): 1, e(): -1}) for i, j in inside_i]
+    for i in I:
+        for j in J:
+            factors += [Poly(av, {e(i, j): 1, e(): -1}), Poly(av, {e(i): 1, e(j, y): 1})]
+    factors += [Poly(av, {e(i, j): 1, e(y): 1}) for i, j in inside_j]
+    # root differences left over from clearing: inside I, then inside J
+    factors += [Poly(av, {e(i): 1, e(j): -1}) for i, j in inside_i + inside_j]
     return product(factors, av)
 
 
@@ -161,19 +163,13 @@ def phi_wedge_k(n, r):
     av = _k_vars(n)
     if r == 0:
         return MotivicClass(orbit, LaurentFraction(Poly.const(av, 1)))
-    num = _phi_k_numerator(n, r)
-    coeffs = alternant_schur_coeffs(num, n)
+    by_y = defaultdict(dict)
+    for (lam, tail), c in alternant_schur_coeffs(_phi_k_numerator(n, r), n).items():
+        by_y[tail][lam] = c
     stab = factorial(r) * factorial(n - r)
-    acc = {}
-    for (lam, tail), c in coeffs.items():
-        for e, k in _schur_terms(lam, n).items():
-            ke = e + tail
-            s = acc.get(ke, 0) + c * k
-            if s:
-                acc[ke] = s
-            elif ke in acc:
-                del acc[ke]
-    numer = Poly(av, acc).scale(Fraction(1, stab))
+    numer = Poly(av, {e + tail: c for tail, coeffs in by_y.items()
+                      for e, c in schur_dict_to_alpha(coeffs, n).terms.items()}
+                 ).scale(Fraction(1, stab))
     den_factors = _pair_denominator(n)
     den = product(den_factors, av)
     frac = LaurentFraction(numer, den).cancel(den_factors)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import comb
-from typing import NamedTuple
 
 from .poly import Poly, product
 
@@ -90,32 +89,11 @@ def chern_vars(n):
     return tuple(f"c{i}" for i in range(1, n + 1))
 
 
-def _pairs(idx, diagonal=False):
-    """Pairs (idx[x], idx[y]) with x < y, or x <= y when diagonal."""
-    idx = list(idx)
-    return [(i, j) for x, i in enumerate(idx) for j in idx[x if diagonal else x + 1:]]
-
-
 def weight_pairs(family, n):
-    """Index pairs (i, j), 1-based, of the torus weights a_i + a_j."""
-    return _pairs(range(1, n + 1), diagonal=as_family(family) is Family.SYM)
-
-
-class BasePairs(NamedTuple):
-    """Index pairs of the base-subset term, I = {1..r} and J = {r+1..n}."""
-
-    inside: list       # weight pairs inside I
-    cross: list        # I x J
-    inside_j: list     # i < j inside J
-    vandermonde: list  # root differences left over from clearing: inside I, then J
-
-
-def base_subset_pairs(family, n, r):
-    """The pairs a localization term over the base subset I = {1..r} uses."""
-    I, J = range(1, r + 1), range(r + 1, n + 1)
-    inside_j = _pairs(J)
-    return BasePairs(weight_pairs(family, r), [(i, j) for i in I for j in J],
-                     inside_j, _pairs(I) + inside_j)
+    """Index pairs (i, j), 1-based, of the torus weights a_i + a_j: i < j,
+    or i <= j for sym."""
+    sym = as_family(family) is Family.SYM
+    return [(i, j) for i in range(1, n + 1) for j in range(i if sym else i + 1, n + 1)]
 
 
 def inside_weights(family, r):
@@ -131,11 +109,6 @@ def weight_factor(variables, const, i, j):
     if i == j:
         return Poly.linear(variables, const, **{f"a{i}": 2})
     return Poly.linear(variables, const, **{f"a{i}": 1, f"a{j}": 1})
-
-
-def root_difference(variables, i, j, const=0):
-    """const + a_i - a_j."""
-    return Poly.linear(variables, const, **{f"a{i}": 1, f"a{j}": -1})
 
 
 def suborbit_coranks(orbit):

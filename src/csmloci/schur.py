@@ -147,15 +147,11 @@ def alternant_schur_coeffs(poly, n_alt):
     return out
 
 
-def alternant_schur_pure(poly, n_alt, stab=1, max_deg=None):
+def alternant_schur_pure(poly, n_alt, max_deg=None):
     """alternant_schur_coeffs for a polynomial with no passive variables,
-    divided by the stabilizer order stab of the symmetrized term and kept
-    for partitions of size <= max_deg."""
-    out = {}
-    for (lam, _), c in alternant_schur_coeffs(poly, n_alt).items():
-        if max_deg is None or sum(lam) <= max_deg:
-            out[lam] = _norm(Fraction(c, stab))
-    return out
+    kept for partitions of size <= max_deg."""
+    return {lam: c for (lam, _), c in alternant_schur_coeffs(poly, n_alt).items()
+            if max_deg is None or sum(lam) <= max_deg}
 
 
 # -- Grassmannian pushforward -------------------------------------------
@@ -229,10 +225,11 @@ def _unit_mul(state, i, j, p, bound):
     return {key: c for key, c in out.items() if c}
 
 
-def pushforward_schur(n, r, inner, lam=(), inside=(), cross=(), max_deg=None, stab=1):
+def pushforward_schur(n, r, inner, lam=(), inside=(), cross=(), max_deg=None):
     """Schur coefficients of the sum over the r-subsets I of [n] of
-    P_I s_lam(a_I) / prod_{i in I, j not in I} (a_i - a_j), divided by stab:
-    the Gysin formula of a Grassmann bundle.
+    P_I s_lam(a_I) / prod_{i in I, j not in I} (a_i - a_j): the Gysin formula
+    of a Grassmann bundle.  Nothing is divided here: integer inner
+    coefficients give integer Schur coefficients.
 
     P is given at I = {1..r}, J = {r+1..n} (m = n - r) as the product of
     inner, a Schur dict in a_J; (1 + a_i + a_j)^p for each (i, j, p) of
@@ -244,8 +241,9 @@ def pushforward_schur(n, r, inner, lam=(), inside=(), cross=(), max_deg=None, st
     Over J a cross factor is sum_k (p s)^k (c + a_i)^(p m - k) times e_k(a_J),
     or h_k(a_J) when p = -1, so it enters by Pieri strips.  The sum over I is
     Alt_n(sum coeff a_I^(alpha + lam + delta_r) a_J^(mu + delta_m)) over the
-    Vandermonde, read off by the bialternant identity.  Products are cut at
-    the degree that max_deg allows.
+    Vandermonde, read off by the bialternant identity.  With max_deg set,
+    products are cut at the degree it allows and only partitions of size
+    <= max_deg are kept.
     """
     m = n - r
     bound = inf if max_deg is None else max_deg + r * m - sum(lam)
@@ -264,7 +262,7 @@ def pushforward_schur(n, r, inner, lam=(), inside=(), cross=(), max_deg=None, st
     shift = staircase_shift(lam, r)
     terms = {tuple(map(_add, alpha, shift)) + staircase_shift(mu, m): c
              for (alpha, mu), c in state.items()}
-    return alternant_schur_pure(Poly(alpha_vars(n), terms, _clean=False), n, stab, max_deg)
+    return alternant_schur_pure(Poly(alpha_vars(n), terms, _clean=False), n, max_deg)
 
 
 # -- Chern <-> Schur by vertical strips -----------------------------------

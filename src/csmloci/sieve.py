@@ -34,7 +34,7 @@ from .schur import pushforward_schur
 
 @lru_cache(maxsize=None)
 def euler_numbers(max_index):
-    """E_0..E_max with 1/cosh(x) = sum E_n x^n / n!.
+    """The tuple E_0..E_max with 1/cosh(x) = sum E_n x^n / n!.
 
     Matching coefficients in cosh(x) * sum E_n x^n / n! = 1 gives the
     integer recurrence sum_j binom(2k, 2j) E_2j = 0 for k >= 1; odd entries
@@ -43,7 +43,7 @@ def euler_numbers(max_index):
     even = [1]
     for k in range(1, max_index // 2 + 1):
         even.append(-sum(comb(2 * k, 2 * j) * even[j] for j in range(k)))
-    return [0 if k % 2 else even[k // 2] for k in range(max_index + 1)]
+    return tuple(0 if k % 2 else even[k // 2] for k in range(max_index + 1))
 
 
 def binomial_matrix(m, parity="even"):
@@ -146,9 +146,9 @@ def phi_cv_schur(orbit):
     """
     family, n, r = orbit.family, orbit.n, orbit.r
     if r == 0:
-        return chern_schur(family, n, None)
+        return chern_schur(family, n)
     lam, coeff = inside_weights(family, r)
-    inner = {mu: coeff * c for mu, c in chern_schur(family, n - r, None).items()}
+    inner = {mu: coeff * c for mu, c in chern_schur(family, n - r).items()}
     return MappingProxyType(pushforward_schur(
         n, r, inner, lam, cross=((0, 1, 1), (1, -1, 1))))
 

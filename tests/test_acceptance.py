@@ -184,7 +184,7 @@ def test_c8_euler_number_layer():
     from csmloci.catalog import EULER_E10_WARNING, euler_number_warnings
     from csmloci.sieve import binomial_matrix, euler_numbers, invert_binomial_matrix
     E = euler_numbers(10)
-    ok = E[:9] == [1, 0, -1, 0, 5, 0, -61, 0, 1385]
+    ok = E[:9] == (1, 0, -1, 0, 5, 0, -61, 0, 1385)
     ok &= invert_binomial_matrix(3, "even") == [
         [1, -1, 5, -61], [0, 1, -6, 75], [0, 0, 1, -15], [0, 0, 0, 1]]
     for parity in ("even", "odd"):

@@ -78,6 +78,13 @@ def test_exit_code_usage_errors(capsys):
     assert code == 1 and not out and "--max-n" in err
 
 
+def test_help_exits_zero(capsys):
+    for argv in (["--help"], ["class", "--help"]):
+        code, out, err = capture(capsys, argv)
+        assert code == 0 and out.startswith(" ".join(["usage: csmloci"] + argv[:-1]))
+        assert not err
+
+
 def test_phi_warnings_on_divergent_print(capsys):
     code, out, err = capture(capsys, ["phi", "--family", "wedge", "--n", "3", "--r", "3",
                                       "--trunc", "5"])
@@ -139,7 +146,7 @@ def test_ktheory_command_json(capsys):
 
 
 # Every subcommand with each of its flags and a value domain that includes
-# out-of-range numbers; --help is left out (argparse exits through SystemExit).
+# out-of-range numbers.
 FAMILY = ["wedge", "sym"]
 FORMAT = ["text", "json", "latex"]
 BASIS = ["chern", "schur", "alpha"]
@@ -173,8 +180,9 @@ def requests(draw, command):
                 argv.append(flag)
             continue
         argv += [flag, str(draw(st.sampled_from(list(values or NUMBERS[flag]))))]
-    if draw(st.sampled_from([False] * 9 + [True])):
-        argv.append("--bogus")
+    extra = draw(st.sampled_from([None] * 8 + ["--bogus", "--help"]))  # now and then
+    if extra:
+        argv.append(extra)
     return argv
 
 
@@ -198,6 +206,8 @@ def test_cli_fuzz_exit_codes_and_replay(command, data):
     assert "Traceback" not in err
     if code == 1:
         assert "error:" in err
+    if argv[-1] == "--help":
+        assert code == 0 and out.startswith(f"usage: csmloci {command}")
     if code == 0:
         assert run_captured(["class", "--family", "wedge", "--n", "oops"])[0] == 1
         replayed = run_captured(argv)

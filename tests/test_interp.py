@@ -121,19 +121,9 @@ def test_csm_sum_is_total_chern():
             assert total == to_schur_basis(total_chern(fam, n), n)
 
 
-@pytest.mark.parametrize("fam", [W, S])
-def test_truncated_w_is_cut_of_full(fam):
-    for n in range(1, 6):
-        for r in coranks(fam, n):
-            full = w_schur(OrbitId(fam, n, r))
-            for D in (0, 1, 3, 5, 8):
-                cut = {lam: c for lam, c in full.items() if sum(lam) <= D}
-                assert w_schur(OrbitId(fam, n, r), max_deg=D) == cut
-
-
 def test_cached_results_are_read_only():
     from csmloci.schur import _elementary_schur
-    from csmloci.sieve import phi_cv_schur, phi_schur
+    from csmloci.sieve import euler_numbers, phi_cv_schur, phi_schur
     orbit = OrbitId(S, 3, 1)
     before = csm_class(orbit).payload
     for cached in (w_schur(orbit), w_schur(OrbitId(S, 3, 0)),
@@ -143,7 +133,10 @@ def test_cached_results_are_read_only():
                    _elementary_schur((1, 2, 0), 3)):
         with pytest.raises(TypeError):
             cached[()] = 999
+    with pytest.raises(TypeError):
+        euler_numbers(4)[2] = 7
     assert csm_class(orbit).payload == before
+    assert euler_numbers(4) == (1, 0, -1, 0, 5)
 
 
 def test_csm_to_ssm_example():

@@ -20,7 +20,7 @@ def cpoly(n, terms):
 
 
 def test_euler_numbers_printed_list():
-    assert euler_numbers(8) == [1, 0, -1, 0, 5, 0, -61, 0, 1385]
+    assert euler_numbers(8) == (1, 0, -1, 0, 5, 0, -61, 0, 1385)
 
 
 def test_euler_odd_vanish():
