@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -105,7 +105,7 @@ def _check_k_scope(n, r):
     return orbit
 
 
-@dataclass
+@dataclass(frozen=True)
 class MotivicClass:
     """A K-theory class of an orbit: an exact symmetric Laurent fraction."""
 
@@ -113,7 +113,7 @@ class MotivicClass:
     value: LaurentFraction
     kind: str = "phi"
     q_convention: str = "q=-y"
-    notes: list = field(default_factory=list)
+    notes: tuple = ()
 
 
 def _k_exps(n, *idx):
@@ -237,4 +237,4 @@ def motivic_segre_sieve(n, r, q_convention="minus-y"):
                          [f.map_vars(av) for f in _pair_denominator(n)])
     conv = "q=-y" if not symbolic else "q symbolic"
     return MotivicClass(orbit, total, kind="segre", q_convention=conv,
-                        notes=[Q_CONVENTION_NOTE])
+                        notes=(Q_CONVENTION_NOTE,))

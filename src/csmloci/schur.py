@@ -22,7 +22,7 @@ from math import comb, factorial, inf, lcm, prod
 from operator import add as _add
 from types import MappingProxyType
 
-from .orbits import alpha_vars, chern_vars
+from .orbits import Family, alpha_vars, chern_vars, weight_pairs
 from .partitions import partition
 from .poly import Poly, TruncSeries, _norm
 
@@ -191,17 +191,20 @@ def _strips(mu, k, m, vertical):
 
 def _pieri_mul(state, i, fk, m, vertical, bound):
     """state times sum_k fk[k](a_i) e_k(a_J) (vertical) or h_k(a_J), where
-    fk[k] lists (t, coeff) of a polynomial in a_i by ascending t."""
+    fk[k] lists (t, coeff) of a polynomial in a_i by ascending t.  Only
+    alpha_i <= alpha_{i-1} is made: alpha_{i-1} is final by now."""
     out = defaultdict(int)
     for (alpha, mu), c in state.items():
         room = bound - sum(alpha) - sum(mu)
         head, ai, tail = alpha[:i], alpha[i], alpha[i + 1:]
+        cap = alpha[i - 1] - ai if i else inf
         for k, terms in enumerate(fk):
             if k > room:
                 break
+            top = room - k if room - k < cap else cap
             strips = _strips(mu, k, m, vertical)
             for t, b in terms:
-                if k + t > room:
+                if t > top:
                     break
                 a2 = head + (ai + t,) + tail
                 cb = c * b
@@ -244,25 +247,67 @@ def pushforward_schur(n, r, inner, lam=(), inside=(), cross=(), max_deg=None):
     Vandermonde, read off by the bialternant identity.  With max_deg set,
     products are cut at the degree it allows and only partitions of size
     <= max_deg are kept.
+
+    Only the descending alpha (alpha_0 >= alpha_1 >= ...) are computed.  P
+    is symmetric in a_I (a cut at a total degree keeps it so), so its
+    coefficient at (alpha, mu) is that at (sorted alpha, mu).  The cross
+    factors commute, so they enter index by index: every factor for a_0,
+    then every factor for a_1, and so on; after its passes alpha_i never
+    changes again.  Exponents only grow, so two prunes lose nothing that
+    feeds a descending key: a pass on i makes no alpha_i above alpha_{i-1},
+    and once i is done a key with some later alpha_j > alpha_i is dropped.
+    Before the read-off each descending alpha is expanded to its distinct
+    orderings, each with its coefficient, so the alternant, which depends on
+    the order through the shift by lam + delta_r, still sees every ordering.
+    The inside factors must be every pair i < j, or every i <= j, of I with
+    one exponent, as the callers build them from weight_pairs; any other
+    inside raises ValueError.
     """
+    pairs = sorted((i, j) for i, j, _ in inside)
+    if inside and (len({p for _, _, p in inside}) > 1 or pairs not in (
+            weight_pairs(Family.WEDGE, r), weight_pairs(Family.SYM, r))):
+        raise ValueError("pushforward_schur needs P symmetric in a_I: inside must be "
+                         "every pair i < j, or every i <= j, of 1..r with one exponent; "
+                         f"got {list(inside)}")
     m = n - r
     bound = inf if max_deg is None else max_deg + r * m - sum(lam)
     state = {((0,) * r, mu): c for mu, c in inner.items() if sum(mu) <= bound}
     for i, j, p in inside:
         state = _unit_mul(state, i - 1, j - 1, p, bound)
-    for c, s, p in cross:
-        fk = [[(t, (p * s) ** k * b) for t, b in _power_terms(c, p * m - k, bound)]
-              for k in range((m if p > 0 else bound) + 1)]
-        for i in range(r):
-            state = _pieri_mul(state, i, fk, m, p > 0, bound)
+    passes = [(p > 0, [[(t, (p * s) ** k * b) for t, b in _power_terms(c, p * m - k, bound)]
+                       for k in range((m if p > 0 else bound) + 1)])
+              for c, s, p in cross]
+    for i in range(r):
+        for vertical, fk in passes:
+            state = _pieri_mul(state, i, fk, m, vertical, bound)
+        state = {key: c for key, c in state.items() if max(key[0][i:]) == key[0][i]}
 
     def staircase_shift(part, k):
         return tuple(x + k - 1 - i for i, x in enumerate(part + (0,) * (k - len(part))))
 
     shift = staircase_shift(lam, r)
-    terms = {tuple(map(_add, alpha, shift)) + staircase_shift(mu, m): c
-             for (alpha, mu), c in state.items()}
+    orderings, tails, terms = {}, {}, {}
+    for (alpha, mu), c in state.items():
+        if alpha not in orderings:
+            orderings[alpha] = [tuple(map(_add, a, shift)) for a in _orderings(alpha)]
+        if mu not in tails:
+            tails[mu] = staircase_shift(mu, m)
+        tail = tails[mu]
+        for a in orderings[alpha]:
+            terms[a + tail] = c
     return alternant_schur_pure(Poly(alpha_vars(n), terms, _clean=False), n, max_deg)
+
+
+def _orderings(alpha):
+    """The distinct orderings of the tuple alpha."""
+    if not alpha:
+        return [()]
+    out = []
+    for x in dict.fromkeys(alpha):
+        rest = list(alpha)
+        rest.remove(x)
+        out += [(x,) + o for o in _orderings(tuple(rest))]
+    return out
 
 
 # -- Chern <-> Schur by vertical strips -----------------------------------

@@ -122,6 +122,7 @@ def test_csm_sum_is_total_chern():
 
 
 def test_cached_results_are_read_only():
+    from csmloci.ktheory import phi_wedge_k
     from csmloci.schur import _elementary_schur
     from csmloci.sieve import euler_numbers, phi_cv_schur, phi_schur
     orbit = OrbitId(S, 3, 1)
@@ -135,8 +136,14 @@ def test_cached_results_are_read_only():
             cached[()] = 999
     with pytest.raises(TypeError):
         euler_numbers(4)[2] = 7
+    mc = phi_wedge_k(2, 2)
+    with pytest.raises(AttributeError):
+        mc.kind = "bogus"
+    with pytest.raises(AttributeError):
+        mc.notes.append("x")
     assert csm_class(orbit).payload == before
     assert euler_numbers(4) == (1, 0, -1, 0, 5)
+    assert (phi_wedge_k(2, 2).kind, phi_wedge_k(2, 2).notes) == ("phi", ())
 
 
 def test_csm_to_ssm_example():

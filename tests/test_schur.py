@@ -1,5 +1,6 @@
 """Partitions, Schur polynomials and basis conversions."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csmloci.orbits import Family, alpha_vars, chern_vars, euler_class
+from csmloci.orbits import Family, alpha_vars, chern_vars, euler_class, weight_pairs
 from csmloci.partitions import (conjugate, count_ssyt, partition, partitions_upto,
                                 staircase)
 from csmloci.poly import Poly, TruncSeries
 from csmloci.schur import (NotSymmetricError, _strips, chern_to_alpha, chern_to_schur,
-                           schur_dict_to_alpha, schur_poly, schur_to_chern, to_chern_basis,
-                           to_schur_basis)
+                           pushforward_schur, schur_dict_to_alpha, schur_dict_value,
+                           schur_poly, schur_to_chern, to_chern_basis, to_schur_basis)
 
 
 def test_partition_normalization():
@@ -176,3 +177,60 @@ def test_strip_conversions_match_alpha_route(case):
     assert chern_to_schur(got, n) == {lam: c for lam, c in coeffs.items() if len(lam) <= n}
     assert chern_to_schur(chern, n) == to_schur_basis(chern_to_alpha(chern, n), n)
     assert schur_to_chern(chern_to_schur(chern, n), n) == chern
+
+
+POINT = (Fraction(1, 2), Fraction(-3), Fraction(2), Fraction(5, 3), Fraction(-1, 7))
+CROSS_SHAPES = ((0, 1, 1), (1, 1, 1), (1, -1, 1))
+
+
+@st.composite
+def pushforward_cases(draw):
+    n = draw(st.integers(2, 5))
+    r = draw(st.integers(2, n))
+    m = n - r
+    lams = draw(st.lists(st.sampled_from(list(partitions_upto(3, max_len=m))),
+                         unique=True, min_size=1, max_size=3))
+    inner = {mu: draw(st.integers(-3, 3).filter(bool)) for mu in lams}
+    lam = draw(st.sampled_from(list(partitions_upto(3, max_len=r))))
+    pairs = draw(st.sampled_from((None, Family.WEDGE, Family.SYM)))
+    inside = [] if pairs is None else [(i, j, 1) for i, j in weight_pairs(pairs, r)]
+    cross = draw(st.lists(st.sampled_from(CROSS_SHAPES), unique=True, min_size=1))
+    return n, r, inner, lam, inside, cross
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(pushforward_cases())
+def test_pushforward_is_subset_sum(case):
+    # the kernel equals the literal Gysin sum over I of
+    # P_I s_lam(a_I) / prod_{i in I, j not in I} (a_i - a_j) at a rational point
+    n, r, inner, lam, inside, cross = case
+    a = POINT[:n]
+    expect = Fraction(0)
+    for I in itertools.combinations(range(n), r):
+        J = [j for j in range(n) if j not in I]
+        term = schur_dict_value(inner, [a[j] for j in J])
+        term *= schur_dict_value({lam: 1}, [a[i] for i in I])
+        for x, y, p in inside:
+            term *= (1 + a[I[x - 1]] + a[I[y - 1]]) ** p
+        for i in I:
+            for j in J:
+                for c, s, p in cross:
+                    term *= (c + a[i] + s * a[j]) ** p
+                term /= a[i] - a[j]
+        expect += term
+    got = pushforward_schur(n, r, inner, lam, inside, cross)
+    assert schur_dict_value(got, a) == expect
+
+
+def test_pushforward_needs_inside_symmetric_in_I():
+    # the kernel computes only descending I-exponents, which is exact only
+    # when P is symmetric in a_I: a partial pair set or mixed exponents raise
+    for inside in ([(1, 2, 1)], [(1, 2, 1), (1, 3, 1), (2, 3, -1)],
+                   [(1, 2, 1), (1, 3, 1), (2, 3, 1), (1, 1, 1)], [(1, 2, 1)] * 3):
+        with pytest.raises(ValueError, match="symmetric in a_I"):
+            pushforward_schur(4, 3, {(): 1}, inside=inside, cross=((0, 1, 1),))
+    for fam in Family:
+        inside = [(i, j, -1) for i, j in weight_pairs(fam, 3)]
+        got = [pushforward_schur(4, 3, {(): 1}, inside=order, cross=((0, 1, 1),), max_deg=3)
+               for order in (inside, inside[::-1])]
+        assert got[0] and got[0] == got[1]

@@ -97,7 +97,8 @@ def test_phi_against_reference_clearing_route():
     # exact division, zero remainder required) agrees with the production one
     for fam, n, r, D in [(W, 2, 2, 5), (W, 3, 1, 5), (W, 3, 3, 4), (W, 4, 2, 3),
                          (S, 2, 1, 5), (S, 2, 2, 4), (S, 3, 2, 4), (S, 3, 1, 3),
-                         (S, 5, 1, 3), (S, 5, 2, 4), (W, 5, 3, 4)]:
+                         (S, 5, 1, 3), (S, 5, 2, 4), (W, 5, 3, 4),
+                         (S, 4, 3, 3), (S, 4, 4, 3), (S, 5, 3, 2)]:
         ref = phi_reference_series(OrbitId(fam, n, r), D)
         assert to_schur_basis(ref, n) == phi_schur(OrbitId(fam, n, r), D)
 
