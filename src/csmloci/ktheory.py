@@ -50,7 +50,7 @@ def q_factorial(n):
     out = Poly.const(QV, 1)
     for k in range(1, n + 1):
         out = out * _q_int(k)
-    return out
+    return out.read_only()
 
 
 @lru_cache(maxsize=None)
@@ -58,10 +58,10 @@ def q_binomial(n, m):
     """Gaussian binomial [n]!/([m]![n-m]!); the division is exact."""
     if not 0 <= m <= n:
         raise ValueError(f"q-binomial out of range: ({n}, {m})")
-    return q_factorial(n).exact_divide(q_factorial(m) * q_factorial(n - m))
+    return q_factorial(n).exact_divide(q_factorial(m) * q_factorial(n - m)).read_only()
 
 
-@dataclass
+@dataclass(frozen=True)
 class QEulerTable:
     """E_0(q)..E_max(q) with 1/cosh_q(t) = sum E_n(q) t^n / [n]_q!."""
 
@@ -88,7 +88,7 @@ def q_euler_numbers(max_index):
         for j in range(k):
             acc = acc + q_binomial(2 * k, 2 * j) * values[j]
         values.append(-acc)
-    return QEulerTable(tuple(values[k // 2] if k % 2 == 0 else Poly.zero(QV)
+    return QEulerTable(tuple((values[k // 2] if k % 2 == 0 else Poly.zero(QV)).read_only()
                              for k in range(max_index + 1)))
 
 
@@ -162,7 +162,7 @@ def phi_wedge_k(n, r):
     orbit = _check_k_scope(n, r)
     av = _k_vars(n)
     if r == 0:
-        return MotivicClass(orbit, LaurentFraction(Poly.const(av, 1)))
+        return MotivicClass(orbit, _read_only(LaurentFraction(Poly.const(av, 1))))
     by_y = defaultdict(dict)
     for (lam, tail), c in alternant_schur_coeffs(_phi_k_numerator(n, r), n).items():
         by_y[tail][lam] = c
@@ -174,7 +174,12 @@ def phi_wedge_k(n, r):
     den = product(den_factors, av)
     frac = LaurentFraction(numer, den).cancel(den_factors)
     _assert_pair_denominator(frac, den_factors)
-    return MotivicClass(orbit, frac)
+    return MotivicClass(orbit, _read_only(frac))
+
+
+def _read_only(frac):
+    """frac over read-only term mappings, for a cached return."""
+    return LaurentFraction(frac.num.read_only(), frac.den.read_only(), canonical=True)
 
 
 def _assert_pair_denominator(frac, den_factors):

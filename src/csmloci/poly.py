@@ -19,6 +19,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from operator import add as _add
+from types import MappingProxyType
 
 Coeff = "int | Fraction"
 
@@ -58,6 +59,10 @@ class Poly:
         if _clean:
             terms = {e: _norm(c) for e, c in terms.items() if c != 0}
         self.terms = terms
+
+    def read_only(self):
+        """This polynomial over a read-only view of its terms, for cached returns."""
+        return Poly(self.vars, MappingProxyType(self.terms), _clean=False)
 
     # -- constructors -------------------------------------------------
 

@@ -10,6 +10,13 @@ a weighted sum of these expansions one way, a unitriangular peel the other
 (Macdonald, Symmetric Functions, I.3, I.5).  The conversions through the
 full polynomial in the roots (to_schur_basis, to_chern_basis, chern_to_alpha)
 are kept as test oracles; schur_dict_to_alpha serves the alpha output.
+
+The Grassmannian pushforward (pushforward_schur) computes the W-functions,
+Phi and c(V).  Its terms are monomials in a_I times Schur polynomials in
+a_J; a truncated product is cut by the degree its factors still to come
+must add, and the Schur coefficients are read off once per sorted
+I-exponent by the bialternant identity.  alternant_schur_coeffs reads them
+off a full polynomial in the roots, for K-theory and the oracles.
 """
 
 from __future__ import annotations
@@ -147,13 +154,6 @@ def alternant_schur_coeffs(poly, n_alt):
     return out
 
 
-def alternant_schur_pure(poly, n_alt, max_deg=None):
-    """alternant_schur_coeffs for a polynomial with no passive variables,
-    kept for partitions of size <= max_deg."""
-    return {lam: c for (lam, _), c in alternant_schur_coeffs(poly, n_alt).items()
-            if max_deg is None or sum(lam) <= max_deg}
-
-
 # -- Grassmannian pushforward -------------------------------------------
 
 def _power_terms(c, q, upto):
@@ -216,15 +216,18 @@ def _pieri_mul(state, i, fk, m, vertical, bound):
 def _unit_mul(state, i, j, p, bound):
     """state times (1 + a_i + a_j)^p, or (1 + 2a_i)^p when i = j, with
     0-based indices into the I exponents."""
+    expansion = [(t, u, t - u, b * comb(t, u))
+                 for t, b in _power_terms(1, p, bound) for u in range(t + 1)]
     out = defaultdict(int)
     for (alpha, mu), c in state.items():
         room = bound - sum(alpha) - sum(mu)
-        for t, b in _power_terms(1, p, room):
-            for u in range(t + 1):
-                a2 = list(alpha)
-                a2[i] += u
-                a2[j] += t - u
-                out[tuple(a2), mu] += c * b * comb(t, u)
+        for t, u, v, b in expansion:
+            if t > room:
+                break
+            a2 = list(alpha)
+            a2[i] += u
+            a2[j] += v
+            out[tuple(a2), mu] += c * b
     return {key: c for key, c in out.items() if c}
 
 
@@ -244,9 +247,16 @@ def pushforward_schur(n, r, inner, lam=(), inside=(), cross=(), max_deg=None):
     Over J a cross factor is sum_k (p s)^k (c + a_i)^(p m - k) times e_k(a_J),
     or h_k(a_J) when p = -1, so it enters by Pieri strips.  The sum over I is
     Alt_n(sum coeff a_I^(alpha + lam + delta_r) a_J^(mu + delta_m)) over the
-    Vandermonde, read off by the bialternant identity.  With max_deg set,
-    products are cut at the degree it allows and only partitions of size
-    <= max_deg are kept.
+    Vandermonde, whose Schur coefficients the bialternant identity reads off.
+    A term of degree d gives partitions of size d + |lam| - r m, so with
+    max_deg set, products are cut at degree max_deg + r m - |lam|.
+
+    The cut looks ahead.  A cross factor with c = 0, p = 1 is homogeneous of
+    degree exactly m in a_i and a_J, and every other factor only adds degree,
+    so a key is dropped once its degree plus m for each such pass still to
+    run, over every index, passes the cut: nothing it feeds is kept.  These
+    degree-exact passes run last on each index, so the others (above all
+    the truncated h-strips of p = -1) run with that much less room.
 
     Only the descending alpha (alpha_0 >= alpha_1 >= ...) are computed.  P
     is symmetric in a_I (a cut at a total degree keeps it so), so its
@@ -256,9 +266,14 @@ def pushforward_schur(n, r, inner, lam=(), inside=(), cross=(), max_deg=None):
     changes again.  Exponents only grow, so two prunes lose nothing that
     feeds a descending key: a pass on i makes no alpha_i above alpha_{i-1},
     and once i is done a key with some later alpha_j > alpha_i is dropped.
-    Before the read-off each descending alpha is expanded to its distinct
-    orderings, each with its coefficient, so the alternant, which depends on
-    the order through the shift by lam + delta_r, still sees every ordering.
+
+    The read-off still sees every ordering of alpha, since the shift by
+    lam + delta_r depends on the order, but sorts each one once per alpha:
+    the distinct orderings plus the shift, sorted, give {head: signed count}
+    (see _sorted_heads).  Each (mu, head) is then merged into the strictly
+    decreasing tail mu + delta_m; the sign is the parity of the tail entries
+    above each head entry, a shared entry kills the term, and the merged
+    exponents minus delta_n are the partition.
     The inside factors must be every pair i < j, or every i <= j, of I with
     one exponent, as the callers build them from weight_pairs; any other
     inside raises ValueError.
@@ -271,31 +286,73 @@ def pushforward_schur(n, r, inner, lam=(), inside=(), cross=(), max_deg=None):
                          f"got {list(inside)}")
     m = n - r
     bound = inf if max_deg is None else max_deg + r * m - sum(lam)
-    state = {((0,) * r, mu): c for mu, c in inner.items() if sum(mu) <= bound}
+    passes = []  # (least degree added, vertical strips?, [(t, coeff)] for each k)
+    for c, s, p in cross:
+        fk = [[(t, (p * s) ** k * b) for t, b in _power_terms(c, p * m - k, bound)]
+              for k in range((m if p > 0 else bound) + 1)]
+        passes.append((m if c == 0 and p == 1 else 0, p > 0, fk))
+    passes.sort(key=lambda pss: pss[0])  # the degree-exact factors last
+    ahead = r * sum(degree for degree, _, _ in passes)
+    state = {((0,) * r, mu): c for mu, c in inner.items() if sum(mu) <= bound - ahead}
     for i, j, p in inside:
-        state = _unit_mul(state, i - 1, j - 1, p, bound)
-    passes = [(p > 0, [[(t, (p * s) ** k * b) for t, b in _power_terms(c, p * m - k, bound)]
-                       for k in range((m if p > 0 else bound) + 1)])
-              for c, s, p in cross]
+        state = _unit_mul(state, i - 1, j - 1, p, bound - ahead)
     for i in range(r):
-        for vertical, fk in passes:
-            state = _pieri_mul(state, i, fk, m, vertical, bound)
+        for degree, vertical, fk in passes:
+            ahead -= degree
+            state = _pieri_mul(state, i, fk, m, vertical, bound - ahead)
         state = {key: c for key, c in state.items() if max(key[0][i:]) == key[0][i]}
 
-    def staircase_shift(part, k):
-        return tuple(x + k - 1 - i for i, x in enumerate(part + (0,) * (k - len(part))))
-
-    shift = staircase_shift(lam, r)
-    orderings, tails, terms = {}, {}, {}
+    shift = _staircase_shift(lam, r)
+    heads, by_mu = {}, defaultdict(lambda: defaultdict(int))
     for (alpha, mu), c in state.items():
-        if alpha not in orderings:
-            orderings[alpha] = [tuple(map(_add, a, shift)) for a in _orderings(alpha)]
-        if mu not in tails:
-            tails[mu] = staircase_shift(mu, m)
-        tail = tails[mu]
-        for a in orderings[alpha]:
-            terms[a + tail] = c
-    return alternant_schur_pure(Poly(alpha_vars(n), terms, _clean=False), n, max_deg)
+        if alpha not in heads:
+            heads[alpha] = _sorted_heads(alpha, shift)
+        acc = by_mu[mu]
+        for head, k in heads[alpha]:
+            acc[head] += c * k
+    out = defaultdict(int)
+    for mu, acc in by_mu.items():
+        tail = _staircase_shift(mu, m)
+        for head, c in acc.items():
+            sign = _merge_sign(head, tail)
+            if c and sign:
+                merged = sorted(head + tail, reverse=True)
+                part = [x - (n - 1 - k) for k, x in enumerate(merged)]
+                while part and not part[-1]:
+                    part.pop()
+                out[tuple(part)] += sign * c
+    return {part: _norm(c) for part, c in out.items() if c}
+
+
+def _staircase_shift(part, k):
+    """part padded to k entries, plus delta_k = (k - 1, ..., 1, 0)."""
+    return tuple(x + k - 1 - i for i, x in enumerate(part + (0,) * (k - len(part))))
+
+
+def _merge_sign(head, tail):
+    """The sign of sorting head + tail, both strictly decreasing, into
+    decreasing order (the parity of the tail entries above each head
+    entry), or 0 if they share an entry."""
+    above = odd = 0
+    for h in head:
+        while above < len(tail) and tail[above] > h:
+            above += 1
+        if above < len(tail) and tail[above] == h:
+            return 0
+        odd ^= above & 1
+    return -1 if odd else 1
+
+
+def _sorted_heads(alpha, shift):
+    """[(head, count)]: the descending sort of each distinct ordering of alpha
+    plus shift that has no repeated entry, with its signs summed."""
+    out = defaultdict(int)
+    for o in _orderings(alpha):
+        v = tuple(map(_add, o, shift))
+        if len(set(v)) == len(v):
+            odd = sum(x < y for k, x in enumerate(v) for y in v[k + 1:]) & 1
+            out[tuple(sorted(v, reverse=True))] += -1 if odd else 1
+    return [(head, k) for head, k in out.items() if k]
 
 
 def _orderings(alpha):
@@ -479,7 +536,8 @@ def to_schur_basis(p, n=None):
         n = len(p.vars)
     _require_symmetric(p, n)
     shifted = {tuple(x + n - 1 - i for i, x in enumerate(e)): c for e, c in p.terms.items()}
-    return alternant_schur_pure(Poly(p.vars, shifted, _clean=False), n)
+    return {lam: c for (lam, _), c in
+            alternant_schur_coeffs(Poly(p.vars, shifted, _clean=False), n).items()}
 
 
 def chern_weighted_degree(exps):

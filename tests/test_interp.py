@@ -122,7 +122,7 @@ def test_csm_sum_is_total_chern():
 
 
 def test_cached_results_are_read_only():
-    from csmloci.ktheory import phi_wedge_k
+    from csmloci.ktheory import phi_wedge_k, q_binomial, q_euler_numbers, q_factorial
     from csmloci.schur import _elementary_schur
     from csmloci.sieve import euler_numbers, phi_cv_schur, phi_schur
     orbit = OrbitId(S, 3, 1)
@@ -144,6 +144,19 @@ def test_cached_results_are_read_only():
     assert csm_class(orbit).payload == before
     assert euler_numbers(4) == (1, 0, -1, 0, 5)
     assert (phi_wedge_k(2, 2).kind, phi_wedge_k(2, 2).notes) == ("phi", ())
+    # the cached K-theory polynomials: Phi's numerator and denominator, the
+    # q-factorials, q-binomials and q-Euler numbers
+    qe = q_euler_numbers(4)
+    with pytest.raises(AttributeError):
+        qe.values = ()
+    for poly in (mc.value.num, mc.value.den, phi_wedge_k(4, 0).value.num,
+                 q_factorial(3), q_binomial(4, 2), qe[2]):
+        was = dict(poly.terms)
+        e = next(iter(was))
+        with pytest.raises(TypeError):
+            poly.terms[e] = 999
+        assert dict(poly.terms) == was
+    assert q_binomial(4, 2).terms[(2,)] == 2 and q_factorial(3).terms[(1,)] == 2
 
 
 def test_csm_to_ssm_example():
@@ -167,10 +180,10 @@ def test_cross_route_equality():
                     csm_to_ssm(csm_class(orbit), 6).payload
                 assert ssm_interp(orbit, 6, closure=True).payload == \
                     ssm_sieve(orbit, 6, closure=True).payload
-        for n in range(1, 6):
+        for n, D in [(n, 12) for n in range(1, 6)] + [(6, 10)]:
             for r in coranks(fam, n):
                 orbit = OrbitId(fam, n, r)
-                assert ssm_interp_schur(orbit, 12) == ssm_schur(orbit, 12)
+                assert ssm_interp_schur(orbit, D) == ssm_schur(orbit, D)
 
 
 def test_stable_schur_output():

@@ -184,7 +184,7 @@ CROSS_SHAPES = ((0, 1, 1), (1, 1, 1), (1, -1, 1))
 
 
 @st.composite
-def pushforward_cases(draw):
+def pushforward_cases(draw, shapes=CROSS_SHAPES, inside_exps=(1,)):
     n = draw(st.integers(2, 5))
     r = draw(st.integers(2, n))
     m = n - r
@@ -193,8 +193,9 @@ def pushforward_cases(draw):
     inner = {mu: draw(st.integers(-3, 3).filter(bool)) for mu in lams}
     lam = draw(st.sampled_from(list(partitions_upto(3, max_len=r))))
     pairs = draw(st.sampled_from((None, Family.WEDGE, Family.SYM)))
-    inside = [] if pairs is None else [(i, j, 1) for i, j in weight_pairs(pairs, r)]
-    cross = draw(st.lists(st.sampled_from(CROSS_SHAPES), unique=True, min_size=1))
+    p = draw(st.sampled_from(inside_exps))
+    inside = [] if pairs is None else [(i, j, p) for i, j in weight_pairs(pairs, r)]
+    cross = draw(st.lists(st.sampled_from(shapes), unique=True, min_size=1))
     return n, r, inner, lam, inside, cross
 
 
@@ -220,6 +221,24 @@ def test_pushforward_is_subset_sum(case):
         expect += term
     got = pushforward_schur(n, r, inner, lam, inside, cross)
     assert schur_dict_value(got, a) == expect
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(pushforward_cases(CROSS_SHAPES + ((1, 1, -1), (0, -1, 1)), (1, -1)),
+       st.integers(0, 6))
+def test_truncated_pushforward_is_cut_of_longer(case, D):
+    # the cut that looks ahead to the degree-exact passes loses nothing of
+    # size <= D, whatever the order of the cross factors
+    n, r, inner, lam, inside, cross = case
+
+    def upto_D(coeffs):
+        return {mu: c for mu, c in coeffs.items() if sum(mu) <= D}
+
+    got = pushforward_schur(n, r, inner, lam, inside, cross, D)
+    assert got == upto_D(pushforward_schur(n, r, inner, lam, inside, cross, D + 3))
+    assert got == pushforward_schur(n, r, inner, lam, inside, cross[::-1], D)
+    if all(p > 0 for *_, p in inside + cross):
+        assert got == upto_D(pushforward_schur(n, r, inner, lam, inside, cross))
 
 
 def test_pushforward_needs_inside_symmetric_in_I():
