@@ -119,10 +119,3 @@ def euler_number_warnings(values):
                 out.append(f"tabulated E_{idx} = {printed} vs computed {values[idx]}")
     return out
 
-
-def phi_warnings(family, n, r, chern_poly=None, max_deg=7):
-    """Known-discrepancy warnings to attach to a Phi output."""
-    from .orbits import Family, as_family
-    if as_family(family) is Family.WEDGE and n == 3 and chern_poly is not None:
-        return compare_phi_wedge_3(r, chern_poly, max_deg=max_deg)
-    return []

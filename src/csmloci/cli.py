@@ -14,7 +14,7 @@ import sys
 from functools import lru_cache
 
 from . import emit
-from .orbits import OrbitId, as_family
+from .orbits import Family, OrbitId, as_family
 
 
 class UsageError(Exception):
@@ -138,14 +138,13 @@ def _cmd_class(args):
 
 
 def _cmd_phi(args):
-    from .catalog import phi_warnings
     from .sieve import phi_class
     orbit = OrbitId(args.family, args.n, args.r)
     _require_trunc(args, "for phi output")
     cls = phi_class(orbit, args.trunc)
-    cls.warnings = phi_warnings(orbit.family, orbit.n, orbit.r,
-                                cls.chern_poly() if orbit.n == 3 else None,
-                                max_deg=args.trunc)
+    if orbit.family is Family.WEDGE and orbit.n == 3:
+        from .catalog import compare_phi_wedge_3
+        cls.warnings = compare_phi_wedge_3(orbit.r, cls.chern_poly(), max_deg=args.trunc)
     _emit_class(cls.in_basis(args.basis), args.format)
     return 0
 

@@ -37,7 +37,7 @@ from types import MappingProxyType
 
 from .classes import ClassExpr, add_schur, schur_class
 from .orbits import (Family, OrbitId, as_family, coranks, inside_weights, suborbit_coranks,
-                     total_chern, weight_pairs)
+                     total_chern)
 from .poly import ExactDivisionError, Poly, TruncSeries, exact_int, product
 from .schur import pushforward_schur, schur_dict_to_alpha, to_schur_basis
 
@@ -83,9 +83,8 @@ def _ssm_interp_schur(orbit, D):
     lam, coeff = inside_weights(family, r)
     inner = ssm_interp_schur(OrbitId(family, n - r, 0), D) if r < n else {(): 1}
     inner = {mu: coeff * c for mu, c in inner.items()}
-    inside = [(i, j, -1) for i, j in weight_pairs(family, r)]
     return MappingProxyType(pushforward_schur(
-        n, r, inner, lam, inside, cross=((0, 1, 1),), max_deg=D))
+        n, r, inner, lam, (family, -1), cross=((0, 1, 1),), max_deg=D))
 
 
 def _by_additivity(orbit_class, orbit, total):
@@ -105,8 +104,7 @@ def chern_schur(family, n):
     """
     if n == 0:
         return MappingProxyType({(): 1})
-    inside = [(i, j, 1) for i, j in weight_pairs(family, 1)]
-    n_cv = pushforward_schur(n, 1, chern_schur(family, n - 1), inside=inside,
+    n_cv = pushforward_schur(n, 1, chern_schur(family, n - 1), inside=(family, 1),
                              cross=((1, 1, 1), (0, -1, 1)))
     return MappingProxyType({lam: exact_int(Fraction(c, n), f"c(V) coefficient of s{lam}")
                              for lam, c in n_cv.items()})

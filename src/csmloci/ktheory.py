@@ -6,6 +6,17 @@ exact reduced LaurentFractions.  The sieve expresses the motivic Segre class
 of an orbit as a q-binomial / q-Euler-number combination of K-theoretic Phi
 classes.
 
+Every Phi class lives over the one fixed denominator
+P_n = prod_{i<j} (a_i a_j + y).  At I = {1..r}, J = {r+1..n} (m = n - r)
+the base-subset term is F / (P_n prod_{i in I, j in J} (a_i - a_j)) with F
+symmetric in a_I and, separately, in a_J, so the sum over the r-subsets I
+is Alt_n(F V_I V_J) / (r! m! P_n V_n), V the Vandermonde.  As
+V_I = Alt_I(a_I^delta_r) and F is symmetric in a_I, and likewise on J,
+Alt_n(F V_I V_J) = r! m! Alt_n(F a_I^delta_r a_J^delta_m): Phi P_n is the
+bialternant read-off of F times one staircase monomial, and nothing is left
+to divide.  The sieve adds these numerators as polynomials and reduces the
+sum over P_n once.
+
 The q appearing in the sieve coefficients is exposed as an explicit
 specialization: the default convention substitutes q -> -y, the "symbolic"
 convention keeps q as an extra variable.  Both are recorded in the output
@@ -19,10 +30,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
 from .laurent import LaurentFraction
-from .orbits import Family, OrbitId, weight_pairs
+from .orbits import Family, OrbitId
 from .poly import Poly, product
 from .schur import alternant_schur_coeffs, schur_dict_to_alpha
 
@@ -116,83 +126,61 @@ class MotivicClass:
     notes: tuple = ()
 
 
-def _k_exps(n, *idx):
-    """Exponent tuple of prod a_i over idx in _k_vars(n); index n + 1 is y."""
-    e = [0] * (n + 1)
-    for i in idx:
-        e[i - 1] += 1
-    return tuple(e)
-
-
 def _phi_k_numerator(n, r):
-    """Cleared numerator of the base-subset term over the common denominator
-    prod_{i<j} (a_i a_j + y) * Vandermonde."""
-    av, y = _k_vars(n), n + 1
+    """F a_I^delta_r a_J^delta_m at I = {1..r}, J = {r+1..n}, m = n - r.
 
-    def e(*idx):
-        return _k_exps(n, *idx)
-
-    I, J = range(1, r + 1), range(r + 1, n + 1)
-    inside_i, inside_j = weight_pairs(Family.WEDGE, r), [(i, j) for i in J for j in J if i < j]
-    factors = [Poly(av, {e(i, j): 1, e(): -1}) for i, j in inside_i]
-    for i in I:
-        for j in J:
-            factors += [Poly(av, {e(i, j): 1, e(): -1}), Poly(av, {e(i): 1, e(j, y): 1})]
-    factors += [Poly(av, {e(i, j): 1, e(y): 1}) for i, j in inside_j]
-    # root differences left over from clearing: inside I, then inside J
-    factors += [Poly(av, {e(i): 1, e(j): -1}) for i, j in inside_i + inside_j]
+    F is the base-subset term times P_n prod_{i in I, j in J} (a_i - a_j):
+    (a_i a_j - 1) inside I, (a_i a_j - 1)(a_i + y a_j) over I x J and
+    (a_i a_j + y) inside J.  The staircase monomial stands in for the
+    Vandermondes V_I V_J / (r! m!), which alternate to the same sum because
+    F is symmetric in a_I and in a_J (see the module docstring)."""
+    av = _k_vars(n)
+    a, y = [Poly.variable(av, v) for v in av[:n]], Poly.variable(av, "y")
+    I, J = range(r), range(r, n)
+    staircase = tuple(r - 1 - i if i < r else n - 1 - i for i in range(n)) + (0,)
+    factors = [Poly(av, {staircase: 1})]
+    factors += [a[i] * a[j] - 1 for i in I for j in I if i < j]
+    factors += [f for i in I for j in J for f in (a[i] * a[j] - 1, a[i] + y * a[j])]
+    factors += [a[i] * a[j] + y for i in J for j in J if i < j]
     return product(factors, av)
 
 
-def _pair_denominator(n):
-    av = _k_vars(n)
-    return [Poly(av, {_k_exps(n, i, j): 1, _k_exps(n, n + 1): 1})
-            for i, j in weight_pairs(Family.WEDGE, n)]
+def _pair_denominator(av, n):
+    """The factors a_i a_j + y, i < j, of P_n over the variables av."""
+    a, y = [Poly.variable(av, f"a{i}") for i in range(1, n + 1)], Poly.variable(av, "y")
+    return [a[i] * a[j] + y for i in range(n) for j in range(i + 1, n)]
+
+
+@lru_cache(maxsize=None)
+def _phi_k_cleared(n, r):
+    """Phi_{n,r} P_n, a read-only polynomial (P_n itself at r = 0).
+
+    Phi_{n,r} P_n is the full signed symmetrization of _phi_k_numerator over
+    the Vandermonde, read off per monomial as Schur polynomials in the a_i
+    with the y exponent riding along passively."""
+    by_y = defaultdict(dict)
+    for (lam, tail), c in alternant_schur_coeffs(_phi_k_numerator(n, r), n).items():
+        by_y[tail][lam] = c
+    return Poly(_k_vars(n), {e + tail: c for tail, coeffs in by_y.items()
+                             for e, c in schur_dict_to_alpha(coeffs, n).terms.items()}
+                ).read_only()
+
+
+def _over_pairs(num, n):
+    """num / P_n as a reduced fraction: P_n is a product of distinct
+    irreducible pair factors, so dividing out each one num shares leaves
+    the unique reduced form."""
+    factors = _pair_denominator(num.vars, n)
+    return LaurentFraction(num, product(factors, num.vars)).cancel(factors)
 
 
 @lru_cache(maxsize=None)
 def phi_wedge_k(n, r):
-    """K-theoretic Phi class of Sigma_{n,r} as an exact reduced fraction.
-
-    The subset sum equals the full signed symmetrization of one cleared
-    numerator divided by the Vandermonde, which is resolved per monomial (the
-    y-variable rides along passively); the surviving denominator is a product
-    of (a_i a_j + y) factors, enforced by explicit-factor cancellation.
-    """
+    """K-theoretic Phi class of Sigma_{n,r} as an exact reduced fraction:
+    Phi_{n,r} P_n over the fixed denominator P_n = prod_{i<j} (a_i a_j + y),
+    reduced once."""
     orbit = _check_k_scope(n, r)
-    av = _k_vars(n)
-    if r == 0:
-        return MotivicClass(orbit, _read_only(LaurentFraction(Poly.const(av, 1))))
-    by_y = defaultdict(dict)
-    for (lam, tail), c in alternant_schur_coeffs(_phi_k_numerator(n, r), n).items():
-        by_y[tail][lam] = c
-    stab = factorial(r) * factorial(n - r)
-    numer = Poly(av, {e + tail: c for tail, coeffs in by_y.items()
-                      for e, c in schur_dict_to_alpha(coeffs, n).terms.items()}
-                 ).scale(Fraction(1, stab))
-    den_factors = _pair_denominator(n)
-    den = product(den_factors, av)
-    frac = LaurentFraction(numer, den).cancel(den_factors)
-    _assert_pair_denominator(frac, den_factors)
-    return MotivicClass(orbit, _read_only(frac))
-
-
-def _read_only(frac):
-    """frac over read-only term mappings, for a cached return."""
-    return LaurentFraction(frac.num.read_only(), frac.den.read_only(), canonical=True)
-
-
-def _assert_pair_denominator(frac, den_factors):
-    from .poly import ExactDivisionError
-    rem = frac.den
-    for f in den_factors:
-        while True:
-            try:
-                rem = rem.exact_divide(f)
-            except ExactDivisionError:
-                break
-    if rem.total_degree() > 0:
-        raise AssertionError("denominator not a product of (a_i a_j + y) factors")
+    return MotivicClass(orbit, _over_pairs(_phi_k_cleared(n, r), n))
 
 
 def phi_wedge_k_value(n, r, alphas, y):
@@ -219,27 +207,23 @@ def phi_wedge_k_value(n, r, alphas, y):
 
 def motivic_segre_sieve(n, r, q_convention="minus-y"):
     """Motivic Segre class of Sigma_{n,r} by the q-deformed sieve:
-    sum_k binom(r+2k, r)_q E_{2k}(q) Phi_{n,r+2k}."""
+    sum_k binom(r+2k, r)_q E_{2k}(q) Phi_{n,r+2k}, summed as the numerators
+    Phi_{n,r+2k} P_n over the one denominator P_n and reduced once."""
     orbit = _check_k_scope(n, r)
     if q_convention not in ("minus-y", "symbolic"):
         raise ValueError(f"unknown q convention {q_convention!r}")
     symbolic = q_convention == "symbolic"
     av = _k_vars(n, extra=("q",) if symbolic else ())
     E = q_euler_numbers(n - r)
-    total = LaurentFraction(Poly.zero(av))
+    num = Poly.zero(av)
     for k in range(0, (n - r) // 2 + 1):
         coeff_q = q_binomial(r + 2 * k, r) * E[2 * k]
+        cleared = _phi_k_cleared(n, r + 2 * k)
         if symbolic:
-            cpoly = coeff_q.map_vars(av)
+            coeff, cleared = coeff_q.map_vars(av), cleared.map_vars(av)
         else:
-            minus_y = Poly.linear(_k_vars(n), 0, y=-1)
-            cpoly = coeff_q.substitute({"q": minus_y}, _k_vars(n))
-        phi = phi_wedge_k(n, r + 2 * k).value
-        if symbolic:
-            phi = LaurentFraction(phi.num.map_vars(av), phi.den.map_vars(av))
-        total = total + LaurentFraction(cpoly) * phi
-    total = total.cancel(_pair_denominator(n) if not symbolic else
-                         [f.map_vars(av) for f in _pair_denominator(n)])
+            coeff = coeff_q.substitute({"q": Poly.linear(av, 0, y=-1)}, av)
+        num = num + coeff * cleared
     conv = "q=-y" if not symbolic else "q symbolic"
-    return MotivicClass(orbit, total, kind="segre", q_convention=conv,
+    return MotivicClass(orbit, _over_pairs(num, n), kind="segre", q_convention=conv,
                         notes=(Q_CONVENTION_NOTE,))

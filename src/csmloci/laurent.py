@@ -3,7 +3,10 @@
 Numerator and denominator are Polys (negative exponents allowed).  The
 canonical form shifts both by the minimal exponent of each variable, clears
 coefficient denominators, divides out the integer content, and makes the
-graded-lex leading coefficient of the denominator positive.  Cancellation of
+graded-lex leading coefficient of the denominator positive.  It is computed
+before the fraction is built, and a fraction never changes afterwards: num
+and den are read-only Polys, and assigning either raises AttributeError, so
+a cached fraction is safe to hand out.  Cancellation of
 polynomial factors is done against explicitly supplied factor candidates
 (this domain never needs general multivariate factorization).
 """
@@ -52,8 +55,24 @@ def _content_scale(*polys):
     return Fraction(denom_lcm, g if g else 1)
 
 
+def _canonical(num, den):
+    """(num, den) shifted by the minimal exponents, with integer coprime
+    coefficients and a positive graded-lex leading coefficient of den."""
+    if num.is_zero():
+        return Poly.zero(num.vars), Poly.const(num.vars, 1)
+    offsets = _min_exponents(num, den)
+    num, den = _shift(num, offsets), _shift(den, offsets)
+    scale = _content_scale(num, den)
+    if den.lead_term()[1] < 0:
+        scale = -scale
+    if scale != 1:
+        num, den = num.scale(scale), den.scale(scale)
+    return num, den
+
+
 class LaurentFraction:
-    """An exact fraction num/den of Laurent polynomials over a shared ring."""
+    """An exact fraction num/den of Laurent polynomials over a shared ring,
+    immutable: num and den are read-only and cannot be reassigned."""
 
     __slots__ = ("num", "den")
 
@@ -66,30 +85,19 @@ class LaurentFraction:
             raise ValueError("numerator and denominator on different variables")
         if den.is_zero():
             raise ZeroDivisionError("structurally zero denominator")
-        self.num = num
-        self.den = den
         if not canonical:
-            self._canonicalize()
+            num, den = _canonical(num, den)
+        object.__setattr__(self, "num", num.read_only())
+        object.__setattr__(self, "den", den.read_only())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"LaurentFraction is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
 
     @property
     def vars(self):
         return self.num.vars
-
-    def _canonicalize(self):
-        num, den = self.num, self.den
-        if num.is_zero():
-            self.num = Poly.zero(num.vars)
-            self.den = Poly.const(num.vars, 1)
-            return
-        offsets = _min_exponents(num, den)
-        num, den = _shift(num, offsets), _shift(den, offsets)
-        scale = _content_scale(num, den)
-        if scale != 1:
-            num, den = num.scale(scale), den.scale(scale)
-        _, lead = den.lead_term()
-        if lead < 0:
-            num, den = num.scale(-1), den.scale(-1)
-        self.num, self.den = num, den
 
     # -- arithmetic ----------------------------------------------------
 

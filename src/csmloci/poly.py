@@ -62,6 +62,8 @@ class Poly:
 
     def read_only(self):
         """This polynomial over a read-only view of its terms, for cached returns."""
+        if isinstance(self.terms, MappingProxyType):
+            return self
         return Poly(self.vars, MappingProxyType(self.terms), _clean=False)
 
     # -- constructors -------------------------------------------------

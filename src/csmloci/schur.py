@@ -29,7 +29,7 @@ from math import comb, factorial, inf, lcm, prod
 from operator import add as _add
 from types import MappingProxyType
 
-from .orbits import Family, alpha_vars, chern_vars, weight_pairs
+from .orbits import alpha_vars, chern_vars, weight_pairs
 from .partitions import partition
 from .poly import Poly, TruncSeries, _norm
 
@@ -231,17 +231,19 @@ def _unit_mul(state, i, j, p, bound):
     return {key: c for key, c in out.items() if c}
 
 
-def pushforward_schur(n, r, inner, lam=(), inside=(), cross=(), max_deg=None):
+def pushforward_schur(n, r, inner, lam=(), inside=None, cross=(), max_deg=None):
     """Schur coefficients of the sum over the r-subsets I of [n] of
     P_I s_lam(a_I) / prod_{i in I, j not in I} (a_i - a_j): the Gysin formula
     of a Grassmann bundle.  Nothing is divided here: integer inner
     coefficients give integer Schur coefficients.
 
     P is given at I = {1..r}, J = {r+1..n} (m = n - r) as the product of
-    inner, a Schur dict in a_J; (1 + a_i + a_j)^p for each (i, j, p) of
-    inside, 1-based in I (1 + 2a_i when i = j); and
-    prod_{i in I, j in J} (c + a_i + s a_j)^p for each (c, s, p) of cross,
-    p = +-1 and c = 1 when p = -1.  P must be symmetric in a_I.
+    inner, a Schur dict in a_J; for inside = (family, p), (1 + a_i + a_j)^p
+    over the pairs i < j of I (i <= j for sym, with 1 + 2a_i at i = j), or
+    nothing for inside = None; and prod_{i in I, j in J} (c + a_i + s a_j)^p
+    for each (c, s, p) of cross, p = +-1 and c = 1 when p = -1.  So P is
+    symmetric in a_I.  An inverted factor (p = -1) is a series, so it needs
+    max_deg; without it the call raises ValueError.
 
     The state {(alpha, mu): coeff} stands for sum coeff a_I^alpha s_mu(a_J).
     Over J a cross factor is sum_k (p s)^k (c + a_i)^(p m - k) times e_k(a_J),
@@ -274,16 +276,10 @@ def pushforward_schur(n, r, inner, lam=(), inside=(), cross=(), max_deg=None):
     decreasing tail mu + delta_m; the sign is the parity of the tail entries
     above each head entry, a shared entry kills the term, and the merged
     exponents minus delta_n are the partition.
-    The inside factors must be every pair i < j, or every i <= j, of I with
-    one exponent, as the callers build them from weight_pairs; any other
-    inside raises ValueError.
     """
-    pairs = sorted((i, j) for i, j, _ in inside)
-    if inside and (len({p for _, _, p in inside}) > 1 or pairs not in (
-            weight_pairs(Family.WEDGE, r), weight_pairs(Family.SYM, r))):
-        raise ValueError("pushforward_schur needs P symmetric in a_I: inside must be "
-                         "every pair i < j, or every i <= j, of 1..r with one exponent; "
-                         f"got {list(inside)}")
+    unit_p = inside[1] if inside else 0
+    if max_deg is None and min([unit_p] + [p for *_, p in cross]) < 0:
+        raise ValueError("pushforward_schur needs max_deg to expand an inverted factor")
     m = n - r
     bound = inf if max_deg is None else max_deg + r * m - sum(lam)
     passes = []  # (least degree added, vertical strips?, [(t, coeff)] for each k)
@@ -294,8 +290,8 @@ def pushforward_schur(n, r, inner, lam=(), inside=(), cross=(), max_deg=None):
     passes.sort(key=lambda pss: pss[0])  # the degree-exact factors last
     ahead = r * sum(degree for degree, _, _ in passes)
     state = {((0,) * r, mu): c for mu, c in inner.items() if sum(mu) <= bound - ahead}
-    for i, j, p in inside:
-        state = _unit_mul(state, i - 1, j - 1, p, bound - ahead)
+    for i, j in weight_pairs(inside[0], r) if inside else ():
+        state = _unit_mul(state, i - 1, j - 1, unit_p, bound - ahead)
     for i in range(r):
         for degree, vertical, fk in passes:
             ahead -= degree

@@ -25,7 +25,7 @@ from types import MappingProxyType
 
 from .classes import add_schur, schur_class
 from .interp import chern_schur
-from .orbits import Family, OrbitId, alpha_vars, inside_weights, suborbit_coranks, weight_pairs
+from .orbits import Family, OrbitId, alpha_vars, inside_weights, suborbit_coranks
 from .poly import Poly, TruncSeries, product
 from .schur import pushforward_schur
 
@@ -69,10 +69,9 @@ def phi_schur(orbit, D):
     if r == 0:
         return MappingProxyType({(): 1})
     lam, coeff = inside_weights(family, r)
-    inside = [(i, j, -1) for i, j in weight_pairs(family, r)]
     # over I x J: (a_i + a_j)(1 + a_i - a_j) / (1 + a_i + a_j)
     return MappingProxyType(pushforward_schur(
-        n, r, {(): coeff}, lam, inside, cross=((0, 1, 1), (1, -1, 1), (1, 1, -1)), max_deg=D))
+        n, r, {(): coeff}, lam, (family, -1), cross=((0, 1, 1), (1, -1, 1), (1, 1, -1)), max_deg=D))
 
 
 def phi_class(orbit, D):

@@ -139,6 +139,12 @@ def test_cached_results_are_read_only():
     mc = phi_wedge_k(2, 2)
     with pytest.raises(AttributeError):
         mc.kind = "bogus"
+    num, den = dict(mc.value.num.terms), dict(mc.value.den.terms)
+    for name in ("num", "den"):
+        with pytest.raises(AttributeError):
+            setattr(mc.value, name, mc.value.num.scale(5))
+    after = phi_wedge_k(2, 2).value
+    assert (dict(after.num.terms), dict(after.den.terms)) == (num, den)
     with pytest.raises(AttributeError):
         mc.notes.append("x")
     assert csm_class(orbit).payload == before

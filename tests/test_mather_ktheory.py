@@ -6,13 +6,15 @@ from math import comb
 
 import pytest
 
+from csmloci import ktheory
 from csmloci.classes import add_schur
 from csmloci.interp import w_schur
 from csmloci.ktheory import (motivic_segre_sieve, phi_wedge_k, phi_wedge_k_value,
                              q_binomial, q_euler_numbers, q_factorial)
+from csmloci.laurent import LaurentFraction
 from csmloci.mather import chern_mather_wedge, euler_obstruction_wedge
 from csmloci.orbits import Family, OrbitId, coranks, total_chern
-from csmloci.poly import Poly
+from csmloci.poly import Poly, product
 from csmloci.sieve import euler_numbers
 
 W = Family.WEDGE
@@ -164,11 +166,67 @@ def test_motivic_sieve_single_term():
     assert motivic_segre_sieve(2, 2).value == phi_wedge_k(2, 2).value
 
 
+def pair_factors(av, n):
+    """The factors a_i a_j + y, i < j, of P_n over the variables av."""
+    return [Poly.linear(av, 0, y=1) + Poly.variable(av, f"a{i}") * Poly.variable(av, f"a{j}")
+            for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+
+def assert_pair_denominator(frac, n):
+    # exact_divide raises unless the reduced denominator divides P_n, that
+    # is, unless it is a product of pair factors
+    assert not product(pair_factors(frac.vars, n), frac.vars).exact_divide(frac.den).is_zero()
+
+
 def test_motivic_sieve_two_terms():
     # binom(2,0)_q = 1 and E_2(q) = -1: mS(2,0) = 1 - Phi(2,2)
     got = motivic_segre_sieve(2, 0).value
     expect = phi_wedge_k(2, 0).value + phi_wedge_k(2, 2).value * (-1)
     assert got == expect
+    # every wedge orbit with n <= 4, both conventions, against the sum of the
+    # cached Phi fractions in LaurentFraction arithmetic, reduced over P_n
+    for n in range(1, 5):
+        for r in coranks(W, n):
+            assert_pair_denominator(phi_wedge_k(n, r).value, n)
+            for convention in ("minus-y", "symbolic"):
+                symbolic = convention == "symbolic"
+                av = ktheory._k_vars(n, ("q",) if symbolic else ())
+                E = q_euler_numbers(n - r)
+                expect = LaurentFraction(Poly.zero(av))
+                for k in range((n - r) // 2 + 1):
+                    coeff_q = q_binomial(r + 2 * k, r) * E[2 * k]
+                    phi = phi_wedge_k(n, r + 2 * k).value
+                    if symbolic:
+                        coeff = coeff_q.map_vars(av)
+                        phi = LaurentFraction(phi.num.map_vars(av), phi.den.map_vars(av))
+                    else:
+                        coeff = coeff_q.substitute({"q": Poly.linear(av, 0, y=-1)}, av)
+                    expect = expect + LaurentFraction(coeff) * phi
+                expect = expect.cancel(pair_factors(av, n))
+                got = motivic_segre_sieve(n, r, q_convention=convention).value
+                assert (got.num, got.den) == (expect.num, expect.den), (n, r, convention)
+                assert_pair_denominator(got, n)
+
+
+def test_phi_k_n5_oracle(monkeypatch):
+    # n = 5 reaches staircases of length 4 on J (r = 1), which n <= 4 does not
+    monkeypatch.setattr(ktheory, "KSCOPE_MAX_N", 5)
+    rng = random.Random(55)
+    try:
+        for r in (1, 3, 5):
+            frac = phi_wedge_k(5, r).value
+            assert_pair_denominator(frac, 5)
+            for _ in range(2):
+                alphas = [Fraction(v, 3) for v in rng.sample(range(2, 50), 5)]
+                y = Fraction(rng.randint(1, 9), 2)
+                pt = dict(zip(ktheory._k_vars(5), alphas + [y]))
+                assert frac.eval(pt) == phi_wedge_k_value(5, r, alphas, y)
+    finally:
+        # the cache answers before the scope check, so drop the n = 5 entries
+        phi_wedge_k.cache_clear()
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="n <= 4"):
+        phi_wedge_k(5, 1)
 
 
 def test_motivic_sum_probe_reported():

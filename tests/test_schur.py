@@ -192,9 +192,9 @@ def pushforward_cases(draw, shapes=CROSS_SHAPES, inside_exps=(1,)):
                          unique=True, min_size=1, max_size=3))
     inner = {mu: draw(st.integers(-3, 3).filter(bool)) for mu in lams}
     lam = draw(st.sampled_from(list(partitions_upto(3, max_len=r))))
-    pairs = draw(st.sampled_from((None, Family.WEDGE, Family.SYM)))
+    family = draw(st.sampled_from((None, Family.WEDGE, Family.SYM)))
     p = draw(st.sampled_from(inside_exps))
-    inside = [] if pairs is None else [(i, j, p) for i, j in weight_pairs(pairs, r)]
+    inside = None if family is None else (family, p)
     cross = draw(st.lists(st.sampled_from(shapes), unique=True, min_size=1))
     return n, r, inner, lam, inside, cross
 
@@ -211,8 +211,8 @@ def test_pushforward_is_subset_sum(case):
         J = [j for j in range(n) if j not in I]
         term = schur_dict_value(inner, [a[j] for j in J])
         term *= schur_dict_value({lam: 1}, [a[i] for i in I])
-        for x, y, p in inside:
-            term *= (1 + a[I[x - 1]] + a[I[y - 1]]) ** p
+        for x, y in weight_pairs(inside[0], r) if inside else ():
+            term *= (1 + a[I[x - 1]] + a[I[y - 1]]) ** inside[1]
         for i in I:
             for j in J:
                 for c, s, p in cross:
@@ -237,19 +237,16 @@ def test_truncated_pushforward_is_cut_of_longer(case, D):
     got = pushforward_schur(n, r, inner, lam, inside, cross, D)
     assert got == upto_D(pushforward_schur(n, r, inner, lam, inside, cross, D + 3))
     assert got == pushforward_schur(n, r, inner, lam, inside, cross[::-1], D)
-    if all(p > 0 for *_, p in inside + cross):
+    if all(p > 0 for *_, p in cross) and (inside is None or inside[1] > 0):
         assert got == upto_D(pushforward_schur(n, r, inner, lam, inside, cross))
 
 
-def test_pushforward_needs_inside_symmetric_in_I():
-    # the kernel computes only descending I-exponents, which is exact only
-    # when P is symmetric in a_I: a partial pair set or mixed exponents raise
-    for inside in ([(1, 2, 1)], [(1, 2, 1), (1, 3, 1), (2, 3, -1)],
-                   [(1, 2, 1), (1, 3, 1), (2, 3, 1), (1, 1, 1)], [(1, 2, 1)] * 3):
-        with pytest.raises(ValueError, match="symmetric in a_I"):
-            pushforward_schur(4, 3, {(): 1}, inside=inside, cross=((0, 1, 1),))
-    for fam in Family:
-        inside = [(i, j, -1) for i, j in weight_pairs(fam, 3)]
-        got = [pushforward_schur(4, 3, {(): 1}, inside=order, cross=((0, 1, 1),), max_deg=3)
-               for order in (inside, inside[::-1])]
-        assert got[0] and got[0] == got[1]
+def test_pushforward_inverse_needs_max_deg():
+    # an inverted factor, across I x J or inside I, is a series: without a
+    # truncation the kernel names max_deg instead of failing inside
+    for r, inside, cross in ((1, None, ((0, 1, 1), (1, 1, -1))),
+                             (2, (Family.WEDGE, -1), ((0, 1, 1),)),
+                             (2, (Family.SYM, -1), ((0, 1, 1),))):
+        with pytest.raises(ValueError, match="max_deg"):
+            pushforward_schur(3, r, {(): 1}, inside=inside, cross=cross)
+        assert pushforward_schur(3, r, {(): 1}, inside=inside, cross=cross, max_deg=3)
