@@ -12,8 +12,8 @@ polynomials in a_J, the factors over I x J enter by the Pieri rule, and the
 bialternant identity gives Schur coefficients.  The open orbit comes from
 additivity: the csm classes of all orbits add up to c(V), so
 W_{n,0} = c(V) - sum_{r>=1} W_{n,r}, and the recursion closes because
-W_{n,r} needs only W_{n-r,0}; c(V) in Schur form is the same pushforward
-with r = 1.
+W_{n,r} needs only W_{n-r,0}; c(V) in Schur form comes from Lascoux's
+closed formula.
 
 The ssm class W_{n,r} / c(V) is computed the same way: c(V) is symmetric,
 so it divides each subset term, which leaves the inner ssm of the open orbit
@@ -39,7 +39,7 @@ from .classes import ClassExpr, add_schur, schur_class
 from .orbits import (Family, OrbitId, as_family, coranks, inside_weights, suborbit_coranks,
                      total_chern)
 from .poly import ExactDivisionError, Poly, TruncSeries, exact_int, product
-from .schur import pushforward_schur, schur_dict_to_alpha, to_schur_basis
+from .schur import _det, _staircase_shift, pushforward_schur, schur_dict_to_alpha, to_schur_basis
 
 
 # -- the W-functions ----------------------------------------------------
@@ -54,12 +54,9 @@ def w_schur(orbit):
     family, n, r = orbit.family, orbit.n, orbit.r
     if r == 0:
         return _by_additivity(w_schur, orbit, chern_schur(family, n))
-    lam, coeff = inside_weights(family, r)
     inner = w_schur(OrbitId(family, n - r, 0)) if r < n else {(): 1}
-    inner = {mu: coeff * c for mu, c in inner.items()}
     # over I x J: (a_i + a_j)(1 + a_i + a_j)
-    return MappingProxyType(pushforward_schur(
-        n, r, inner, lam, cross=((0, 1, 1), (1, 1, 1))))
+    return MappingProxyType(pushforward_schur(family, n, r, inner, ((0, 1, 1), (1, 1, 1))))
 
 
 def ssm_interp_schur(orbit, D):
@@ -80,11 +77,9 @@ def _ssm_interp_schur(orbit, D):
     family, n, r = orbit.family, orbit.n, orbit.r
     if r == 0:
         return _by_additivity(lambda o: ssm_interp_schur(o, D), orbit, {(): 1})
-    lam, coeff = inside_weights(family, r)
     inner = ssm_interp_schur(OrbitId(family, n - r, 0), D) if r < n else {(): 1}
-    inner = {mu: coeff * c for mu, c in inner.items()}
     return MappingProxyType(pushforward_schur(
-        n, r, inner, lam, (family, -1), cross=((0, 1, 1),), max_deg=D))
+        family, n, r, inner, ((0, 1, 1),), units=True, max_deg=D))
 
 
 def _by_additivity(orbit_class, orbit, total):
@@ -98,16 +93,24 @@ def _by_additivity(orbit_class, orbit, total):
 def chern_schur(family, n):
     """c(V) in Schur form, exact and read-only.
 
-    c(V_n) is c(V_{n-1}) in a_2..a_n times prod_{j>1} (1 + a_1 + a_j), and
-    (1 + 2a_1) for sym; clearing with prod_{j>1} (a_1 - a_j) and summing over
-    the n choices of a_1 gives n c(V_n), whose division by n is checked.
+    With y_i = 1/2 + a_i, c(V) = prod (y_i + y_j) = coeff s_lam(y) for
+    (lam, coeff) = inside_weights(family, n).  Lascoux's formula (Macdonald,
+    Symmetric Functions, I.3 Ex. 10) expands s_lam(1 + x) over the mu inside
+    lam with the positive coefficients det(C(lam_i + n - i, mu_j + n - j)),
+    so c(V) = coeff sum_mu 2^(|mu| - |lam|) det(...) s_mu(a), checked exact.
     """
-    if n == 0:
-        return MappingProxyType({(): 1})
-    n_cv = pushforward_schur(n, 1, chern_schur(family, n - 1), inside=(family, 1),
-                             cross=((1, 1, 1), (0, -1, 1)))
-    return MappingProxyType({lam: exact_int(Fraction(c, n), f"c(V) coefficient of s{lam}")
-                             for lam, c in n_cv.items()})
+    lam, coeff = inside_weights(family, n)
+    mus = [()]
+    for part in lam:
+        mus = [mu + (k,) for mu in mus for k in range(min(mu[-1:] + (part,)) + 1)]
+    tops = _staircase_shift(lam, n)
+    out = {}
+    for mu in mus:
+        mu = tuple(k for k in mu if k)
+        det = _det([[comb(t, b) for b in _staircase_shift(mu, n)] for t in tops])
+        out[mu] = exact_int(Fraction(coeff * det << sum(mu), 1 << sum(lam)),
+                            f"c(V) coefficient of s{mu}")
+    return MappingProxyType(out)
 
 
 @dataclass

@@ -21,8 +21,6 @@ from fractions import Fraction
 from operator import add as _add
 from types import MappingProxyType
 
-Coeff = "int | Fraction"
-
 
 class ExactDivisionError(ArithmeticError):
     """Raised when a polynomial division leaves a nonzero remainder."""
@@ -61,10 +59,8 @@ class Poly:
         self.terms = terms
 
     def read_only(self):
-        """This polynomial over a read-only view of its terms, for cached returns."""
-        if isinstance(self.terms, MappingProxyType):
-            return self
-        return Poly(self.vars, MappingProxyType(self.terms), _clean=False)
+        """This polynomial as a _ReadOnlyPoly, for cached returns."""
+        return self if isinstance(self, _ReadOnlyPoly) else _ReadOnlyPoly(self)
 
     # -- constructors -------------------------------------------------
 
@@ -428,6 +424,21 @@ class Poly:
                     ne[pos[i]] = x
             out[tuple(ne)] = c
         return Poly(target_vars, out, _clean=False)
+
+
+class _ReadOnlyPoly(Poly):
+    """A Poly over a read-only view of its terms that cannot be rebound."""
+
+    __slots__ = ()
+
+    def __init__(self, poly):
+        object.__setattr__(self, "vars", poly.vars)
+        object.__setattr__(self, "terms", MappingProxyType(poly.terms))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"read-only Poly: cannot change {name!r}")
+
+    __delattr__ = __setattr__
 
 
 # -- raw dict kernels (hot paths) --------------------------------------

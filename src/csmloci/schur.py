@@ -12,11 +12,11 @@ full polynomial in the roots (to_schur_basis, to_chern_basis, chern_to_alpha)
 are kept as test oracles; schur_dict_to_alpha serves the alpha output.
 
 The Grassmannian pushforward (pushforward_schur) computes the W-functions,
-Phi and c(V).  Its terms are monomials in a_I times Schur polynomials in
-a_J; a truncated product is cut by the degree its factors still to come
-must add, and the Schur coefficients are read off once per sorted
-I-exponent by the bialternant identity.  alternant_schur_coeffs reads them
-off a full polynomial in the roots, for K-theory and the oracles.
+ssm, Phi and Phi c(V).  Its terms are monomials in a_I times Schur
+polynomials in a_J; a truncated product is cut by the degree its factors
+still to come must add, and the Schur coefficients are read off once per
+sorted I-exponent by the bialternant identity.  alternant_schur_coeffs reads
+them off a full polynomial in the roots, for K-theory and the oracles.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from math import comb, factorial, inf, lcm, prod
 from operator import add as _add
 from types import MappingProxyType
 
-from .orbits import alpha_vars, chern_vars, weight_pairs
+from .orbits import alpha_vars, chern_vars, inside_weights, weight_pairs
 from .partitions import partition
 from .poly import Poly, TruncSeries, _norm
 
@@ -100,6 +100,25 @@ def schur_dict_to_alpha(coeffs, n, max_deg=None):
             elif e in acc:
                 del acc[e]
     return Poly(alpha_vars(n), acc)
+
+
+def _det(rows):
+    """Exact determinant of an integer matrix, fraction-free (Bareiss)."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
 
 
 # -- alternant (bialternant) extraction -------------------------------
@@ -213,11 +232,11 @@ def _pieri_mul(state, i, fk, m, vertical, bound):
     return {key: c for key, c in out.items() if c}
 
 
-def _unit_mul(state, i, j, p, bound):
-    """state times (1 + a_i + a_j)^p, or (1 + 2a_i)^p when i = j, with
+def _unit_mul(state, i, j, bound):
+    """state times 1 / (1 + a_i + a_j), or 1 / (1 + 2a_i) when i = j, with
     0-based indices into the I exponents."""
-    expansion = [(t, u, t - u, b * comb(t, u))
-                 for t, b in _power_terms(1, p, bound) for u in range(t + 1)]
+    expansion = [(t, u, t - u, (-1) ** t * comb(t, u))
+                 for t in range(bound + 1) for u in range(t + 1)]
     out = defaultdict(int)
     for (alpha, mu), c in state.items():
         room = bound - sum(alpha) - sum(mu)
@@ -231,19 +250,19 @@ def _unit_mul(state, i, j, p, bound):
     return {key: c for key, c in out.items() if c}
 
 
-def pushforward_schur(n, r, inner, lam=(), inside=None, cross=(), max_deg=None):
+def pushforward_schur(family, n, r, inner, cross, units=False, max_deg=None):
     """Schur coefficients of the sum over the r-subsets I of [n] of
-    P_I s_lam(a_I) / prod_{i in I, j not in I} (a_i - a_j): the Gysin formula
-    of a Grassmann bundle.  Nothing is divided here: integer inner
-    coefficients give integer Schur coefficients.
+    P_I / prod_{i in I, j not in I} (a_i - a_j) for an orbit's base-subset
+    term P: the Gysin formula of a Grassmann bundle.  Nothing is divided
+    here: integer inner coefficients give integer Schur coefficients.
 
     P is given at I = {1..r}, J = {r+1..n} (m = n - r) as the product of
-    inner, a Schur dict in a_J; for inside = (family, p), (1 + a_i + a_j)^p
-    over the pairs i < j of I (i <= j for sym, with 1 + 2a_i at i = j), or
-    nothing for inside = None; and prod_{i in I, j in J} (c + a_i + s a_j)^p
-    for each (c, s, p) of cross, p = +-1 and c = 1 when p = -1.  So P is
-    symmetric in a_I.  An inverted factor (p = -1) is a series, so it needs
-    max_deg; without it the call raises ValueError.
+    inner, a Schur dict in a_J; the family's weights a_i + a_j inside I,
+    coeff s_lam(a_I) by inside_weights, each over 1 + a_i + a_j if units is
+    set (i <= j for sym, with 1 + 2a_i at i = j); and prod_{i in I, j in J}
+    (c + a_i + s a_j)^p for each (c, s, p) of cross, p = +-1 and c = 1 when
+    p = -1.  So P is symmetric in a_I.  An inverted factor is a series, so
+    it needs max_deg; without it the call raises ValueError.
 
     The state {(alpha, mu): coeff} stands for sum coeff a_I^alpha s_mu(a_J).
     Over J a cross factor is sum_k (p s)^k (c + a_i)^(p m - k) times e_k(a_J),
@@ -277,9 +296,9 @@ def pushforward_schur(n, r, inner, lam=(), inside=None, cross=(), max_deg=None):
     above each head entry, a shared entry kills the term, and the merged
     exponents minus delta_n are the partition.
     """
-    unit_p = inside[1] if inside else 0
-    if max_deg is None and min([unit_p] + [p for *_, p in cross]) < 0:
+    if max_deg is None and (units or any(p < 0 for *_, p in cross)):
         raise ValueError("pushforward_schur needs max_deg to expand an inverted factor")
+    lam, coeff = inside_weights(family, r)
     m = n - r
     bound = inf if max_deg is None else max_deg + r * m - sum(lam)
     passes = []  # (least degree added, vertical strips?, [(t, coeff)] for each k)
@@ -289,9 +308,9 @@ def pushforward_schur(n, r, inner, lam=(), inside=None, cross=(), max_deg=None):
         passes.append((m if c == 0 and p == 1 else 0, p > 0, fk))
     passes.sort(key=lambda pss: pss[0])  # the degree-exact factors last
     ahead = r * sum(degree for degree, _, _ in passes)
-    state = {((0,) * r, mu): c for mu, c in inner.items() if sum(mu) <= bound - ahead}
-    for i, j in weight_pairs(inside[0], r) if inside else ():
-        state = _unit_mul(state, i - 1, j - 1, unit_p, bound - ahead)
+    state = {((0,) * r, mu): coeff * c for mu, c in inner.items() if sum(mu) <= bound - ahead}
+    for i, j in weight_pairs(family, r) if units else ():
+        state = _unit_mul(state, i - 1, j - 1, bound - ahead)
     for i in range(r):
         for degree, vertical, fk in passes:
             ahead -= degree
@@ -539,25 +558,6 @@ def to_schur_basis(p, n=None):
 def chern_weighted_degree(exps):
     """Total alpha-degree of a Chern monomial: sum i * exp_i."""
     return sum((i + 1) * x for i, x in enumerate(exps))
-
-
-def _det(rows):
-    """Exact determinant of an integer matrix, fraction-free (Bareiss)."""
-    m = [list(row) for row in rows]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1] if n else 1
 
 
 def schur_dict_value(coeffs, vals):

@@ -25,7 +25,7 @@ from types import MappingProxyType
 
 from .classes import add_schur, schur_class
 from .interp import chern_schur
-from .orbits import Family, OrbitId, alpha_vars, inside_weights, suborbit_coranks
+from .orbits import Family, OrbitId, alpha_vars, suborbit_coranks
 from .poly import Poly, TruncSeries, product
 from .schur import pushforward_schur
 
@@ -68,10 +68,9 @@ def phi_schur(orbit, D):
     family, n, r = orbit.family, orbit.n, orbit.r
     if r == 0:
         return MappingProxyType({(): 1})
-    lam, coeff = inside_weights(family, r)
     # over I x J: (a_i + a_j)(1 + a_i - a_j) / (1 + a_i + a_j)
     return MappingProxyType(pushforward_schur(
-        n, r, {(): coeff}, lam, (family, -1), cross=((0, 1, 1), (1, -1, 1), (1, 1, -1)), max_deg=D))
+        family, n, r, {(): 1}, ((0, 1, 1), (1, -1, 1), (1, 1, -1)), units=True, max_deg=D))
 
 
 def phi_class(orbit, D):
@@ -146,10 +145,8 @@ def phi_cv_schur(orbit):
     family, n, r = orbit.family, orbit.n, orbit.r
     if r == 0:
         return chern_schur(family, n)
-    lam, coeff = inside_weights(family, r)
-    inner = {mu: coeff * c for mu, c in chern_schur(family, n - r).items()}
     return MappingProxyType(pushforward_schur(
-        n, r, inner, lam, cross=((0, 1, 1), (1, -1, 1))))
+        family, n, r, chern_schur(family, n - r), ((0, 1, 1), (1, -1, 1))))
 
 
 def _sieve_terms(orbit, closure):

@@ -121,8 +121,26 @@ def test_csm_sum_is_total_chern():
             assert total == to_schur_basis(total_chern(fam, n), n)
 
 
+def test_chern_schur_is_weight_product():
+    # the closed form against prod (1 + a_i + a_j) over the weights at a
+    # rational point, without the kernel
+    from csmloci.interp import chern_schur
+    from csmloci.orbits import weight_pairs
+    point = (Fraction(1, 2), Fraction(-3), Fraction(2), Fraction(5, 3), Fraction(-1, 7),
+             Fraction(4), Fraction(-2, 5))
+    for fam in (W, S):
+        for n in range(1, 8):
+            pt = point[:n]
+            expect = Fraction(1)
+            for i, j in weight_pairs(fam, n):
+                expect *= 1 + pt[i - 1] + pt[j - 1]
+            assert schur_dict_value(chern_schur(fam, n), pt) == expect
+
+
 def test_cached_results_are_read_only():
-    from csmloci.ktheory import phi_wedge_k, q_binomial, q_euler_numbers, q_factorial
+    from csmloci.interp import chern_schur
+    from csmloci.ktheory import (_phi_k_cleared, phi_wedge_k, q_binomial, q_euler_numbers,
+                                 q_factorial)
     from csmloci.schur import _elementary_schur
     from csmloci.sieve import euler_numbers, phi_cv_schur, phi_schur
     orbit = OrbitId(S, 3, 1)
@@ -131,7 +149,7 @@ def test_cached_results_are_read_only():
                    phi_schur(orbit, 4), phi_schur(OrbitId(S, 3, 0), 4),
                    ssm_interp_schur(orbit, 4), ssm_interp_schur(OrbitId(S, 3, 0), 4),
                    phi_cv_schur(orbit), phi_cv_schur(OrbitId(S, 3, 0)),
-                   _elementary_schur((1, 2, 0), 3)):
+                   chern_schur(S, 3), _elementary_schur((1, 2, 0), 3)):
         with pytest.raises(TypeError):
             cached[()] = 999
     with pytest.raises(TypeError):
@@ -162,6 +180,17 @@ def test_cached_results_are_read_only():
         with pytest.raises(TypeError):
             poly.terms[e] = 999
         assert dict(poly.terms) == was
+    # nor can their vars or terms be rebound or deleted
+    for poly in (mc.value.num, q_factorial(3), q_binomial(4, 2), qe[2],
+                 _phi_k_cleared(2, 2)):
+        was = (poly.vars, dict(poly.terms))
+        for name in ("vars", "terms"):
+            with pytest.raises(AttributeError):
+                setattr(poly, name, {(0,) * len(poly.vars): 7})
+            with pytest.raises(AttributeError):
+                delattr(poly, name)
+        assert (poly.vars, dict(poly.terms)) == was
+    assert dict(phi_wedge_k(2, 2).value.num.terms) == num
     assert q_binomial(4, 2).terms[(2,)] == 2 and q_factorial(3).terms[(1,)] == 2
 
 

@@ -184,69 +184,66 @@ CROSS_SHAPES = ((0, 1, 1), (1, 1, 1), (1, -1, 1))
 
 
 @st.composite
-def pushforward_cases(draw, shapes=CROSS_SHAPES, inside_exps=(1,)):
+def pushforward_cases(draw, shapes=CROSS_SHAPES, units=(False,)):
     n = draw(st.integers(2, 5))
     r = draw(st.integers(2, n))
     m = n - r
     lams = draw(st.lists(st.sampled_from(list(partitions_upto(3, max_len=m))),
                          unique=True, min_size=1, max_size=3))
     inner = {mu: draw(st.integers(-3, 3).filter(bool)) for mu in lams}
-    lam = draw(st.sampled_from(list(partitions_upto(3, max_len=r))))
-    family = draw(st.sampled_from((None, Family.WEDGE, Family.SYM)))
-    p = draw(st.sampled_from(inside_exps))
-    inside = None if family is None else (family, p)
+    family = draw(st.sampled_from((Family.WEDGE, Family.SYM)))
     cross = draw(st.lists(st.sampled_from(shapes), unique=True, min_size=1))
-    return n, r, inner, lam, inside, cross
+    return family, n, r, inner, cross, draw(st.sampled_from(units))
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(pushforward_cases())
 def test_pushforward_is_subset_sum(case):
-    # the kernel equals the literal Gysin sum over I of
-    # P_I s_lam(a_I) / prod_{i in I, j not in I} (a_i - a_j) at a rational point
-    n, r, inner, lam, inside, cross = case
+    # the kernel equals the literal Gysin sum over I of the base-subset term,
+    # inner(a_J) prod_{i<j in I} (a_i + a_j) (i <= j for sym) times the cross
+    # factors, over prod_{i in I, j not in I} (a_i - a_j) at a rational point
+    family, n, r, inner, cross, _ = case
     a = POINT[:n]
     expect = Fraction(0)
     for I in itertools.combinations(range(n), r):
         J = [j for j in range(n) if j not in I]
         term = schur_dict_value(inner, [a[j] for j in J])
-        term *= schur_dict_value({lam: 1}, [a[i] for i in I])
-        for x, y in weight_pairs(inside[0], r) if inside else ():
-            term *= (1 + a[I[x - 1]] + a[I[y - 1]]) ** inside[1]
+        for x, y in weight_pairs(family, r):
+            term *= a[I[x - 1]] + a[I[y - 1]]
         for i in I:
             for j in J:
                 for c, s, p in cross:
                     term *= (c + a[i] + s * a[j]) ** p
                 term /= a[i] - a[j]
         expect += term
-    got = pushforward_schur(n, r, inner, lam, inside, cross)
+    got = pushforward_schur(family, n, r, inner, cross)
     assert schur_dict_value(got, a) == expect
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(pushforward_cases(CROSS_SHAPES + ((1, 1, -1), (0, -1, 1)), (1, -1)),
+@given(pushforward_cases(CROSS_SHAPES + ((1, 1, -1), (0, -1, 1)), (False, True)),
        st.integers(0, 6))
 def test_truncated_pushforward_is_cut_of_longer(case, D):
     # the cut that looks ahead to the degree-exact passes loses nothing of
     # size <= D, whatever the order of the cross factors
-    n, r, inner, lam, inside, cross = case
+    family, n, r, inner, cross, units = case
 
     def upto_D(coeffs):
         return {mu: c for mu, c in coeffs.items() if sum(mu) <= D}
 
-    got = pushforward_schur(n, r, inner, lam, inside, cross, D)
-    assert got == upto_D(pushforward_schur(n, r, inner, lam, inside, cross, D + 3))
-    assert got == pushforward_schur(n, r, inner, lam, inside, cross[::-1], D)
-    if all(p > 0 for *_, p in cross) and (inside is None or inside[1] > 0):
-        assert got == upto_D(pushforward_schur(n, r, inner, lam, inside, cross))
+    got = pushforward_schur(family, n, r, inner, cross, units, D)
+    assert got == upto_D(pushforward_schur(family, n, r, inner, cross, units, D + 3))
+    assert got == pushforward_schur(family, n, r, inner, cross[::-1], units, D)
+    if all(p > 0 for *_, p in cross) and not units:
+        assert got == upto_D(pushforward_schur(family, n, r, inner, cross))
 
 
 def test_pushforward_inverse_needs_max_deg():
     # an inverted factor, across I x J or inside I, is a series: without a
     # truncation the kernel names max_deg instead of failing inside
-    for r, inside, cross in ((1, None, ((0, 1, 1), (1, 1, -1))),
-                             (2, (Family.WEDGE, -1), ((0, 1, 1),)),
-                             (2, (Family.SYM, -1), ((0, 1, 1),))):
+    for family, r, units, cross in ((Family.WEDGE, 1, False, ((0, 1, 1), (1, 1, -1))),
+                                    (Family.WEDGE, 2, True, ((0, 1, 1),)),
+                                    (Family.SYM, 2, True, ((0, 1, 1),))):
         with pytest.raises(ValueError, match="max_deg"):
-            pushforward_schur(3, r, {(): 1}, inside=inside, cross=cross)
-        assert pushforward_schur(3, r, {(): 1}, inside=inside, cross=cross, max_deg=3)
+            pushforward_schur(family, 3, r, {(): 1}, cross, units)
+        assert pushforward_schur(family, 3, r, {(): 1}, cross, units, max_deg=3)
