@@ -45,9 +45,6 @@ TABULATED_PHI_WEDGE_3 = {
     ],
 }
 
-# Degrees where the recomputed series agrees with print in full.
-PHI_WEDGE_3_TRUSTED_DEGREES = {0, 3, 4}
-
 
 def _mono_str(exps):
     out = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from functools import lru_cache
 
 from . import emit
@@ -121,8 +122,8 @@ def _cmd_class(args):
         _require_trunc(args)
         cls = csm_class(orbit, closure=args.closure)
         if args.trunc is not None:
-            cls.payload = truncate_schur(cls.payload, args.trunc)
-            cls.trunc = args.trunc
+            cls = replace(cls, payload=truncate_schur(cls.payload, args.trunc),
+                          trunc=args.trunc)
     elif args.kind == "ssm" and args.route == "interp":
         _require_trunc(args, "for ssm output")
         cls = ssm_interp(orbit, args.trunc, closure=args.closure)
@@ -144,7 +145,8 @@ def _cmd_phi(args):
     cls = phi_class(orbit, args.trunc)
     if orbit.family is Family.WEDGE and orbit.n == 3:
         from .catalog import compare_phi_wedge_3
-        cls.warnings = compare_phi_wedge_3(orbit.r, cls.chern_poly(), max_deg=args.trunc)
+        cls = replace(cls, warnings=compare_phi_wedge_3(orbit.r, cls.chern_poly(),
+                                                        max_deg=args.trunc))
     _emit_class(cls.in_basis(args.basis), args.format)
     return 0
 

@@ -15,7 +15,11 @@ V_I = Alt_I(a_I^delta_r) and F is symmetric in a_I, and likewise on J,
 Alt_n(F V_I V_J) = r! m! Alt_n(F a_I^delta_r a_J^delta_m): Phi P_n is the
 bialternant read-off of F times one staircase monomial, and nothing is left
 to divide.  The sieve adds these numerators as polynomials and reduces the
-sum over P_n once.
+sum over P_n once, by one trial division (see _over_pairs).
+
+phi_wedge_k and motivic_segre_sieve are computed once per process and hand
+out their cached MotivicClass: it is frozen, and its LaurentFraction is
+immutable, so no caller can change a later result.
 
 The q appearing in the sieve coefficients is exposed as an explicit
 specialization: the default convention substitutes q -> -y, the "symbolic"
@@ -33,7 +37,7 @@ from functools import lru_cache
 
 from .laurent import LaurentFraction
 from .orbits import Family, OrbitId
-from .poly import Poly, product
+from .poly import ExactDivisionError, Poly, product
 from .schur import alternant_schur_coeffs, schur_dict_to_alpha
 
 KSCOPE_MAX_N = 4  # exact fraction sizes grow quickly with n
@@ -167,11 +171,20 @@ def _phi_k_cleared(n, r):
 
 
 def _over_pairs(num, n):
-    """num / P_n as a reduced fraction: P_n is a product of distinct
-    irreducible pair factors, so dividing out each one num shares leaves
-    the unique reduced form."""
+    """num / P_n as a reduced fraction, for num symmetric in the a_i.
+
+    P_n is a product of distinct irreducible pair factors a_i a_j + y, which
+    S_n permutes transitively, so one trial division by a_1 a_2 + y decides
+    them all: either each divides num once, or none does and num / P_n is
+    already reduced."""
     factors = _pair_denominator(num.vars, n)
-    return LaurentFraction(num, product(factors, num.vars)).cancel(factors)
+    try:
+        quo = num.exact_divide(factors[0]) if factors else num
+    except ExactDivisionError:
+        return LaurentFraction(num, product(factors, num.vars))
+    for f in factors[1:]:
+        quo = quo.exact_divide(f)
+    return LaurentFraction(quo)
 
 
 @lru_cache(maxsize=None)
@@ -205,6 +218,7 @@ def phi_wedge_k_value(n, r, alphas, y):
     return total
 
 
+@lru_cache(maxsize=None)
 def motivic_segre_sieve(n, r, q_convention="minus-y"):
     """Motivic Segre class of Sigma_{n,r} by the q-deformed sieve:
     sum_k binom(r+2k, r)_q E_{2k}(q) Phi_{n,r+2k}, summed as the numerators

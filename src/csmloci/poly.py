@@ -45,6 +45,15 @@ def _grlex_key(exps):
     return (sum(exps), exps)
 
 
+def _check_divides(e, dlead):
+    """The exponents of the monomial quotient e / dlead; raises
+    ExactDivisionError if dlead does not divide e."""
+    qe = tuple(map(int.__sub__, e, dlead))
+    if any(x < 0 for x in qe):
+        raise ExactDivisionError(f"nonzero remainder: term {e} not divisible by lead {dlead}")
+    return qe
+
+
 class Poly:
     """Sparse exact polynomial in a fixed ordered set of variables."""
 
@@ -237,6 +246,7 @@ class Poly:
         if not self.terms:
             return Poly.zero(self.vars)
         dlead = max(den.terms, key=_grlex_key)
+        _check_divides(max(self.terms, key=_grlex_key), dlead)
         dcoeff = den.terms[dlead]
         dtail = [(e, c) for e, c in den.terms.items() if e != dlead]
 
@@ -252,10 +262,7 @@ class Poly:
             if c is None:
                 continue
             del work[e]
-            qe = tuple(map(int.__sub__, e, dlead))
-            if any(x < 0 for x in qe):
-                raise ExactDivisionError(
-                    f"nonzero remainder: term {e} not divisible by lead {dlead}")
+            qe = _check_divides(e, dlead)
             qc = c if dcoeff == 1 else _norm(Fraction(c) / dcoeff)
             quo[qe] = qc
             for te, tc in dtail:

@@ -8,12 +8,17 @@ s_lambda(xi/2, ..., xi/2) = #SSYT(lambda, n) * (xi/2)^|lambda|.
 
 The degree-i coefficients of the J-involution of the resulting polynomial
 are the Euler characteristics of general linear sections.
+
+Each projectivized class is computed once per process: its coefficients are
+cached as a tuple, and projectivize hands out a fresh ProjClass over a new
+list, so a caller that edits ProjClass.coeffs cannot change a later result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .interp import csm_class
@@ -56,24 +61,31 @@ def _xi_coeffs_from_schur(schur_coeffs, n, N):
     return [exact_int(v, "projectivized coefficient") for v in out]
 
 
-def projectivize(orbit, kind="csm", closure=False):
-    """Reduce csm|_{a_i -> xi/2} modulo xi^N (coefficients must be integers).
-
-    kind "ssm" divides by the ambient total Chern class (1+xi)^N first.
-    """
-    if kind not in ("csm", "ssm"):
-        raise ValueError(f"unknown class kind {kind!r}")
+@lru_cache(maxsize=None)
+def _projective_coeffs(orbit, kind, closure):
+    """The xi coefficients of projectivize, computed once per (orbit, kind,
+    closure) and cached as a tuple."""
     N = ambient_dim(orbit.family, orbit.n)
     coeffs = _xi_coeffs_from_schur(csm_class(orbit, closure=closure).payload, orbit.n, N)
     if kind == "ssm":
         # multiply by the inverse of (1+xi)^N mod xi^N
-        out = []
-        for i in range(N):
-            v = sum(coeffs[j] * comb(N + (i - j) - 1, i - j) * (-1) ** (i - j)
-                    for j in range(i + 1))
-            out.append(v)
-        coeffs = out
-    return ProjClass(orbit, kind, N, coeffs, closure)
+        coeffs = [sum(coeffs[j] * comb(N + (i - j) - 1, i - j) * (-1) ** (i - j)
+                      for j in range(i + 1))
+                  for i in range(N)]
+    return tuple(coeffs)
+
+
+def projectivize(orbit, kind="csm", closure=False):
+    """Reduce csm|_{a_i -> xi/2} modulo xi^N (coefficients must be integers).
+
+    kind "ssm" divides by the ambient total Chern class (1+xi)^N first.
+    The coefficients are cached; each call returns a fresh ProjClass whose
+    coeffs list is the caller's own.
+    """
+    if kind not in ("csm", "ssm"):
+        raise ValueError(f"unknown class kind {kind!r}")
+    return ProjClass(orbit, kind, ambient_dim(orbit.family, orbit.n),
+                     list(_projective_coeffs(orbit, kind, closure)), closure)
 
 
 def general_projectivize(p, weights, w):

@@ -40,14 +40,22 @@ def test_every_definition_is_referenced():
     refs = collections.Counter()
     for _, tree in trees(USERS):
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 refs[node.id] += 1
             elif isinstance(node, ast.Attribute):
                 refs[node.attr] += 1
             elif isinstance(node, ast.alias):
                 refs[node.name.rpartition(".")[2]] += 1
-    defined = {node.name for _, tree in trees([PACKAGE]) for node in ast.walk(tree)
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    defined = set()
+    for _, tree in trees([PACKAGE]):
+        defined |= {node.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+        # module-level assignment targets too (refs skips their Store names)
+        for node in tree.body:
+            tops = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            defined |= {target.id for top in tops for target in ast.walk(top)
+                        if isinstance(target, ast.Name)}
     unused = sorted(name for name in defined - CALLED_BY_LIBRARIES
                     if not name.startswith("__") and not refs[name])
     assert not unused

@@ -166,6 +166,13 @@ def test_motivic_sieve_single_term():
     assert motivic_segre_sieve(2, 2).value == phi_wedge_k(2, 2).value
 
 
+def test_motivic_sieve_is_cached():
+    # MotivicClass is frozen over a read-only fraction, so one object is shared
+    for convention in ("minus-y", "symbolic"):
+        first = motivic_segre_sieve(4, 0, q_convention=convention)
+        assert motivic_segre_sieve(4, 0, q_convention=convention) is first
+
+
 def pair_factors(av, n):
     """The factors a_i a_j + y, i < j, of P_n over the variables av."""
     return [Poly.linear(av, 0, y=1) + Poly.variable(av, f"a{i}") * Poly.variable(av, f"a{j}")

@@ -50,6 +50,16 @@ def test_projectivize_agrees_with_direct_substitution():
     assert direct == Poly(("xi",), {(1,): 3, (2,): 9, (3,): 10, (4,): 6, (5,): 3})
 
 
+def test_projectivize_coeffs_are_the_callers_own():
+    # the coefficients are cached; editing a returned list must not reach them
+    orbit = OrbitId(S, 3, 1)
+    ssm = list(projectivize(orbit, kind="ssm").coeffs)
+    projectivize(orbit).coeffs[1] = 99
+    projectivize(orbit, kind="ssm").coeffs.clear()
+    assert projectivize(orbit).coeffs == [0, 3, 9, 10, 6, 3]
+    assert projectivize(orbit, kind="ssm").coeffs == ssm
+
+
 def test_projectivize_point_orbit_vanishes():
     assert all(c == 0 for c in projectivize(OrbitId(S, 3, 3)).coeffs)
     assert all(c == 0 for c in projectivize(OrbitId(W, 4, 4)).coeffs)
