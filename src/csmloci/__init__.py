@@ -11,16 +11,17 @@ __version__ = "0.1.0"
 # command pays only for the layers it uses.
 _EXPORTS = {name: module for module, names in (
     ("classes", "ClassExpr"),
-    ("interp", "csm_class csm_to_ssm restriction_data ssm_interp verify_axioms w_function"),
+    ("interp", "csm_class restriction_data ssm_interp verify_axioms w_function"),
     ("ktheory", "motivic_segre_sieve phi_wedge_k q_binomial q_euler_numbers q_factorial"),
     ("laurent", "LaurentFraction"),
     ("mather", "chern_mather_wedge euler_obstruction_wedge"),
+    ("oracles", "TruncSeries csm_to_ssm to_chern_basis to_schur_basis"),
     ("orbits", "Family OrbitId"),
     ("partitions", "partition"),
-    ("poly", "ExactDivisionError Poly TruncSeries"),
+    ("poly", "ExactDivisionError Poly"),
     ("projective", "aluffi_J closed_invariants euler_char_table general_projectivize "
                    "projectivize"),
-    ("schur", "schur_poly to_chern_basis to_schur_basis"),
+    ("schur", "schur_poly"),
     ("sieve", "euler_numbers invert_binomial_matrix phi_class ssm_sieve"),
 ) for name in names.split()}
 

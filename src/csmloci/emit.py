@@ -137,19 +137,3 @@ def class_json_dict(cls):
         "warnings": list(cls.warnings),
     }
 
-
-def parse_class_json(doc):
-    """Inverse of class_json_dict, for round-trip checks."""
-    from .classes import ClassExpr
-    from .orbits import alpha_vars, as_family, chern_vars
-    basis = doc["basis"]
-    if basis == "schur":
-        payload = {tuple(t["key"]): Fraction(t["coeff"]) for t in doc["terms"]}
-    else:
-        n = doc["n"]
-        vars_ = chern_vars(n) if basis == "chern" else alpha_vars(n)
-        from .poly import Poly
-        payload = Poly(vars_, {tuple(t["key"]): Fraction(t["coeff"]) for t in doc["terms"]})
-    return ClassExpr(doc["kind"], basis, as_family(doc["family"]), doc["n"], doc["r"],
-                     payload, doc["trunc"], doc.get("closure", False),
-                     list(doc.get("warnings", [])))

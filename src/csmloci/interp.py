@@ -20,26 +20,20 @@ so it divides each subset term, which leaves the inner ssm of the open orbit
 on J, the unit factors (1 + a_i + a_j) inside I inverted, and (a_i + a_j)
 over I x J.  The open orbit again comes from additivity, the ssm classes
 adding up to 1.  Closures and the Chern-Mather ssm are sums of these.
-
-The direct rational-point evaluators of the defining sums, w_value and
-w_inner_value, serve as independent oracles, and csm_to_ssm, which divides
-by c(V) as a series in the Chern roots, checks the ssm classes.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 from types import MappingProxyType
 
-from .classes import ClassExpr, add_schur, schur_class
-from .orbits import (Family, OrbitId, as_family, coranks, inside_weights, suborbit_coranks,
-                     total_chern)
-from .poly import ExactDivisionError, Poly, TruncSeries, exact_int, product
-from .schur import _det, _staircase_shift, pushforward_schur, schur_dict_to_alpha, to_schur_basis
+from .classes import add_schur, schur_class
+from .orbits import Family, OrbitId, as_family, coranks, inside_weights, suborbit_coranks
+from .poly import ExactDivisionError, Poly, exact_int, product
+from .schur import _det, _staircase_shift, pushforward_schur, schur_dict_to_alpha
 
 
 # -- the W-functions ----------------------------------------------------
@@ -144,17 +138,6 @@ def csm_class(orbit, closure=False):
     return schur_class("csm", orbit, add_schur(*parts), closure=True)
 
 
-def csm_to_ssm(csm, D):
-    """ssm = csm / c(V) by series division in the Chern roots: the test
-    oracle for ssm_interp_schur.  Returns a Schur-basis ClassExpr truncated
-    at D."""
-    family, n = csm.family, csm.n
-    cv = TruncSeries(total_chern(family, n, bound=D), D)
-    num = TruncSeries(csm.alpha_poly().truncate(D), D)
-    coeffs = to_schur_basis(cv.divide_into(num), n)
-    return ClassExpr("ssm", "schur", family, n, csm.r, coeffs, D, csm.closure)
-
-
 def ssm_interp(orbit, D, closure=False):
     """ssm via the interpolation route, as a Schur-basis ClassExpr."""
     ranks = suborbit_coranks(orbit) if closure else (orbit.r,)
@@ -175,90 +158,6 @@ def ssm_stable_schur(family, r, D):
     if family is Family.WEDGE and (n - r) % 2 != 0:
         n += 1
     return dict(ssm_interp_schur(OrbitId(family, n, r), D))
-
-
-# -- direct evaluation of the defining sum (independent oracle) --------
-
-def _pair_blocks(k):
-    """Standard blocks (1,2),(3,4),... among 1..k; odd k leaves k unpaired."""
-    return [(2 * b - 1, 2 * b) for b in range(1, k // 2 + 1)]
-
-
-def _inner_stabilizer(family, k):
-    m = k // 2
-    return (2 ** m) * factorial(m) if family is Family.WEDGE else factorial(m)
-
-
-def _f_val(x, y):
-    return (1 + x + y) * (x + y) / (x - y)
-
-
-@lru_cache(maxsize=None)
-def _perms_with_sign(k):
-    out = []
-    for p in itertools.permutations(range(k)):
-        inv = sum(1 for i in range(k) for j in range(i + 1, k) if p[i] > p[j])
-        out.append((p, -1 if inv % 2 else 1))
-    return out
-
-
-def w_inner_value(family, k, vals):
-    """Evaluate the inner symmetrized sum at exact rational points.
-
-    Uses the factorization: every permutation term shares the full product
-    of pair factors up to sign, so the sum is a common factor times a signed
-    sum of block-factor products over all permutations.
-    """
-    family = as_family(family)
-    if k == 0:
-        return Fraction(1)
-    vals = [Fraction(v) for v in vals]
-    common = Fraction(1)
-    for i in range(k):
-        for j in range(i + 1, k):
-            common *= _f_val(vals[i], vals[j])
-
-    blocks = _pair_blocks(k)
-    if family is Family.WEDGE:
-        def g(a, b):
-            return 1 / _f_val(a, b)
-    else:
-        def g(a, b):
-            return -b * (1 + 2 * a) * (1 - a + b) / ((a + b) * (1 + a + b))
-
-    total = Fraction(0)
-    for p, sign in _perms_with_sign(k):
-        term = Fraction(sign)
-        for (x, y) in blocks:
-            term *= g(vals[p[x - 1]], vals[p[y - 1]])
-        total += term
-    return common * total / _inner_stabilizer(family, k)
-
-
-def w_value(orbit, vals):
-    """Evaluate W_{n,r} at a point with pairwise distinct coordinates."""
-    family, n, r = orbit.family, orbit.n, orbit.r
-    vals = [Fraction(v) for v in vals]
-    if len(vals) != n:
-        raise ValueError(f"need {n} coordinates")
-    total = Fraction(0)
-    for I in itertools.combinations(range(n), r):
-        Iset = set(I)
-        rest = [i for i in range(n) if i not in Iset]
-        term = w_inner_value(family, n - r, [vals[i] for i in rest])
-        if family is Family.SYM:
-            for x in range(len(I)):
-                for y in range(x, len(I)):
-                    term *= vals[I[x]] + vals[I[y]]
-        else:
-            for x in range(len(I)):
-                for y in range(x + 1, len(I)):
-                    term *= vals[I[x]] + vals[I[y]]
-        for i in I:
-            for j in rest:
-                term *= (vals[i] + vals[j]) * (1 + vals[i] + vals[j]) / (vals[i] - vals[j])
-        total += term
-    return total
 
 
 # -- restriction data and the interpolation axioms ---------------------

@@ -29,10 +29,8 @@ metadata (see Q_CONVENTION_NOTE).
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .laurent import LaurentFraction
@@ -196,36 +194,18 @@ def phi_wedge_k(n, r):
     return MotivicClass(orbit, _over_pairs(_phi_k_cleared(n, r), n))
 
 
-def phi_wedge_k_value(n, r, alphas, y):
-    """Independent oracle: evaluate the subset sum term by term."""
-    alphas = [Fraction(a) for a in alphas]
-    y = Fraction(y)
-    total = Fraction(0)
-    for I in itertools.combinations(range(n), r):
-        Iset = set(I)
-        rest = [j for j in range(n) if j not in Iset]
-        term = Fraction(1)
-        for x in range(len(I)):
-            for z in range(x + 1, len(I)):
-                ai, aj = alphas[I[x]], alphas[I[z]]
-                term *= (1 - 1 / (ai * aj)) / (1 + y / (ai * aj))
-        for i in I:
-            for j in rest:
-                ai, aj = alphas[i], alphas[j]
-                term *= (1 - 1 / (ai * aj)) * (1 + y * aj / ai) / (
-                    (1 + y / (ai * aj)) * (1 - aj / ai))
-        total += term
-    return total
-
-
-@lru_cache(maxsize=None)
 def motivic_segre_sieve(n, r, q_convention="minus-y"):
     """Motivic Segre class of Sigma_{n,r} by the q-deformed sieve:
     sum_k binom(r+2k, r)_q E_{2k}(q) Phi_{n,r+2k}, summed as the numerators
     Phi_{n,r+2k} P_n over the one denominator P_n and reduced once."""
-    orbit = _check_k_scope(n, r)
     if q_convention not in ("minus-y", "symbolic"):
         raise ValueError(f"unknown q convention {q_convention!r}")
+    return _motivic_segre_sieve(n, r, q_convention)
+
+
+@lru_cache(maxsize=None)
+def _motivic_segre_sieve(n, r, q_convention):
+    orbit = _check_k_scope(n, r)
     symbolic = q_convention == "symbolic"
     av = _k_vars(n, extra=("q",) if symbolic else ())
     E = q_euler_numbers(n - r)

@@ -13,8 +13,6 @@ import enum
 from dataclasses import dataclass
 from math import comb
 
-from .poly import Poly, product
-
 
 class Family(str, enum.Enum):
     WEDGE = "wedge"
@@ -104,27 +102,8 @@ def inside_weights(family, r):
     return tuple(range(r - 1 + sym, 0, -1)), 2 ** r if sym else 1
 
 
-def weight_factor(variables, const, i, j):
-    """const + a_i + a_j, or const + 2 a_i when i = j."""
-    if i == j:
-        return Poly.linear(variables, const, **{f"a{i}": 2})
-    return Poly.linear(variables, const, **{f"a{i}": 1, f"a{j}": 1})
-
-
 def suborbit_coranks(orbit):
     """Coranks of the orbits in the closure of orbit, increasing."""
     step = 2 if orbit.family is Family.WEDGE else 1
     return range(orbit.r, orbit.n + 1, step)
 
-
-def total_chern(family, n, bound=None):
-    """c(V) = prod (1 + a_i + a_j), optionally truncated by total degree."""
-    av = alpha_vars(n)
-    return product([weight_factor(av, 1, i, j) for i, j in weight_pairs(family, n)],
-                   av, bound=bound)
-
-
-def euler_class(family, n):
-    """e(V) = prod (a_i + a_j) over the weights."""
-    av = alpha_vars(n)
-    return product([weight_factor(av, 0, i, j) for i, j in weight_pairs(family, n)], av)

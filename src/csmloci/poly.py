@@ -1,4 +1,4 @@
-"""Exact sparse multivariate polynomials and graded-truncated power series.
+"""Exact sparse multivariate polynomials.
 
 A polynomial carries an ordered tuple of variable names and a dict mapping
 exponent tuples to nonzero rational coefficients.  Coefficients are Python
@@ -7,7 +7,7 @@ mix freely.  The zero polynomial has an empty term dict.
 
 Negative exponents are tolerated by the arithmetic (the Laurent layer relies
 on this); operations that genuinely need non-negative exponents (division,
-series truncation) are only ever called on ordinary polynomials.
+truncation) are only ever called on ordinary polynomials.
 
 The term order used for leading terms is graded lexicographic: compare total
 degree first, then the exponent tuple lexicographically (first variable most
@@ -118,10 +118,6 @@ class Poly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def constant_term(self):
-        nvars = len(self.vars)
-        return self.terms.get((0,) * nvars, 0)
-
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), 0)
 
@@ -131,13 +127,6 @@ class Poly:
             return None
         e = max(self.terms, key=_grlex_key)
         return e, self.terms[e]
-
-    def by_degree(self):
-        """Split into slices: total degree -> raw term dict."""
-        out = {}
-        for e, c in self.terms.items():
-            out.setdefault(sum(e), {})[e] = c
-        return out
 
     def truncate(self, bound):
         return Poly(self.vars, {e: c for e, c in self.terms.items() if sum(e) <= bound},
@@ -194,12 +183,6 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
-
-    def mul_trunc(self, other, bound):
-        """Product with monomials of total degree > bound discarded."""
-        self._check_vars(other)
-        return Poly(self.vars, _mul_dict_trunc(self.terms, other.terms, bound),
-                    _clean=False)
 
     def __pow__(self, k):
         if k < 0:
@@ -390,30 +373,6 @@ class Poly:
             total += term
         return _norm(total)
 
-    def permute_vars(self, perm):
-        """Reindex exponents: new exponent i comes from old position perm[i]."""
-        out = {}
-        for e, c in self.terms.items():
-            ke = tuple(e[p] for p in perm)
-            s = out.get(ke, 0) + c
-            if s:
-                out[ke] = s
-            elif ke in out:
-                del out[ke]
-        return Poly(self.vars, out, _clean=False)
-
-    def is_symmetric(self, indices=None):
-        """True when invariant under all transpositions of the given variable
-        positions (default: all); adjacent transpositions suffice."""
-        n = len(self.vars)
-        idx = list(range(n)) if indices is None else list(indices)
-        for k in range(len(idx) - 1):
-            perm = list(range(n))
-            perm[idx[k]], perm[idx[k + 1]] = perm[idx[k + 1]], perm[idx[k]]
-            if self.permute_vars(perm).terms != self.terms:
-                return False
-        return True
-
     def map_vars(self, target_vars, rename=None):
         """Transfer terms onto another variable tuple (by name, or via the
         rename map old->new); useful for embedding a small-ring polynomial."""
@@ -469,41 +428,8 @@ def _mul_dict(a, b):
     return {e: _norm(c) for e, c in out.items()}
 
 
-def _mul_dict_trunc(a, b, bound):
-    if not a or not b:
-        return {}
-    if len(a) < len(b):
-        a, b = b, a
-    bi = sorted(((sum(e2), e2, c2) for e2, c2 in b.items()))
-    out = {}
-    get = out.get
-    for e1, c1 in a.items():
-        room = bound - sum(e1)
-        if room < 0:
-            continue
-        for d2, e2, c2 in bi:
-            if d2 > room:
-                break
-            ke = tuple(map(_add, e1, e2))
-            s = get(ke, 0) + c1 * c2
-            if s:
-                out[ke] = s
-            elif ke in out:
-                del out[ke]
-    return {e: _norm(c) for e, c in out.items()}
-
-
-def _add_into(acc, terms, factor=1):
-    for e, c in terms.items():
-        s = acc.get(e, 0) + c * factor
-        if s:
-            acc[e] = s
-        elif e in acc:
-            del acc[e]
-
-
-def product(factors, variables=None, bound=None):
-    """Multiply a sequence of Polys, optionally truncating by total degree.
+def product(factors, variables=None):
+    """Multiply a sequence of Polys.
 
     Factors are folded in the given order; each step multiplies the running
     product by the next (typically small) factor.
@@ -513,141 +439,5 @@ def product(factors, variables=None, bound=None):
         variables = factors[0].vars
     acc = Poly.const(variables, 1)
     for f in factors:
-        acc = acc.mul_trunc(f, bound) if bound is not None else acc * f
+        acc = acc * f
     return acc
-
-
-class TruncSeries:
-    """A Poly together with a total-degree truncation bound.
-
-    Arithmetic discards monomials of total degree above the bound.  The bound
-    is an explicit part of the value; mixed-bound arithmetic is an error.
-    """
-
-    __slots__ = ("poly", "bound")
-
-    def __init__(self, poly, bound):
-        if bound < 0:
-            raise ValueError("truncation bound must be non-negative")
-        self.poly = poly.truncate(bound)
-        self.bound = bound
-
-    @classmethod
-    def const(cls, variables, c, bound):
-        return cls(Poly.const(variables, c), bound)
-
-    @property
-    def vars(self):
-        return self.poly.vars
-
-    def is_zero(self):
-        return self.poly.is_zero()
-
-    def _coerce(self, other):
-        if isinstance(other, TruncSeries):
-            if other.bound != self.bound:
-                raise ValueError(
-                    f"truncation bounds differ: {self.bound} vs {other.bound}")
-            return other
-        if isinstance(other, Poly):
-            return TruncSeries(other, self.bound)
-        return TruncSeries(Poly.const(self.poly.vars, other), self.bound)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return TruncSeries(self.poly + other.poly, self.bound)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncSeries(-self.poly, self.bound)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return TruncSeries(self.poly - other.poly, self.bound)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TruncSeries(self.poly.scale(other), self.bound)
-        other = self._coerce(other)
-        return TruncSeries(self.poly.mul_trunc(other.poly, self.bound), self.bound)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, TruncSeries):
-            return self.bound == other.bound and self.poly == other.poly
-        return NotImplemented
-
-    def __repr__(self):
-        return f"{self.poly!r} + O(deg {self.bound + 1})"
-
-    def truncate(self, bound):
-        if bound > self.bound:
-            raise ValueError("cannot raise a truncation bound")
-        return TruncSeries(self.poly, bound)
-
-    def substitute(self, images, target_vars=None):
-        return TruncSeries(self.poly.substitute(images, target_vars), self.bound)
-
-    def invert(self):
-        """Multiplicative inverse up to the bound; needs a unit constant term."""
-        c0 = self.poly.constant_term()
-        if c0 == 0:
-            raise ZeroDivisionError("series inversion needs a nonzero constant term")
-        return self.divide_into(TruncSeries.const(self.vars, 1, self.bound))
-
-    def divide_into(self, num):
-        """num / self as a series (self must have nonzero constant term)."""
-        num = self._coerce(num)
-        c0 = self.poly.constant_term()
-        if c0 == 0:
-            raise ZeroDivisionError("series division needs a unit denominator")
-        inv0 = _norm(Fraction(1, 1) / c0)
-        den_slices = self.poly.by_degree()
-        num_slices = num.poly.by_degree()
-        q_slices = {}
-        for d in range(self.bound + 1):
-            acc = dict(num_slices.get(d, {}))
-            for e in range(1, d + 1):
-                de = den_slices.get(e)
-                qd = q_slices.get(d - e)
-                if de and qd:
-                    _add_into(acc, _mul_dict(de, qd), -1)
-            if inv0 != 1:
-                acc = {k: _norm(v * inv0) for k, v in acc.items()}
-            acc = {k: _norm(v) for k, v in acc.items() if v}
-            if acc:
-                q_slices[d] = acc
-        out = {}
-        for sl in q_slices.values():
-            out.update(sl)
-        return TruncSeries(Poly(self.vars, out, _clean=False), self.bound)
-
-    def exact_divide_homogeneous(self, den):
-        """Gradewise exact division by a homogeneous polynomial.
-
-        Result is a series correct to bound - deg(den); any slice with a
-        nonzero remainder aborts (this signals a formula transcription error,
-        never something to truncate away).
-        """
-        if den.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        degs = {sum(e) for e in den.terms}
-        if len(degs) != 1:
-            raise ValueError("denominator must be homogeneous")
-        g = degs.pop()
-        if g > self.bound:
-            raise ValueError("denominator degree exceeds the truncation bound")
-        out = Poly.zero(self.vars)
-        for d, sl in self.poly.by_degree().items():
-            if d < g:
-                if sl:
-                    raise ExactDivisionError(
-                        f"nonzero remainder: degree-{d} slice below divisor degree")
-                continue
-            if d > self.bound:
-                continue
-            q = Poly(self.vars, sl, _clean=False).exact_divide(den)
-            out = out + q
-        return TruncSeries(out, self.bound - g)

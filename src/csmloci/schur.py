@@ -7,35 +7,30 @@ k-th elementary symmetric polynomial of the roots.
 Classes live in Schur form.  Chern and Schur convert into each other through
 the Schur expansion of each Chern monomial, built by vertical Pieri strips:
 a weighted sum of these expansions one way, a unitriangular peel the other
-(Macdonald, Symmetric Functions, I.3, I.5).  The conversions through the
-full polynomial in the roots (to_schur_basis, to_chern_basis, chern_to_alpha)
-are kept as test oracles; schur_dict_to_alpha serves the alpha output.
+(Macdonald, Symmetric Functions, I.3, I.5).  schur_dict_to_alpha serves the
+alpha output.
 
 The Grassmannian pushforward (pushforward_schur) computes the W-functions,
 ssm, Phi and Phi c(V).  Its terms are monomials in a_I times Schur
 polynomials in a_J; a truncated product is cut by the degree its factors
 still to come must add, and the Schur coefficients are read off once per
 sorted I-exponent by the bialternant identity.  alternant_schur_coeffs reads
-them off a full polynomial in the roots, for K-theory and the oracles.
+them off a full polynomial in the roots, for K theory.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import Counter, defaultdict
-from fractions import Fraction
+from bisect import bisect_left
+from collections import defaultdict
 from functools import lru_cache
-from math import comb, factorial, inf, lcm, prod
+from math import comb, inf
 from operator import add as _add
 from types import MappingProxyType
 
 from .orbits import alpha_vars, chern_vars, inside_weights, weight_pairs
 from .partitions import partition
-from .poly import Poly, TruncSeries, _norm
-
-
-class NotSymmetricError(ValueError):
-    """Input polynomial is not symmetric in the required variables."""
+from .poly import Poly, _norm
 
 
 # -- Schur polynomials ------------------------------------------------
@@ -371,15 +366,20 @@ def _sorted_heads(alpha, shift):
 
 
 def _orderings(alpha):
-    """The distinct orderings of the tuple alpha."""
-    if not alpha:
-        return [()]
-    out = []
-    for x in dict.fromkeys(alpha):
-        rest = list(alpha)
-        rest.remove(x)
-        out += [(x,) + o for o in _orderings(tuple(rest))]
-    return out
+    """The distinct orderings of the tuple alpha in descending lex order:
+    from the descending sort, each is the previous permutation of the last."""
+    cur = sorted(alpha, reverse=True)
+    out = [tuple(cur)]
+    while True:
+        i = len(cur) - 2
+        while i >= 0 and cur[i] <= cur[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = bisect_left(cur, cur[i], i + 1) - 1  # the tail ascends: its last entry < cur[i]
+        cur[i], cur[j] = cur[j], cur[i]
+        cur[i + 1:] = cur[:i:-1]
+        out.append(tuple(cur))
 
 
 # -- Chern <-> Schur by vertical strips -----------------------------------
@@ -437,149 +437,7 @@ def schur_to_chern(coeffs, n):
     return Poly(chern_vars(n), terms)
 
 
-# -- alpha-route conversions (test oracles) -------------------------------
-
-@lru_cache(maxsize=None)
-def elementary_terms(k, n):
-    """Raw terms of e_k(a_1..a_n)."""
-    from itertools import combinations
-    if k == 0:
-        return {(0,) * n: 1}
-    if k > n:
-        return {}
-    out = {}
-    for idx in combinations(range(n), k):
-        e = [0] * n
-        for i in idx:
-            e[i] = 1
-        out[tuple(e)] = 1
-    return out
-
-
-@lru_cache(maxsize=None)
-def _elem_power_product(kvec, n):
-    """Terms of prod_k e_k^{kvec[k-1]} in the alpha variables."""
-    from .poly import _mul_dict
-    acc = {(0,) * n: 1}
-    for k, mult in enumerate(kvec, start=1):
-        ek = elementary_terms(k, n)
-        for _ in range(mult):
-            acc = _mul_dict(acc, ek)
-    return acc
-
-
-def to_chern_basis(p, n=None):
-    """Rewrite a symmetric polynomial in the elementary basis c_1..c_n.
-
-    Greedy: the graded-lex leading monomial mu of what is left is dominant,
-    and c^kvec with kvec_i = mu_i - mu_{i+1} has the same leading monomial,
-    so it is peeled off.  Homogeneous pieces are independent, so each degree
-    slice is processed on its own (lowest first), which keeps truncated
-    series consistent.
-    """
-    if n is None:
-        n = len(p.vars)
-    terms = {}
-    slices = p.by_degree()
-    for d in sorted(slices):
-        work = dict(slices[d])
-        heap = [tuple(-x for x in e) for e in work]
-        heapq.heapify(heap)
-        while work:
-            e = tuple(-x for x in heapq.heappop(heap))
-            c = work.get(e)
-            if c is None:
-                continue
-            if any(e[i] < e[i + 1] for i in range(n - 1)):
-                raise NotSymmetricError(
-                    f"not symmetric: leading monomial {e} is not dominant")
-            kvec = tuple(e[i] - (e[i + 1] if i + 1 < n else 0) for i in range(n))
-            for pe, pc in _elem_power_product(kvec, n).items():
-                s = work.get(pe, 0) - c * pc
-                if s:
-                    if pe not in work:
-                        heapq.heappush(heap, tuple(-x for x in pe))
-                    work[pe] = _norm(s)
-                elif pe in work:
-                    del work[pe]
-            terms[kvec] = _norm(c)
-    return Poly(chern_vars(n), terms)
-
-
-def chern_to_alpha(p, n=None):
-    """Expand a polynomial in c_1..c_n back into the Chern roots."""
-    if n is None:
-        n = len(p.vars)
-    acc = {}
-    for kvec, c in p.terms.items():
-        for e, k in _elem_power_product(tuple(kvec), n).items():
-            s = acc.get(e, 0) + c * k
-            if s:
-                acc[e] = s
-            elif e in acc:
-                del acc[e]
-    return Poly(alpha_vars(n), acc)
-
-
-def _require_symmetric(p, n):
-    """Raise NotSymmetricError unless each monomial's S_n-orbit is present in
-    full, every member with the coefficient of its dominant rearrangement."""
-    orbit_terms = {}
-    for e, c in p.terms.items():
-        dom = tuple(sorted(e, reverse=True))
-        if p.terms.get(dom) != c:
-            raise NotSymmetricError(
-                f"not symmetric: the coefficient of {e} differs from that of {dom}")
-        orbit_terms[dom] = orbit_terms.get(dom, 0) + 1
-    for dom, k in orbit_terms.items():
-        if k != factorial(n) // prod(factorial(m) for m in Counter(dom).values()):
-            raise NotSymmetricError(
-                f"not symmetric: {k} of the permutations of {dom} are present")
-
-
-def to_schur_basis(p, n=None):
-    """Schur coefficients {partition: coeff} of a symmetric polynomial.
-
-    For symmetric p, Alt(p a^delta) = p * Vandermonde with delta = (n-1, ..., 0),
-    so the bialternant extraction of p with every exponent shifted by delta
-    is the Schur expansion of p.  Accepts a Poly or a TruncSeries; monomials
-    are read one by one, so a truncated series gives its truncated expansion.
-    """
-    if isinstance(p, TruncSeries):
-        p = p.poly
-    if n is None:
-        n = len(p.vars)
-    _require_symmetric(p, n)
-    shifted = {tuple(x + n - 1 - i for i, x in enumerate(e)): c for e, c in p.terms.items()}
-    return {lam: c for (lam, _), c in
-            alternant_schur_coeffs(Poly(p.vars, shifted, _clean=False), n).items()}
-
-
 def chern_weighted_degree(exps):
     """Total alpha-degree of a Chern monomial: sum i * exp_i."""
     return sum((i + 1) * x for i, x in enumerate(exps))
 
-
-def schur_dict_value(coeffs, vals):
-    """Evaluate a Schur coefficient dict at an exact rational point with
-    distinct coordinates, by the ratio of alternant determinants.
-
-    s_lam is homogeneous of degree |lam|, so the point is scaled to integers
-    v = q * vals by the common denominator q, and s_lam(vals) is
-    det(v_i^(lam_j + n - j)) / (q^|lam| det(v_i^(n - j))).
-    """
-    n = len(vals)
-    vals = [Fraction(v) for v in vals]
-    q = lcm(*(v.denominator for v in vals))
-    ints = [int(v * q) for v in vals]
-
-    def alternant(lam):
-        padded = lam + (0,) * (n - len(lam))
-        return _det([[v ** (padded[j] + n - 1 - j) for j in range(n)] for v in ints])
-
-    total = Fraction(0)
-    for lam, c in coeffs.items():
-        lam = partition(lam)
-        if len(lam) <= n:
-            total += c * Fraction(alternant(lam), q ** sum(lam))
-    return total / alternant(())

@@ -6,8 +6,6 @@ weight factors.  The sum is a Gysin pushforward from a Grassmann bundle
 (schur.pushforward_schur): the unit denominators (1 + a_i + a_j) are
 inverted as truncated series, inside I on monomials and across I x J by the
 Pieri rule for h_k, and the result comes out in Schur coefficients.
-phi_reference_series, which clears every subset term to the full
-Vandermonde and divides, is the independent check.
 
 The orbit SSM classes are alternating linear combinations of Phi classes:
 Euler-number coefficients in the skew-symmetric family, plain signed
@@ -25,8 +23,7 @@ from types import MappingProxyType
 
 from .classes import add_schur, schur_class
 from .interp import chern_schur
-from .orbits import Family, OrbitId, alpha_vars, suborbit_coranks
-from .poly import Poly, TruncSeries, product
+from .orbits import Family, OrbitId, suborbit_coranks
 from .schur import pushforward_schur
 
 
@@ -78,58 +75,6 @@ def phi_class(orbit, D):
     if D < 0:
         raise ValueError("truncation bound must be non-negative")
     return schur_class("phi", orbit, phi_schur(orbit, D), trunc=D)
-
-
-def phi_reference_series(orbit, D):
-    """Literal subset-sum route, for cross-checking at small n.
-
-    Clears every term to the full Vandermonde, sums the numerators over all
-    binom(n, r) subsets explicitly, and performs the gradewise exact division
-    (which must leave zero remainder in every slice).
-    """
-    import itertools
-    family, n, r = orbit.family, orbit.n, orbit.r
-    av = alpha_vars(n)
-    work = D + comb(n, 2)
-    lin = lambda const, **kw: Poly.linear(av, const, **kw)
-    total = TruncSeries(Poly.zero(av), work)
-    for I in itertools.combinations(range(1, n + 1), r):
-        Iset = set(I)
-        rest = [j for j in range(1, n + 1) if j not in Iset]
-        numer, units = [], []
-        for x in range(len(I)):
-            rng = range(x, len(I)) if family is Family.SYM else range(x + 1, len(I))
-            for y in rng:
-                i, j = I[x], I[y]
-                w = {f"a{i}": 2} if i == j else {f"a{i}": 1, f"a{j}": 1}
-                numer.append(lin(0, **w))
-                units.append(lin(1, **w))
-        denom_diffs = []
-        for i in I:
-            for j in rest:
-                numer.append(lin(0, **{f"a{i}": 1, f"a{j}": 1}))
-                numer.append(lin(1, **{f"a{i}": 1, f"a{j}": -1}))
-                units.append(lin(1, **{f"a{i}": 1, f"a{j}": 1}))
-                denom_diffs.append((i, j))
-        # complement of the term's difference denominators inside the Vandermonde
-        have = {tuple(sorted(p)) for p in denom_diffs}
-        missing = []
-        sign = 1
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                if (i, j) in have:
-                    continue
-                missing.append(lin(0, **{f"a{i}": 1, f"a{j}": -1}))
-        for (i, j) in denom_diffs:
-            if i > j:
-                sign = -sign
-        num_poly = product(numer + missing, av, bound=work).scale(sign)
-        ser = TruncSeries(product(units, av, bound=work), work).divide_into(
-            TruncSeries(num_poly, work))
-        total = total + ser
-    vandermonde = product([lin(0, **{f"a{i}": 1, f"a{j}": -1})
-                           for i in range(1, n + 1) for j in range(i + 1, n + 1)], av)
-    return total.exact_divide_homogeneous(vandermonde).truncate(D)
 
 
 # -- sieve formulas ------------------------------------------------------
@@ -194,17 +139,3 @@ def ssm_sieve(orbit, D, closure=False):
     return schur_class("ssm", orbit, ssm_schur(orbit, D, closure=closure),
                        trunc=D, closure=closure)
 
-
-def phi_from_ssm(orbit, D):
-    """Phi_{n,r} = sum binom(r+2i, r) ssm(Sigma_{n,r+2i}): the inverse
-    relation, used as a consistency check on the sieve coefficients."""
-    family, n, r = orbit.family, orbit.n, orbit.r
-    if family is Family.WEDGE:
-        pieces = [ssm_schur(OrbitId(family, n, r + 2 * i), D)
-                  for i in range(0, (n - r) // 2 + 1)]
-        coeffs = [comb(r + 2 * i, r) for i in range(0, (n - r) // 2 + 1)]
-    else:
-        pieces = [ssm_schur(OrbitId(family, n, r + i), D)
-                  for i in range(0, n - r + 1)]
-        coeffs = [comb(r + i, r) for i in range(0, n - r + 1)]
-    return add_schur(*pieces, coeffs=coeffs)

@@ -11,7 +11,8 @@ from fractions import Fraction
 from math import comb
 
 from csmloci.classes import add_schur
-from csmloci.orbits import Family, OrbitId, alpha_vars, coranks, total_chern
+from csmloci.oracles import total_chern
+from csmloci.orbits import Family, OrbitId, alpha_vars, coranks
 from csmloci.poly import Poly
 
 W, S = Family.WEDGE, Family.SYM
@@ -29,7 +30,7 @@ def cpoly(n, terms):
 
 def test_c1_printed_w_values():
     from csmloci.interp import w_function
-    from csmloci.schur import to_chern_basis
+    from csmloci.oracles import to_chern_basis
     expected = {
         (W, 2, 2): {(1, 0): 1},
         (W, 3, 1): {(0, 0, 0): 1, (1, 0, 0): 2, (2, 0, 0): 1, (0, 1, 0): 1},
@@ -201,7 +202,7 @@ def test_c8_euler_number_layer():
 
 def test_c9_mather_layer():
     from csmloci.mather import chern_mather_wedge, euler_obstruction_wedge
-    from csmloci.schur import schur_dict_value
+    from csmloci.oracles import schur_dict_value
     ok = True
     for n in range(2, 7):
         for r in coranks(W, n):

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csmloci.cli import build_parser, run
-from csmloci.emit import class_json_dict, parse_class_json
+from csmloci.emit import class_json_dict
+from csmloci.oracles import parse_class_json
 
 
 def capture(capsys, argv):
@@ -57,6 +58,18 @@ def test_json_round_trip(capsys):
     doc = json.loads(out)
     cls = parse_class_json(doc)
     assert class_json_dict(cls) == doc
+
+
+@pytest.mark.parametrize("fam", ["wedge", "sym"])
+def test_class_at_full_corank_for_large_n(capsys, fam):
+    # the zero orbit at r = n is the weight product coeff s_lam; n = r = 1000
+    # once overflowed the recursion limit in the pushforward read-off
+    from csmloci.orbits import inside_weights
+    code, out, _ = capture(capsys, ["class", "--family", fam, "--n", "1000", "--r", "1000",
+                                    "--basis", "schur", "--format", "json"])
+    assert code == 0
+    lam, coeff = inside_weights(fam, 1000)
+    assert parse_class_json(json.loads(out)).payload == {lam: coeff}
 
 
 def test_exit_code_usage_errors(capsys):

@@ -1,6 +1,6 @@
 """Source hygiene: no assert statements or raised AssertionErrors, no
-unreferenced definitions, and no production caller of the alpha-route
-conversions."""
+unreferenced definitions, and no production module that reaches the
+reference routes in csmloci.oracles."""
 
 import ast
 import collections
@@ -11,9 +11,7 @@ PACKAGE = ROOT / "src" / "csmloci"
 # perfbench is a consumer of the library too: what only it calls stays.
 USERS = [ROOT / "src", ROOT / "tests", ROOT / "perfbench"]
 CALLED_BY_LIBRARIES = {"error"}  # argparse.ArgumentParser.error, overridden in cli
-# Conversions through the full polynomial in the Chern roots: test oracles only.
-ALPHA_ROUTE = {"csm_to_ssm", "to_chern_basis", "chern_to_alpha", "to_schur_basis",
-               "total_chern"}
+ORACLES = PACKAGE / "oracles.py"
 
 
 def trees(dirs):
@@ -61,25 +59,46 @@ def test_every_definition_is_referenced():
     assert not unused
 
 
-def test_alpha_route_has_no_production_caller():
-    # a call may sit only inside the definition of another alpha-route oracle;
-    # every guarded name is defined, so a stale entry cannot guard nothing
-    defined = {node.name for _, tree in trees([PACKAGE]) for node in ast.walk(tree)
-               if isinstance(node, ast.FunctionDef)}
-    assert ALPHA_ROUTE <= defined
+def oracle_imports(tree):
+    """(line, inside a function?) of each import that names the oracles module."""
     found = []
 
-    def visit(node, path, inside_oracle):
+    def visit(node, in_function):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in ALPHA_ROUTE and not inside_oracle:
-                    found.append(f"{path.name}:{child.lineno} {name}")
-            visit(child, path, inside_oracle or (
-                isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and child.name in ALPHA_ROUTE))
+            if isinstance(child, ast.ImportFrom):
+                parts = (child.module or "").split(".") + [a.name for a in child.names]
+            elif isinstance(child, ast.Import):
+                parts = [p for a in child.names for p in a.name.split(".")]
+            else:
+                parts = []
+            if "oracles" in parts:
+                found.append((child.lineno, in_function))
+            visit(child, in_function or isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
 
+    visit(tree, False)
+    return found
+
+
+def test_oracles_stay_off_the_production_path():
+    # oracles imports the production modules and never the other way round:
+    # only verify may load it, inside a function, and no other module names
+    # anything the oracles define
+    defined = {node.name for node in ast.parse(ORACLES.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert defined
+    found = []
     for path, tree in trees([PACKAGE]):
-        visit(tree, path, False)
+        if path == ORACLES:
+            continue
+        found += [f"{path.name}:{line} imports oracles" for line, in_function
+                  in oracle_imports(tree) if not (in_function and path.stem == "verify")]
+        if path.stem == "verify":
+            continue
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else \
+                node.attr if isinstance(node, ast.Attribute) else \
+                node.name.rpartition(".")[2] if isinstance(node, ast.alias) else None
+            if name in defined:
+                found.append(f"{path.name}:{node.lineno} names {name}")
     assert not found

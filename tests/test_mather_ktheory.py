@@ -9,11 +9,12 @@ import pytest
 from csmloci import ktheory
 from csmloci.classes import add_schur
 from csmloci.interp import w_schur
-from csmloci.ktheory import (motivic_segre_sieve, phi_wedge_k, phi_wedge_k_value,
-                             q_binomial, q_euler_numbers, q_factorial)
+from csmloci.ktheory import (motivic_segre_sieve, phi_wedge_k, q_binomial, q_euler_numbers,
+                             q_factorial)
 from csmloci.laurent import LaurentFraction
 from csmloci.mather import chern_mather_wedge, euler_obstruction_wedge
-from csmloci.orbits import Family, OrbitId, coranks, total_chern
+from csmloci.oracles import phi_wedge_k_value, total_chern
+from csmloci.orbits import Family, OrbitId, coranks
 from csmloci.poly import Poly, product
 from csmloci.sieve import euler_numbers
 
@@ -171,6 +172,11 @@ def test_motivic_sieve_is_cached():
     for convention in ("minus-y", "symbolic"):
         first = motivic_segre_sieve(4, 0, q_convention=convention)
         assert motivic_segre_sieve(4, 0, q_convention=convention) is first
+        assert motivic_segre_sieve(4, 0, convention) is first
+    # the default, positional and keyword spellings share one cache entry
+    first = motivic_segre_sieve(3, 1)
+    assert motivic_segre_sieve(3, 1, "minus-y") is first
+    assert motivic_segre_sieve(3, 1, q_convention="minus-y") is first
 
 
 def pair_factors(av, n):

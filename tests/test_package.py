@@ -25,5 +25,6 @@ def test_cli_import_skips_the_math_layers():
     loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=env, check=True).stdout.split()
     assert "csmloci.cli" in loaded
-    for heavy in ("interp", "sieve", "ktheory", "projective", "mather", "verify"):
+    for heavy in ("poly", "interp", "sieve", "ktheory", "projective", "mather", "verify",
+                  "oracles"):
         assert f"csmloci.{heavy}" not in loaded

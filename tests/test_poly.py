@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from csmloci.orbits import Family, alpha_vars, total_chern
-from csmloci.poly import ExactDivisionError, Poly, TruncSeries, product
-from csmloci.schur import to_chern_basis
+from csmloci.oracles import TruncSeries, to_chern_basis, total_chern, truncated_product
+from csmloci.orbits import Family, alpha_vars
+from csmloci.poly import ExactDivisionError, Poly, product
 
 AV2 = alpha_vars(2)
 AV3 = alpha_vars(3)
@@ -173,4 +173,4 @@ def test_product_with_bound_matches_truncated_product():
     rng = random.Random(3)
     fs = [rand_poly(rng, AV2, max_deg=1, n_terms=3) for _ in range(4)]
     full = product(fs, AV2)
-    assert product(fs, AV2, bound=3) == full.truncate(3)
+    assert truncated_product(fs, AV2, 3) == full.truncate(3)

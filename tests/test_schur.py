@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csmloci.orbits import Family, alpha_vars, chern_vars, euler_class, weight_pairs
+from csmloci.oracles import (NotSymmetricError, TruncSeries, chern_to_alpha, euler_class,
+                             schur_dict_value, to_chern_basis, to_schur_basis)
+from csmloci.orbits import Family, alpha_vars, chern_vars, weight_pairs
 from csmloci.partitions import (conjugate, count_ssyt, partition, partitions_upto,
                                 staircase)
-from csmloci.poly import Poly, TruncSeries
-from csmloci.schur import (NotSymmetricError, _strips, chern_to_alpha, chern_to_schur,
-                           pushforward_schur, schur_dict_to_alpha, schur_dict_value,
-                           schur_poly, schur_to_chern, to_chern_basis, to_schur_basis)
+from csmloci.poly import Poly
+from csmloci.schur import (_strips, chern_to_schur, pushforward_schur, schur_dict_to_alpha,
+                           schur_poly, schur_to_chern)
 
 
 def test_partition_normalization():

@@ -5,12 +5,11 @@ from fractions import Fraction
 import pytest
 
 from csmloci.classes import add_schur
+from csmloci.oracles import phi_from_ssm, phi_reference_series, to_schur_basis
 from csmloci.orbits import Family, OrbitId, coranks
 from csmloci.poly import Poly
-from csmloci.schur import to_schur_basis
 from csmloci.sieve import (binomial_matrix, csm_sieve_schur, euler_numbers,
-                           invert_binomial_matrix, phi_class, phi_from_ssm,
-                           phi_reference_series, phi_schur, ssm_schur, ssm_sieve)
+                           invert_binomial_matrix, phi_class, phi_schur, ssm_schur, ssm_sieve)
 
 W, S = Family.WEDGE, Family.SYM
 
