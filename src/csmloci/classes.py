@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .orbits import Family, OrbitId
+from .orbits import Family
 from .partitions import partition
 from .poly import _norm
 from .schur import chern_to_schur, schur_dict_to_alpha, schur_to_chern
@@ -61,10 +61,6 @@ class ClassExpr:
     trunc: int = None
     closure: bool = False
     warnings: list = field(default_factory=list)
-
-    @property
-    def orbit(self):
-        return None if self.r is None else OrbitId(self.family, self.n, self.r)
 
     # -- conversions ----------------------------------------------------
 

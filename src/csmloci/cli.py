@@ -4,6 +4,11 @@ Subcommands: class, phi, projective, table, invariants, mather, ktheory,
 verify.  Output formats: text (default), json, latex.  Exit status 0 on
 success and after --help, 1 on a usage error (the offending parameter is
 named), 2 on a verification failure.
+
+Each command returns its response, (exit code, stdout text, stderr text), and
+`run` writes it.  A response is a function of the parsed arguments alone, so
+`run` answers a repeated request from one cache of responses; `verify` re-runs
+on every call.
 """
 
 from __future__ import annotations
@@ -100,17 +105,18 @@ def _require_trunc(args, why=None):
         raise UsageError("--trunc must be non-negative")
 
 
+def _lines(*lines):
+    """The text that printing each line in turn writes."""
+    return "".join(f"{line}\n" for line in lines)
+
+
 def _emit_class(cls, fmt):
     if fmt == "json":
-        print(json.dumps(emit.class_json_dict(cls), indent=2))
-    elif fmt == "latex":
-        print(emit.class_text(cls, latex=True))
-        for w in cls.warnings:
-            print(f"% warning: {w}", file=sys.stderr)
-    else:
-        print(emit.class_text(cls))
-        for w in cls.warnings:
-            print(f"warning: {w}", file=sys.stderr)
+        return 0, _lines(json.dumps(emit.class_json_dict(cls), indent=2)), ""
+    latex = fmt == "latex"
+    tag = "% warning" if latex else "warning"
+    return (0, _lines(emit.class_text(cls, latex=latex)),
+            _lines(*(f"{tag}: {w}" for w in cls.warnings)))
 
 
 def _cmd_class(args):
@@ -134,8 +140,7 @@ def _cmd_class(args):
         _require_trunc(args, "for csm via the sieve route")
         csm = truncate_schur(csm_sieve_schur(orbit, closure=args.closure), args.trunc)
         cls = schur_class("csm", orbit, csm, trunc=args.trunc, closure=args.closure)
-    _emit_class(cls.in_basis(args.basis), args.format)
-    return 0
+    return _emit_class(cls.in_basis(args.basis), args.format)
 
 
 def _cmd_phi(args):
@@ -147,8 +152,7 @@ def _cmd_phi(args):
         from .catalog import compare_phi_wedge_3
         cls = replace(cls, warnings=compare_phi_wedge_3(orbit.r, cls.chern_poly(),
                                                         max_deg=args.trunc))
-    _emit_class(cls.in_basis(args.basis), args.format)
-    return 0
+    return _emit_class(cls.in_basis(args.basis), args.format)
 
 
 def _cmd_projective(args):
@@ -156,41 +160,40 @@ def _cmd_projective(args):
     orbit = OrbitId(args.family, args.n, args.r)
     pc = projectivize(orbit, kind=args.kind, closure=args.closure)
     if args.format == "json":
-        print(json.dumps({
+        out = json.dumps({
             "family": str(orbit.family), "n": orbit.n, "r": orbit.r,
             "kind": pc.kind, "closure": pc.closure, "ambient": pc.ambient,
             "coeffs": [emit.coeff_str(c) for c in pc.coeffs],
             "warnings": [],
-        }, indent=2))
+        }, indent=2)
     else:
-        print(emit.poly_text(pc.poly(), latex=args.format == "latex"))
-    return 0
+        out = emit.poly_text(pc.poly(), latex=args.format == "latex")
+    return 0, _lines(out), ""
 
 
 def _cmd_table(args):
     from .projective import euler_char_table
     tab = euler_char_table(args.family, args.n, closure=args.closures)
     if args.format == "json":
-        print(json.dumps({
+        lines = [json.dumps({
             "family": str(as_family(args.family)), "n": args.n, "kind": "table",
             "closures": tab.closure, "coranks": tab.coranks,
             "columns": [f"chi(X_{i})" for i in range(len(tab.rows[0]))],
             "rows": tab.rows, "column_sums": tab.column_sums(),
             "warnings": [],
-        }, indent=2))
+        }, indent=2)]
     elif args.format == "latex":
         cols = len(tab.rows[0])
-        print(r"\begin{tabular}{|c|" + "c|" * cols + "}")
         head = " & ".join([r"$X$"] + [rf"$\chi(X_{{{i}}})$" for i in range(cols)])
-        print(head + r" \\ \hline")
-        for r, row in zip(tab.coranks, tab.rows):
-            print(" & ".join([f"$r={r}$"] + [str(v) for v in row]) + r" \\")
-        print(r"\end{tabular}")
+        lines = [r"\begin{tabular}{|c|" + "c|" * cols + "}", head + r" \\ \hline"]
+        lines += [" & ".join([f"$r={r}$"] + [str(v) for v in row]) + r" \\"
+                  for r, row in zip(tab.coranks, tab.rows)]
+        lines.append(r"\end{tabular}")
     else:
-        for r, row in zip(tab.coranks, tab.rows):
-            print(f"r={r}: " + " ".join(f"{v:>6}" for v in row))
-        print("sum: " + " ".join(f"{v:>6}" for v in tab.column_sums()))
-    return 0
+        lines = [f"r={r}: " + " ".join(f"{v:>6}" for v in row)
+                 for r, row in zip(tab.coranks, tab.rows)]
+        lines.append("sum: " + " ".join(f"{v:>6}" for v in tab.column_sums()))
+    return 0, _lines(*lines), ""
 
 
 def _cmd_invariants(args):
@@ -208,12 +211,12 @@ def _cmd_invariants(args):
         "warnings": [] if agree else ["closed formulas disagree with class-derived values"],
     }
     if args.format == "json":
-        print(json.dumps(doc, indent=2))
+        out = json.dumps(doc, indent=2)
     else:
-        print(f"{orbit}: codim {ci.codim}, degree {ci.degree}, chi {ci.euler_char}"
-              f" (class-derived: {di.codim}, {di.degree}, {di.euler_char};"
-              f" {'agree' if agree else 'DISAGREE'})")
-    return 0 if agree else 2
+        out = (f"{orbit}: codim {ci.codim}, degree {ci.degree}, chi {ci.euler_char}"
+               f" (class-derived: {di.codim}, {di.degree}, {di.euler_char};"
+               f" {'agree' if agree else 'DISAGREE'})")
+    return (0 if agree else 2), _lines(out), ""
 
 
 def _cmd_mather(args):
@@ -223,11 +226,10 @@ def _cmd_mather(args):
     if args.format == "json":
         doc = emit.class_json_dict(cls.in_basis(args.basis))
         doc["euler_obstruction"] = coeffs
-        print(json.dumps(doc, indent=2))
-    else:
-        print(f"Euler obstruction multiplicities on suborbits: {coeffs}")
-        print(emit.class_text(cls.in_basis(args.basis), latex=args.format == "latex"))
-    return 0
+        return 0, _lines(json.dumps(doc, indent=2)), ""
+    return 0, _lines(f"Euler obstruction multiplicities on suborbits: {coeffs}",
+                     emit.class_text(cls.in_basis(args.basis),
+                                     latex=args.format == "latex")), ""
 
 
 def _cmd_ktheory(args):
@@ -248,17 +250,13 @@ def _cmd_ktheory(args):
                             for e, c in emit.sorted_terms(frac.den)],
             "warnings": list(mc.notes),
         }
-        print(json.dumps(doc, indent=2))
+        return 0, _lines(json.dumps(doc, indent=2)), ""
+    if args.format == "latex":
+        out = (rf"\frac{{{emit.poly_text(frac.num, latex=True)}}}"
+               rf"{{{emit.poly_text(frac.den, latex=True)}}}")
     else:
-        latex = args.format == "latex"
-        if latex:
-            print(rf"\frac{{{emit.poly_text(frac.num, latex=True)}}}"
-                  rf"{{{emit.poly_text(frac.den, latex=True)}}}")
-        else:
-            print(f"({emit.poly_text(frac.num)}) / ({emit.poly_text(frac.den)})")
-        for w in mc.notes:
-            print(f"note: {w}", file=sys.stderr)
-    return 0
+        out = f"({emit.poly_text(frac.num)}) / ({emit.poly_text(frac.den)})"
+    return 0, _lines(out), _lines(*(f"note: {w}" for w in mc.notes))
 
 
 def _cmd_verify(args):
@@ -266,10 +264,8 @@ def _cmd_verify(args):
     if args.max_n < 1:
         raise UsageError(f"--max-n must be >= 1, got {args.max_n}")
     ok, lines = SUITES[args.suite](args.max_n)
-    for line in lines:
-        print(line)
-    print(f"suite {args.suite}: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 2
+    return ((0 if ok else 2),
+            _lines(*lines, f"suite {args.suite}: {'PASS' if ok else 'FAIL'}"), "")
 
 
 _COMMANDS = {
@@ -284,19 +280,33 @@ _COMMANDS = {
 }
 
 
-def run(argv=None):
-    parser = build_parser()
+@lru_cache(maxsize=None)
+def _respond(key):
+    """The response (exit code, stdout text, stderr text) to the parsed
+    arguments `key`, a sorted tuple of their items."""
+    args = argparse.Namespace(**dict(key))
     try:
-        args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
+    except UsageError as ex:
+        return 1, "", f"usage error: {ex}\n"
+    except ValueError as ex:
+        return 1, "", f"error: {ex}\n"
+
+
+def run(argv=None):
+    try:
+        args = build_parser().parse_args(argv)
     except SystemExit as ex:  # --help: argparse has printed the usage
         return ex.code
     except UsageError as ex:
         print(f"usage error: {ex}", file=sys.stderr)
         return 1
-    except ValueError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 1
+    # a verification re-runs its checks on every call
+    respond = _respond.__wrapped__ if args.command == "verify" else _respond
+    code, out, err = respond(tuple(sorted(vars(args).items())))
+    sys.stdout.write(out)
+    sys.stderr.write(err)
+    return code
 
 
 def main():

@@ -110,12 +110,6 @@ class LaurentFraction:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return LaurentFraction(-self.num, self.den, canonical=True)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
     def __mul__(self, other):
         other = self._coerce(other)
         return LaurentFraction(self.num * other.num, self.den * other.den)

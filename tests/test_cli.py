@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csmloci.cli import build_parser, run
+from csmloci.cli import _respond, build_parser, run
 from csmloci.emit import class_json_dict
 from csmloci.oracles import parse_class_json
 
@@ -212,8 +212,9 @@ def run_captured(argv):
 def test_cli_fuzz_exit_codes_and_replay(command, data):
     argv = data.draw(requests(command))
     # any request gives a result or a named error, never a traceback; an
-    # accepted one prints the same bytes when replayed after a usage error
-    # and on a freshly built parser, so the shared parser keeps no state
+    # accepted one writes the same bytes when replayed after a usage error,
+    # and again with no cached response on a freshly built parser, so neither
+    # the response cache nor the shared parser keeps state between requests
     code, out, err = run_captured(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
@@ -224,5 +225,31 @@ def test_cli_fuzz_exit_codes_and_replay(command, data):
     if code == 0:
         assert run_captured(["class", "--family", "wedge", "--n", "oops"])[0] == 1
         replayed = run_captured(argv)
+        _respond.cache_clear()
         build_parser.cache_clear()       # a parser that has parsed nothing yet
-        assert replayed[:2] == run_captured(argv)[:2] == (code, out)
+        assert replayed == run_captured(argv) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv, code, err_has", [
+    ("phi --family wedge --n 3 --r 3 --trunc 5", 0, "warning: Phi(wedge,3,3)"),
+    ("ktheory --n 2 --r 0", 0, "note: sieve coefficients"),
+    ("class --family sym --n 3 --r 1 --kind ssm", 1, "usage error: --trunc is required"),
+])
+def test_repeated_request_is_answered_from_the_response_cache(argv, code, err_has):
+    _respond.cache_clear()
+    first = run_captured(argv.split())
+    assert first[0] == code and err_has in first[2] and bool(first[1]) == (code == 0)
+    assert run_captured(argv.split()) == first
+    assert _respond.cache_info()[:2] == (1, 1)       # (hits, misses)
+
+
+def test_response_cache_key_is_the_parsed_request():
+    _respond.cache_clear()
+    first = run_captured("projective --family sym --n 02 --r 1".split())
+    assert run_captured("projective --family sym --n 2 --r 1 --format text".split()) == first
+    assert _respond.cache_info()[:2] == (1, 1) and _respond.cache_info().currsize == 1
+    for argv, code in (("verify --suite core --max-n 2", 0),
+                       ("verify --suite cross --max-n 0", 1)):
+        info = _respond.cache_info()
+        assert run_captured(argv.split())[0] == code
+        assert _respond.cache_info() == info         # verify always re-runs

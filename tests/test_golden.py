@@ -12,7 +12,7 @@ import io
 import json
 import pathlib
 
-from csmloci.cli import run
+from csmloci.cli import _respond, run
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 RECORDS = json.loads((ROOT / "perfbench" / "expected" / "queries.json").read_text())["records"]
@@ -37,14 +37,18 @@ def replay(request):
 
 def test_golden_outputs():
     assert len(RECORDS) == 255
+    _respond.cache_clear()           # every response is rendered here
     mismatches = {req: why for req in sorted(RECORDS) if (why := replay(req))}
     assert not mismatches
 
 
 def test_golden_outputs_with_warm_caches():
-    # the second replay is served from the caches the first one filled, so a
-    # request that changed a class it was handed would show here
+    # the second replay renders every response again from the class caches the
+    # first one filled, so a request that changed a class it was handed would
+    # show here; the third is served from the response cache
     for req in sorted(RECORDS):
         replay(req)
-    mismatches = {req: why for req in sorted(RECORDS) if (why := replay(req))}
-    assert not mismatches
+    _respond.cache_clear()
+    for label in ("warm class caches", "response cache"):
+        mismatches = {req: why for req in sorted(RECORDS) if (why := replay(req))}
+        assert not mismatches, label
