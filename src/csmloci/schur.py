@@ -11,11 +11,13 @@ a weighted sum of these expansions one way, a unitriangular peel the other
 alpha output.
 
 The Grassmannian pushforward (pushforward_schur) computes the W-functions,
-ssm, Phi and Phi c(V).  Its terms are monomials in a_I times Schur
-polynomials in a_J; a truncated product is cut by the degree its factors
-still to come must add, and the Schur coefficients are read off once per
-sorted I-exponent by the bialternant identity.  alternant_schur_coeffs reads
-them off a full polynomial in the roots, for K theory.
+ssm, Phi and Phi c(V).  Its state holds, for each I-exponent, the Schur
+polynomials in a_J that multiply that monomial in a_I; a cross factor
+enters by Pieri strips read from one cached table per partition
+(_strip_table), a truncated product is cut by the degree its factors still
+to come must add, and the Schur coefficients are read off once per sorted
+I-exponent by the bialternant identity.  alternant_schur_coeffs reads them
+off a full polynomial in the roots, for K theory.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from collections import defaultdict
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import chain, groupby, product
 from math import comb, inf
 from operator import add as _add
 from types import MappingProxyType
@@ -181,50 +184,85 @@ def _power_terms(c, q, upto):
 
 
 @lru_cache(maxsize=None)
+def _strip_table(mu, m, vertical, kmax):
+    """The Pieri strips on mu in m variables by size: entry k lists the
+    partitions nu with at most m parts such that nu/mu is a vertical strip
+    (no two boxes in a row) or a horizontal strip (no two in a column) of k
+    boxes, k = 0..kmax, so e_k s_mu, resp. h_k s_mu, is the sum of these
+    s_nu (Pieri).  A mu with more than m parts is zero in m variables and
+    gets the empty table.
+
+    With mu padded to m parts, a vertical strip adds one box to a prefix of
+    each block of equal parts, so it is a composition of k bounded by the
+    block lengths; a horizontal strip picks each nu_i in [mu_i, mu_{i-1}].
+    """
+    if len(mu) > m:
+        return ()
+    padded = mu + (0,) * (m - len(mu))
+    table = [[] for _ in range(kmax + 1)]
+    if vertical:
+        # block (v, length) with its first j parts raised, zeros dropped
+        blocks = [(v, len(list(run))) for v, run in groupby(padded)]
+        adds = product(*(range(length + 1) for _, length in blocks))
+        parts = product(*([(v + 1,) * j + (v,) * (length - j) if v else (1,) * j
+                           for j in range(length + 1)] for v, length in blocks))
+        for js, pieces in zip(adds, parts):
+            k = sum(js)
+            if k <= kmax:
+                table[k].append(tuple(chain.from_iterable(pieces)))
+    else:
+        size = sum(mu)
+        tops = (inf,) + padded
+        for nu in product(*(range(x, min(top, x + kmax) + 1) for x, top in zip(padded, tops))):
+            k = sum(nu) - size
+            if k <= kmax:
+                table[k].append(nu[:m - nu.count(0)])
+    return tuple(map(tuple, table))
+
+
 def _strips(mu, k, m, vertical):
-    """The partitions nu with at most m parts such that nu/mu is a vertical
-    strip (no two boxes in a row) or a horizontal strip (no two in a column)
-    of k boxes: e_k s_mu, resp. h_k s_mu, is the sum of these s_nu (Pieri)."""
-    mu = mu + (0,) * (m - len(mu))
-    out = []
-
-    def fill(i, left, nu):
-        if i == m:
-            if not left:
-                out.append(tuple(p for p in nu if p))
-            return
-        top = mu[i] + (min(left, 1) if vertical else left)
-        if i:
-            top = min(top, nu[i - 1] if vertical else mu[i - 1])
-        for v in range(mu[i], top + 1):
-            fill(i + 1, left - v + mu[i], nu + (v,))
-
-    fill(0, k, ())
-    return tuple(out)
+    """The k-box row of mu's strip table (see _strip_table)."""
+    table = _strip_table(mu, m, vertical, m if vertical else k)
+    return table[k] if k < len(table) else ()
 
 
 def _pieri_mul(state, i, fk, m, vertical, bound):
     """state times sum_k fk[k](a_i) e_k(a_J) (vertical) or h_k(a_J), where
     fk[k] lists (t, coeff) of a polynomial in a_i by ascending t.  Only
     alpha_i <= alpha_{i-1} is made: alpha_{i-1} is final by now."""
-    out = defaultdict(int)
-    for (alpha, mu), c in state.items():
-        room = bound - sum(alpha) - sum(mu)
+    last = len(fk) - 1  # m for e_k; for h_k, the call's cut
+    width = 1 + max((t for terms in fk for t, _ in terms), default=0)
+    out = {}
+    for alpha, row in state.items():
+        free = bound - sum(alpha)
         head, ai, tail = alpha[:i], alpha[i], alpha[i + 1:]
         cap = alpha[i - 1] - ai if i else inf
-        for k, terms in enumerate(fk):
-            if k > room:
-                break
-            top = room - k if room - k < cap else cap
-            strips = _strips(mu, k, m, vertical)
-            for t, b in terms:
-                if t > top:
+        dests = [None] * width  # t -> the out row of head + (ai + t,) + tail
+        for mu, c in row.items():
+            size = sum(mu)
+            room = free - size
+            # an h-strip table stops where |nu| reaches the call's cut: one
+            # table per mu and call, whatever the room of each key
+            table = _strip_table(mu, m, vertical, last if vertical else last - size)
+            for k, terms in enumerate(fk):
+                if k > room:
                     break
-                a2 = head + (ai + t,) + tail
-                cb = c * b
-                for nu in strips:
-                    out[a2, nu] += cb
-    return {key: c for key, c in out.items() if c}
+                top = room - k if room - k < cap else cap
+                strips = table[k]
+                for t, b in terms:
+                    if t > top:
+                        break
+                    dest = dests[t]
+                    if dest is None:
+                        a2 = head + (ai + t,) + tail
+                        dest = out.get(a2)
+                        if dest is None:
+                            dest = out[a2] = defaultdict(int)
+                        dests[t] = dest
+                    cb = c * b
+                    for nu in strips:
+                        dest[nu] += cb
+    return _nonzero(out)
 
 
 def _unit_mul(state, i, j, bound):
@@ -232,17 +270,28 @@ def _unit_mul(state, i, j, bound):
     0-based indices into the I exponents."""
     expansion = [(t, u, t - u, (-1) ** t * comb(t, u))
                  for t in range(bound + 1) for u in range(t + 1)]
-    out = defaultdict(int)
-    for (alpha, mu), c in state.items():
-        room = bound - sum(alpha) - sum(mu)
+    out = defaultdict(lambda: defaultdict(int))
+    for alpha, row in state.items():
+        free = bound - sum(alpha)
+        rooms = [(mu, c, free - sum(mu)) for mu, c in row.items()]
+        most = max(room for _, _, room in rooms)
         for t, u, v, b in expansion:
-            if t > room:
+            if t > most:
                 break
             a2 = list(alpha)
             a2[i] += u
             a2[j] += v
-            out[tuple(a2), mu] += c * b
-    return {key: c for key, c in out.items() if c}
+            dest = out[tuple(a2)]
+            for mu, c, room in rooms:
+                if t <= room:
+                    dest[mu] += c * b
+    return _nonzero(out)
+
+
+def _nonzero(state):
+    """state without its zero coefficients and empty rows."""
+    return {alpha: kept for alpha, row in state.items()
+            if (kept := {mu: c for mu, c in row.items() if c})}
 
 
 def pushforward_schur(family, n, r, inner, cross, units=False, max_deg=None):
@@ -259,9 +308,14 @@ def pushforward_schur(family, n, r, inner, cross, units=False, max_deg=None):
     p = -1.  So P is symmetric in a_I.  An inverted factor is a series, so
     it needs max_deg; without it the call raises ValueError.
 
-    The state {(alpha, mu): coeff} stands for sum coeff a_I^alpha s_mu(a_J).
-    Over J a cross factor is sum_k (p s)^k (c + a_i)^(p m - k) times e_k(a_J),
-    or h_k(a_J) when p = -1, so it enters by Pieri strips.  The sum over I is
+    The state {alpha: {mu: coeff}} stands for sum coeff a_I^alpha s_mu(a_J):
+    a row of Schur coefficients in a_J for each I-exponent.  A partition mu
+    with more than m parts is zero in a_J, so such inner terms are dropped
+    on entry.  Over J a cross factor is sum_k (p s)^k (c + a_i)^(p m - k)
+    times e_k(a_J), or h_k(a_J) when p = -1, so it enters by Pieri strips:
+    a pass builds each shifted exponent once per (alpha, t) and adds into
+    its row, and takes the strips of mu for every k from one table
+    (_strip_table), looked up once per (alpha, mu).  The sum over I is
     Alt_n(sum coeff a_I^(alpha + lam + delta_r) a_J^(mu + delta_m)) over the
     Vandermonde, whose Schur coefficients the bialternant identity reads off.
     A term of degree d gives partitions of size d + |lam| - r m, so with
@@ -284,12 +338,13 @@ def pushforward_schur(family, n, r, inner, cross, units=False, max_deg=None):
     and once i is done a key with some later alpha_j > alpha_i is dropped.
 
     The read-off still sees every ordering of alpha, since the shift by
-    lam + delta_r depends on the order, but sorts each one once per alpha:
-    the distinct orderings plus the shift, sorted, give {head: signed count}
-    (see _sorted_heads).  Each (mu, head) is then merged into the strictly
-    decreasing tail mu + delta_m; the sign is the parity of the tail entries
-    above each head entry, a shared entry kills the term, and the merged
-    exponents minus delta_n are the partition.
+    lam + delta_r depends on the order, but sorts them once per alpha: the
+    distinct orderings plus the shift, sorted, give {head: signed count}
+    (see _sorted_heads).  Each (mu, head) is then merged with the strictly
+    decreasing tail mu + delta_m: a shared entry kills the term, the sign is
+    the parity of the pairs of a head entry below a tail entry, and terms
+    are summed per merged exponent tuple, which minus delta_n is the
+    partition.
     """
     if max_deg is None and (units or any(p < 0 for *_, p in cross)):
         raise ValueError("pushforward_schur needs max_deg to expand an inverted factor")
@@ -303,54 +358,48 @@ def pushforward_schur(family, n, r, inner, cross, units=False, max_deg=None):
         passes.append((m if c == 0 and p == 1 else 0, p > 0, fk))
     passes.sort(key=lambda pss: pss[0])  # the degree-exact factors last
     ahead = r * sum(degree for degree, _, _ in passes)
-    state = {((0,) * r, mu): coeff * c for mu, c in inner.items() if sum(mu) <= bound - ahead}
+    row = {mu: coeff * c for mu, c in inner.items() if len(mu) <= m and sum(mu) <= bound - ahead}
+    state = {(0,) * r: row} if row else {}
     for i, j in weight_pairs(family, r) if units else ():
         state = _unit_mul(state, i - 1, j - 1, bound - ahead)
     for i in range(r):
         for degree, vertical, fk in passes:
             ahead -= degree
             state = _pieri_mul(state, i, fk, m, vertical, bound - ahead)
-        state = {key: c for key, c in state.items() if max(key[0][i:]) == key[0][i]}
+        state = {alpha: row for alpha, row in state.items() if max(alpha[i:]) == alpha[i]}
 
     shift = _staircase_shift(lam, r)
-    heads, by_mu = {}, defaultdict(lambda: defaultdict(int))
-    for (alpha, mu), c in state.items():
-        if alpha not in heads:
-            heads[alpha] = _sorted_heads(alpha, shift)
-        acc = by_mu[mu]
-        for head, k in heads[alpha]:
-            acc[head] += c * k
-    out = defaultdict(int)
+    by_mu = defaultdict(lambda: defaultdict(int))
+    while state:  # each row is freed once read
+        alpha, row = state.popitem()
+        heads = _sorted_heads(alpha, shift)
+        for mu, c in row.items():
+            acc = by_mu[mu]
+            for head, k in heads:
+                acc[head] += c * k
+    by_merged = defaultdict(int)
     for mu, acc in by_mu.items():
         tail = _staircase_shift(mu, m)
+        disjoint = set(tail).isdisjoint
+        below = partial(bisect_left, tail[::-1])  # how many tail entries lie below h
         for head, c in acc.items():
-            sign = _merge_sign(head, tail)
-            if c and sign:
-                merged = sorted(head + tail, reverse=True)
-                part = [x - (n - 1 - k) for k, x in enumerate(merged)]
-                while part and not part[-1]:
-                    part.pop()
-                out[tuple(part)] += sign * c
-    return {part: _norm(c) for part, c in out.items() if c}
+            if c and disjoint(head):
+                # the sign: the parity of the tail entries above each head entry
+                odd = (r * m - sum(map(below, head))) & 1
+                by_merged[tuple(sorted(head + tail, reverse=True))] += -c if odd else c
+    out = {}
+    for merged, c in by_merged.items():
+        if c:
+            part = [x - (n - 1 - k) for k, x in enumerate(merged)]
+            while part and not part[-1]:
+                part.pop()
+            out[tuple(part)] = _norm(c)
+    return out
 
 
 def _staircase_shift(part, k):
     """part padded to k entries, plus delta_k = (k - 1, ..., 1, 0)."""
     return tuple(x + k - 1 - i for i, x in enumerate(part + (0,) * (k - len(part))))
-
-
-def _merge_sign(head, tail):
-    """The sign of sorting head + tail, both strictly decreasing, into
-    decreasing order (the parity of the tail entries above each head
-    entry), or 0 if they share an entry."""
-    above = odd = 0
-    for h in head:
-        while above < len(tail) and tail[above] > h:
-            above += 1
-        if above < len(tail) and tail[above] == h:
-            return 0
-        odd ^= above & 1
-    return -1 if odd else 1
 
 
 def _sorted_heads(alpha, shift):

@@ -1,6 +1,7 @@
 """Source hygiene: no assert statements or raised AssertionErrors, no
-unreferenced definitions, and no production module that reaches the
-reference routes in csmloci.oracles."""
+unreferenced definitions, no production module that reaches the reference
+routes in csmloci.oracles, and no functools cache off a module-level
+function."""
 
 import ast
 import collections
@@ -101,4 +102,33 @@ def test_oracles_stay_off_the_production_path():
                 node.name.rpartition(".")[2] if isinstance(node, ast.alias) else None
             if name in defined:
                 found.append(f"{path.name}:{node.lineno} names {name}")
+    assert not found
+
+
+CACHES = {"lru_cache", "cache"}
+
+
+def cache_uses(tree):
+    """(line, allowed?) of each use of a functools cache: allowed only as a
+    decorator of a module-level function."""
+    local = {a.asname or a.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "functools"
+             for a in node.names if a.name in CACHES}
+    allowed = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            allowed |= {id(dec.func if isinstance(dec, ast.Call) else dec)
+                        for dec in node.decorator_list}
+    return [(node.lineno, id(node) in allowed) for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id in local
+            or isinstance(node, ast.Attribute) and node.attr in CACHES
+            and isinstance(node.value, ast.Name) and node.value.id == "functools"]
+
+
+def test_caches_decorate_module_level_functions():
+    # the benchmark empties before each cold pass the caches it finds among a
+    # module's attributes; one on a method, a nested function or a wrapped
+    # callable would stay warm from pass to pass
+    found = [f"{path.name}:{line}" for path, tree in trees([PACKAGE])
+             for line, ok in cache_uses(tree) if not ok]
     assert not found
