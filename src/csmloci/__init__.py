@@ -19,8 +19,7 @@ _EXPORTS = {name: module for module, names in (
     ("orbits", "Family OrbitId"),
     ("partitions", "partition"),
     ("poly", "ExactDivisionError Poly"),
-    ("projective", "aluffi_J closed_invariants euler_char_table general_projectivize "
-                   "projectivize"),
+    ("projective", "aluffi_J closed_invariants euler_char_table projectivize"),
     ("schur", "schur_poly"),
     ("sieve", "euler_numbers invert_binomial_matrix phi_class ssm_sieve"),
 ) for name in names.split()}

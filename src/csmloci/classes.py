@@ -4,10 +4,10 @@ A ClassExpr is a symmetric class together with its basis (alpha monomials,
 Chern classes c_i, or Schur coefficients), the orbit it belongs to, and an
 optional truncation degree (None means the payload is an exact polynomial).
 
-The classes are computed in Schur form.  Chern and Schur convert into each
-other by vertical Pieri strips (schur.chern_to_schur, schur.schur_to_chern),
-without expanding into the Chern roots; the alpha basis is an output format
-only, expanded from the Schur form.
+The classes are computed in Schur form, and a class converts only out of
+it: to the Chern basis by vertical Pieri strips (schur.schur_to_chern),
+without expanding into the Chern roots, and to the alpha basis, an output
+format expanded from the Schur form.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .orbits import Family
 from .partitions import partition
 from .poly import _norm
-from .schur import chern_to_schur, schur_dict_to_alpha, schur_to_chern
+from .schur import schur_dict_to_alpha, schur_to_chern
 
 ALPHA, CHERN, SCHUR = "alpha", "chern", "schur"
 
@@ -65,12 +65,10 @@ class ClassExpr:
     # -- conversions ----------------------------------------------------
 
     def schur_coeffs(self):
-        if self.basis == SCHUR:
-            return dict(self.payload)
-        if self.basis == ALPHA:
-            raise ValueError("an alpha payload is output only; convert from the "
-                             "Schur or Chern basis")
-        return self._cut(chern_to_schur(self.payload, self.n))
+        if self.basis != SCHUR:
+            raise ValueError(f"a {self.basis} payload is output only; convert from "
+                             "the Schur basis")
+        return dict(self.payload)
 
     def alpha_poly(self):
         if self.basis == ALPHA:
@@ -80,10 +78,10 @@ class ClassExpr:
     def chern_poly(self):
         if self.basis == CHERN:
             return self.payload
-        return schur_to_chern(self._cut(self.schur_coeffs()), self.n)
-
-    def _cut(self, coeffs):
-        return coeffs if self.trunc is None else truncate_schur(coeffs, self.trunc)
+        coeffs = self.schur_coeffs()
+        if self.trunc is not None:
+            coeffs = truncate_schur(coeffs, self.trunc)
+        return schur_to_chern(coeffs, self.n)
 
     def in_basis(self, basis):
         if basis == self.basis:

@@ -19,7 +19,8 @@ The ssm class W_{n,r} / c(V) is computed the same way: c(V) is symmetric,
 so it divides each subset term, which leaves the inner ssm of the open orbit
 on J, the unit factors (1 + a_i + a_j) inside I inverted, and (a_i + a_j)
 over I x J.  The open orbit again comes from additivity, the ssm classes
-adding up to 1.  Closures and the Chern-Mather ssm are sums of these.
+adding up to 1.  Closure classes and the Chern-Mather class are sums of
+orbit classes over the orbits in the closure (closure_schur).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from math import comb
 from types import MappingProxyType
 
 from .classes import add_schur, schur_class
-from .orbits import Family, OrbitId, as_family, coranks, inside_weights, suborbit_coranks
+from .orbits import Family, OrbitId, coranks, inside_weights, suborbit_coranks
 from .poly import ExactDivisionError, Poly, exact_int, product
 from .schur import _det, _staircase_shift, pushforward_schur, schur_dict_to_alpha
 
@@ -114,50 +115,32 @@ class WFunction:
     orbit: OrbitId
     poly: Poly
 
-    def top_degree(self):
-        return self.poly.total_degree()
-
-    def expected_top_degree(self):
-        n, r = self.orbit.n, self.orbit.r
-        if self.orbit.family is Family.WEDGE:
-            return (n * n - 2 * n + r) // 2
-        return n * (n + 1) // 2 - (n - r + 1) // 2
-
 
 def w_function(orbit):
     """The W-function of an orbit; equals csm(Sigma) by interpolation."""
     return WFunction(orbit, schur_dict_to_alpha(w_schur(orbit), orbit.n))
 
 
+def closure_schur(orbit_class, orbit, coeffs=None):
+    """sum_m coeff_m orbit_class(Sigma_{n,m}) over the orbits Sigma_{n,m} in
+    the closure of orbit, coefficients all 1 unless given: by additivity,
+    the class of the closure."""
+    family, n = orbit.family, orbit.n
+    return add_schur(*(orbit_class(OrbitId(family, n, m)) for m in suborbit_coranks(orbit)),
+                     coeffs=coeffs)
+
+
 def csm_class(orbit, closure=False):
     """csm as a ClassExpr (Schur basis, exact)."""
-    if not closure:
-        return schur_class("csm", orbit, w_schur(orbit))
-    parts = [w_schur(OrbitId(orbit.family, orbit.n, m))
-             for m in suborbit_coranks(orbit)]
-    return schur_class("csm", orbit, add_schur(*parts), closure=True)
+    coeffs = closure_schur(w_schur, orbit) if closure else w_schur(orbit)
+    return schur_class("csm", orbit, coeffs, closure=closure)
 
 
 def ssm_interp(orbit, D, closure=False):
     """ssm via the interpolation route, as a Schur-basis ClassExpr."""
-    ranks = suborbit_coranks(orbit) if closure else (orbit.r,)
-    parts = [ssm_interp_schur(OrbitId(orbit.family, orbit.n, m), D) for m in ranks]
-    return schur_class("ssm", orbit, add_schur(*parts), trunc=D, closure=closure)
-
-
-def ssm_stable_schur(family, r, D):
-    """Stable Schur coefficients of ssm(Sigma_{., r}) through degree D.
-
-    Coefficients of partitions with more than n parts are invisible at level
-    n; by stability they are recovered by recomputing at the smallest level
-    n' >= max(r, D) of matching parity.  Level-n coefficients of partitions
-    with at most n parts agree with the stable ones.
-    """
-    family = as_family(family)
-    n = max(r, D, 1)
-    if family is Family.WEDGE and (n - r) % 2 != 0:
-        n += 1
-    return dict(ssm_interp_schur(OrbitId(family, n, r), D))
+    part = lambda o: ssm_interp_schur(o, D)
+    coeffs = closure_schur(part, orbit) if closure else part(orbit)
+    return schur_class("ssm", orbit, coeffs, trunc=D, closure=closure)
 
 
 # -- restriction data and the interpolation axioms ---------------------

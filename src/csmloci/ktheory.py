@@ -2,9 +2,9 @@
 
 Classes live in the ring of symmetric Laurent polynomials in the K-theory
 Chern roots a_1..a_n with the genus parameter y adjoined, realized here as
-exact reduced LaurentFractions.  The sieve expresses the motivic Segre class
-of an orbit as a q-binomial / q-Euler-number combination of K-theoretic Phi
-classes.
+exact LaurentFraction records, reduced where they are built (_over_pairs).
+The sieve expresses the motivic Segre class of an orbit as a q-binomial /
+q-Euler-number combination of K-theoretic Phi classes.
 
 Every Phi class lives over the one fixed denominator
 P_n = prod_{i<j} (a_i a_j + y).  At I = {1..r}, J = {r+1..n} (m = n - r)
@@ -73,22 +73,11 @@ def q_binomial(n, m):
     return q_factorial(n).exact_divide(q_factorial(m) * q_factorial(n - m)).read_only()
 
 
-@dataclass(frozen=True)
-class QEulerTable:
-    """E_0(q)..E_max(q) with 1/cosh_q(t) = sum E_n(q) t^n / [n]_q!."""
-
-    values: tuple
-
-    def __getitem__(self, k):
-        return self.values[k]
-
-    def at_q1(self):
-        return tuple(p.eval({"q": 1}) for p in self.values)
-
-
 @lru_cache(maxsize=None)
 def q_euler_numbers(max_index):
-    """q-deformed Euler numbers, by inverting cosh_q(t) = sum t^{2n}/[2n]_q!.
+    """The tuple E_0(q)..E_max(q) of read-only polynomials with
+    1/cosh_q(t) = sum E_n(q) t^n / [n]_q!, found by inverting
+    cosh_q(t) = sum t^{2n}/[2n]_q!.
 
     Matching t^{2k} coefficients in cosh_q * (sum E_n t^n/[n]!) = 1 and
     clearing [2k]! gives the recurrence sum_j binom(2k,2j)_q E_{2j}(q) = 0,
@@ -100,8 +89,8 @@ def q_euler_numbers(max_index):
         for j in range(k):
             acc = acc + q_binomial(2 * k, 2 * j) * values[j]
         values.append(-acc)
-    return QEulerTable(tuple((values[k // 2] if k % 2 == 0 else Poly.zero(QV)).read_only()
-                             for k in range(max_index + 1)))
+    return tuple((values[k // 2] if k % 2 == 0 else Poly.zero(QV)).read_only()
+                 for k in range(max_index + 1))
 
 
 # -- K-theoretic Phi classes ---------------------------------------------

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from math import comb
 
-from .classes import add_schur, schur_class
-from .interp import ssm_interp_schur, w_schur
-from .orbits import Family, OrbitId, suborbit_coranks
+from .classes import schur_class
+from .interp import closure_schur, w_schur
+from .orbits import Family, OrbitId
 
 
 def euler_obstruction_wedge(n, r):
@@ -23,19 +23,9 @@ def euler_obstruction_wedge(n, r):
     return [comb(half + k, half) for k in range(0, (n - r) // 2 + 1)]
 
 
-def chern_mather_wedge(n, r, D=None, kind="csm"):
+def chern_mather_wedge(n, r):
     """Chern-Mather class of the closure of Sigma_{n,r} as the Euler
-    obstruction combination of orbit CSM classes (exact; optionally the
-    ssm variant truncated at D)."""
+    obstruction combination of orbit CSM classes (exact)."""
     orbit = OrbitId(Family.WEDGE, n, r)
-    if kind == "csm":
-        label, part = "mather", w_schur
-    elif kind == "ssm":
-        if D is None:
-            raise ValueError("the ssm variant needs an explicit truncation degree")
-        label, part = "mather-ssm", lambda o: ssm_interp_schur(o, D)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    parts = [part(OrbitId(Family.WEDGE, n, m)) for m in suborbit_coranks(orbit)]
-    total = add_schur(*parts, coeffs=euler_obstruction_wedge(n, r))
-    return schur_class(label, orbit, total, trunc=D if kind == "ssm" else None, closure=True)
+    total = closure_schur(w_schur, orbit, euler_obstruction_wedge(n, r))
+    return schur_class("mather", orbit, total, closure=True)

@@ -6,13 +6,18 @@ compare the production classes against.  No production module imports this.
 - total_chern and euler_class expand c(V) and e(V) in the Chern roots; they
   check chern_schur, the smooth Chern-Mather class and the restriction data.
 - to_chern_basis, chern_to_alpha and to_schur_basis convert through the full
-  polynomial in the roots; they check chern_to_schur and schur_to_chern.
+  polynomial in the roots; chern_to_schur adds up vertical Pieri strips.
+  They check schur_to_chern and each other.
 - schur_dict_value (alternant determinants), w_value and w_inner_value (the
   defining W sums) evaluate at rational points; they check the kernel.
 - csm_to_ssm divides by c(V) as a series; it checks the interpolation ssm.
 - phi_reference_series clears every subset term of Phi to the Vandermonde
   and divides; phi_from_ssm inverts the sieve.  Both check the Phi classes.
 - phi_wedge_k_value sums the K-theory Phi terms at a point; it checks phi_wedge_k.
+- CanonicalFraction is a LaurentFraction in canonical form with field
+  arithmetic, equality, cancellation and substitution; it re-adds the
+  motivic Segre sieve and checks that the K-theory fractions come out
+  canonical.
 - parse_class_json inverts emit.class_json_dict, for round trips.
 """
 
@@ -20,17 +25,18 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import add as _add
 
 from .classes import ClassExpr, add_schur
+from .laurent import LaurentFraction
 from .orbits import Family, OrbitId, alpha_vars, as_family, chern_vars, weight_pairs
 from .partitions import partition
-from .poly import ExactDivisionError, Poly, _mul_dict, _norm, product
-from .schur import _det, alternant_schur_coeffs
+from .poly import ExactDivisionError, Poly, _grlex_key, _mul_dict, _norm, product
+from .schur import _det, _elementary_schur, alternant_schur_coeffs
 from .sieve import ssm_schur
 
 
@@ -45,6 +51,12 @@ def by_degree(p):
     for e, c in p.terms.items():
         out.setdefault(sum(e), {})[e] = c
     return out
+
+
+def truncate(p, bound):
+    """p with the monomials of total degree > bound dropped."""
+    return Poly(p.vars, {e: c for e, c in p.terms.items() if sum(e) <= bound},
+                _clean=False)
 
 
 def mul_trunc(p, other, bound):
@@ -107,7 +119,7 @@ class TruncSeries:
     def __init__(self, poly, bound):
         if bound < 0:
             raise ValueError("truncation bound must be non-negative")
-        self.poly = poly.truncate(bound)
+        self.poly = truncate(poly, bound)
         self.bound = bound
 
     @classmethod
@@ -323,6 +335,16 @@ def chern_to_alpha(p, n=None):
     return Poly(alpha_vars(n), acc)
 
 
+def chern_to_schur(p, n):
+    """Schur coefficients {partition: coeff} of a polynomial in c_1..c_n,
+    as the sum of the Schur expansions of its Chern monomials."""
+    out = defaultdict(int)
+    for kvec, c in p.terms.items():
+        for lam, k in _elementary_schur(kvec, n).items():
+            out[lam] += c * k
+    return {lam: _norm(c) for lam, c in out.items() if c}
+
+
 def _require_symmetric(p, n):
     """Raise NotSymmetricError unless each monomial's S_n-orbit is present in
     full, every member with the coefficient of its dominant rearrangement."""
@@ -388,7 +410,7 @@ def csm_to_ssm(csm, D):
     at D."""
     family, n = csm.family, csm.n
     cv = TruncSeries(total_chern(family, n, bound=D), D)
-    num = TruncSeries(csm.alpha_poly().truncate(D), D)
+    num = TruncSeries(truncate(csm.alpha_poly(), D), D)
     coeffs = to_schur_basis(cv.divide_into(num), n)
     return ClassExpr("ssm", "schur", family, n, csm.r, coeffs, D, csm.closure)
 
@@ -561,6 +583,116 @@ def phi_wedge_k_value(n, r, alphas, y):
                     (1 + y / (ai * aj)) * (1 - aj / ai))
         total += term
     return total
+
+
+# -- the reference Laurent fraction ---------------------------------------
+
+def _min_exponents(*polys):
+    nvars = len(polys[0].vars)
+    mins = [None] * nvars
+    for p in polys:
+        for e in p.terms:
+            for i, x in enumerate(e):
+                if mins[i] is None or x < mins[i]:
+                    mins[i] = x
+    return [0 if m is None else m for m in mins]
+
+
+def _shift(poly, offsets):
+    if all(o == 0 for o in offsets):
+        return poly
+    return Poly(poly.vars,
+                {tuple(x - o for x, o in zip(e, offsets)): c
+                 for e, c in poly.terms.items()}, _clean=False)
+
+
+def _content_scale(*polys):
+    """Common scalar making all coefficients integers with overall content 1."""
+    denom_lcm = 1
+    for p in polys:
+        for c in p.terms.values():
+            if isinstance(c, Fraction):
+                denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
+    g = 0
+    for p in polys:
+        for c in p.terms.values():
+            g = gcd(g, abs(int(c * denom_lcm)))
+    return Fraction(denom_lcm, g if g else 1)
+
+
+def _canonical(num, den):
+    """(num, den) shifted by the minimal exponents, with integer coprime
+    coefficients and a positive graded-lex leading coefficient of den."""
+    if num.is_zero():
+        return Poly.zero(num.vars), Poly.const(num.vars, 1)
+    offsets = _min_exponents(num, den)
+    num, den = _shift(num, offsets), _shift(den, offsets)
+    scale = _content_scale(num, den)
+    if den.terms[max(den.terms, key=_grlex_key)] < 0:
+        scale = -scale
+    if scale != 1:
+        num, den = num.scale(scale), den.scale(scale)
+    return num, den
+
+
+class CanonicalFraction(LaurentFraction):
+    """A LaurentFraction in canonical form: both sides shifted by the minimal
+    exponent of each variable, integer coprime coefficients, and a positive
+    graded-lex leading coefficient of den.  Adds, multiplies, compares by
+    cross-multiplication, cancels supplied factors and substitutes."""
+
+    __slots__ = ()
+
+    def __init__(self, num, den=None):
+        super().__init__(num, den)
+        num, den = _canonical(self.num, self.den)
+        object.__setattr__(self, "num", num.read_only())
+        object.__setattr__(self, "den", den.read_only())
+
+    def _coerce(self, other):
+        if isinstance(other, LaurentFraction):
+            return other
+        if not isinstance(other, Poly):
+            other = Poly.const(self.vars, other)
+        return CanonicalFraction(other)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if self.den == other.den:
+            return CanonicalFraction(self.num + other.num, self.den)
+        return CanonicalFraction(self.num * other.den + other.num * self.den,
+                                 self.den * other.den)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        return CanonicalFraction(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if not isinstance(other, (LaurentFraction, Poly, int, Fraction)):
+            return NotImplemented
+        other = self._coerce(other)
+        return self.num * other.den == other.num * self.den
+
+    def cancel(self, factors):
+        """Divide out every supplied factor common to num and den (repeatedly)."""
+        num, den = self.num, self.den
+        for f in factors:
+            while True:
+                try:
+                    n2 = num.exact_divide(f)
+                    d2 = den.exact_divide(f)
+                except ExactDivisionError:
+                    break
+                num, den = n2, d2
+        return CanonicalFraction(num, den)
+
+    def substitute(self, images, target_vars=None):
+        return CanonicalFraction(self.num.substitute(images, target_vars),
+                                 self.den.substitute(images, target_vars))
 
 
 def parse_class_json(doc):

@@ -39,31 +39,6 @@ def staircase(r):
     return tuple(range(r - 1, 0, -1))
 
 
-def partitions_of(d, max_len=None, max_part=None):
-    """All partitions of d, largest part first, optionally bounded."""
-    if max_part is None:
-        max_part = d
-    if max_len is None:
-        max_len = d
-
-    def rec(remaining, cap, slots):
-        if remaining == 0:
-            yield ()
-            return
-        if slots == 0:
-            return
-        for first in range(min(cap, remaining), 0, -1):
-            for rest in rec(remaining - first, first, slots - 1):
-                yield (first,) + rest
-
-    yield from rec(d, max_part, max_len)
-
-
-def partitions_upto(max_size, max_len=None, max_part=None):
-    for d in range(max_size + 1):
-        yield from partitions_of(d, max_len=max_len, max_part=max_part)
-
-
 @lru_cache(maxsize=None)
 def count_ssyt(lam, n):
     """Number of semistandard Young tableaux of shape lam with entries <= n,

@@ -6,8 +6,8 @@ ints whenever possible and fractions.Fraction otherwise; both are exact and
 mix freely.  The zero polynomial has an empty term dict.
 
 Negative exponents are tolerated by the arithmetic (the Laurent layer relies
-on this); operations that genuinely need non-negative exponents (division,
-truncation) are only ever called on ordinary polynomials.
+on this); division, which genuinely needs non-negative exponents, is only
+ever called on ordinary polynomials.
 
 The term order used for leading terms is graded lexicographic: compare total
 degree first, then the exponent tuple lexicographically (first variable most
@@ -120,17 +120,6 @@ class Poly:
 
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), 0)
-
-    def lead_term(self):
-        """Graded-lex leading (exponents, coefficient); None for zero."""
-        if not self.terms:
-            return None
-        e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
-
-    def truncate(self, bound):
-        return Poly(self.vars, {e: c for e, c in self.terms.items() if sum(e) <= bound},
-                    _clean=False)
 
     # -- ring operations ----------------------------------------------
 

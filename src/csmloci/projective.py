@@ -88,22 +88,6 @@ def projectivize(orbit, kind="csm", closure=False):
                      list(_projective_coeffs(orbit, kind, closure)), closure)
 
 
-def general_projectivize(p, weights, w):
-    """Equivariant projectivization substitution a_i -> a_i + (w_i / w) xi.
-
-    No quotient-ring reduction is performed; the ambient relation
-    prod_j (xi - sigma_j) = 0 is left to the caller.
-    """
-    if w == 0:
-        raise ValueError("scalar weight w must be nonzero")
-    tvars = p.vars + ("xi",)
-    images = {}
-    for name, wi in zip(p.vars, weights):
-        images[name] = Poly.linear(tvars, 0, **{name: 1}) + \
-            Poly.variable(tvars, "xi").scale(Fraction(wi, w))
-    return p.substitute(images, tvars)
-
-
 def aluffi_J(p):
     """The involution J(p)(t) = (t p(-t-1) + p(0)) / (t+1) on Q[t].
 
@@ -139,19 +123,6 @@ def section_euler_chars(proj):
     jt = aluffi_J(g)
     M = proj.ambient - 1
     return [(-1) ** i * jt.coefficient((i,)) for i in range(M + 1)]
-
-
-@dataclass
-class CharPolyPair:
-    """gamma_X and chi_X, exchanged by the J involution; equal degrees."""
-
-    gamma: Poly
-    chi: Poly
-
-    @classmethod
-    def from_proj(cls, proj):
-        gamma = Poly(("t",), {(i,): c for i, c in enumerate(gamma_coeffs(proj)) if c})
-        return cls(gamma, aluffi_J(gamma))
 
 
 @dataclass

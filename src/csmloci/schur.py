@@ -4,10 +4,9 @@ Conventions: s_lambda is the ordinary Schur polynomial in the Chern roots
 (s_11 = sum_{i<j} a_i a_j, s_2 = sum_{i<=j} a_i a_j), and c_k denotes the
 k-th elementary symmetric polynomial of the roots.
 
-Classes live in Schur form.  Chern and Schur convert into each other through
-the Schur expansion of each Chern monomial, built by vertical Pieri strips:
-a weighted sum of these expansions one way, a unitriangular peel the other
-(Macdonald, Symmetric Functions, I.3, I.5).  schur_dict_to_alpha serves the
+Classes live in Schur form.  schur_to_chern converts them to the Chern basis
+by a unitriangular peel against the Schur expansion of each Chern monomial,
+built by vertical Pieri strips (Macdonald, Symmetric Functions, I.3, I.5).  schur_dict_to_alpha serves the
 alpha output.
 
 The Grassmannian pushforward (pushforward_schur) computes the W-functions,
@@ -446,15 +445,6 @@ def _elementary_schur(kvec, n):
         for nu in _strips(mu, k, n, True):
             out[nu] += c
     return MappingProxyType(dict(out))
-
-
-def chern_to_schur(p, n):
-    """Schur coefficients {partition: coeff} of a polynomial in c_1..c_n."""
-    out = defaultdict(int)
-    for kvec, c in p.terms.items():
-        for lam, k in _elementary_schur(kvec, n).items():
-            out[lam] += c * k
-    return {lam: _norm(c) for lam, c in out.items() if c}
 
 
 def schur_to_chern(coeffs, n):

@@ -1,10 +1,12 @@
-"""Laurent fraction arithmetic and reduction."""
+"""The LaurentFraction record, and the reference fraction's arithmetic and
+canonical form."""
 
 from fractions import Fraction
 
 import pytest
 
 from csmloci.laurent import LaurentFraction
+from csmloci.oracles import CanonicalFraction
 from csmloci.poly import Poly
 
 AV = ("a1", "a2")
@@ -13,7 +15,7 @@ AV = ("a1", "a2")
 def lf(num_terms, den_terms=None):
     num = Poly(AV, num_terms)
     den = Poly(AV, den_terms) if den_terms else None
-    return LaurentFraction(num, den)
+    return CanonicalFraction(num, den)
 
 
 def test_add_same_pole():
@@ -33,14 +35,29 @@ def test_laurent_times_monomial():
 
 
 def test_zero_denominator_rejected():
-    with pytest.raises(ZeroDivisionError):
-        LaurentFraction(Poly(AV, {(0, 0): 1}), Poly.zero(AV))
+    for cls in (LaurentFraction, CanonicalFraction):
+        with pytest.raises(ZeroDivisionError):
+            cls(Poly(AV, {(0, 0): 1}), Poly.zero(AV))
+        with pytest.raises(ValueError):
+            cls(Poly(AV, {(0, 0): 1}), Poly.const(("a1",), 1))
+
+
+def test_record_keeps_its_form():
+    # the record stores num and den as given, read-only
+    num, den = Poly(AV, {(1, 0): 2}), Poly(AV, {(2, 0): 2})
+    frac = LaurentFraction(num, den)
+    assert (frac.num, frac.den, frac.vars) == (num, den, AV)
+    assert frac.eval({"a1": Fraction(3), "a2": 1}) == Fraction(1, 3)
+    with pytest.raises(AttributeError):
+        frac.num = den
+    with pytest.raises(TypeError):
+        frac.num.terms[(0, 0)] = 1
 
 
 def test_cancel_with_explicit_factors():
     f = Poly(AV, {(1, 0): 1, (0, 1): -1})     # a1 - a2
     g = Poly(AV, {(1, 0): 1, (0, 1): 1})      # a1 + a2
-    frac = LaurentFraction(f * g, f * f)
+    frac = CanonicalFraction(f * g, f * f)
     red = frac.cancel([f])
     assert red.num == g and red.den == f
 

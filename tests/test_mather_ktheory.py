@@ -11,9 +11,8 @@ from csmloci.classes import add_schur
 from csmloci.interp import w_schur
 from csmloci.ktheory import (motivic_segre_sieve, phi_wedge_k, q_binomial, q_euler_numbers,
                              q_factorial)
-from csmloci.laurent import LaurentFraction
 from csmloci.mather import chern_mather_wedge, euler_obstruction_wedge
-from csmloci.oracles import phi_wedge_k_value, total_chern
+from csmloci.oracles import CanonicalFraction, phi_wedge_k_value, total_chern
 from csmloci.orbits import Family, OrbitId, coranks
 from csmloci.poly import Poly, product
 from csmloci.sieve import euler_numbers
@@ -55,16 +54,6 @@ def test_mather_smooth_closure_is_total_chern(n):
     assert chern_mather_wedge(n, 0).alpha_poly() == total_chern(W, n)
 
 
-def test_mather_ssm_variant():
-    from csmloci.interp import ssm_interp
-    mssm = chern_mather_wedge(4, 2, D=5, kind="ssm")
-    expect = add_schur(ssm_interp(OrbitId(W, 4, 2), 5).payload,
-                       ssm_interp(OrbitId(W, 4, 4), 5).payload, coeffs=[1, 2])
-    assert mssm.payload == expect
-    with pytest.raises(ValueError):
-        chern_mather_wedge(4, 2, kind="ssm")  # truncation degree required
-
-
 def test_q_factorial_and_binomial():
     q = Poly(("q",), {(1,): 1})
     one = Poly.const(("q",), 1)
@@ -103,7 +92,7 @@ def test_q_euler_numbers():
 
 
 def test_q_euler_specialize_to_euler():
-    assert q_euler_numbers(10).at_q1() == euler_numbers(10)
+    assert tuple(p.eval({"q": 1}) for p in q_euler_numbers(10)) == euler_numbers(10)
 
 
 def test_q_euler_defining_series():
@@ -120,7 +109,8 @@ def test_q_euler_defining_series():
 
 
 def test_phi_k_trivial_cases():
-    assert phi_wedge_k(2, 0).value == 1
+    one = phi_wedge_k(2, 0).value
+    assert one.num == 1 and one.den == 1
     frac = phi_wedge_k(2, 2).value
     av = ("a1", "a2", "y")
     num = Poly(av, {(1, 1, 0): 1, (0, 0, 0): -1})
@@ -164,7 +154,8 @@ def test_phi_k_symmetric_at_random_points():
 
 
 def test_motivic_sieve_single_term():
-    assert motivic_segre_sieve(2, 2).value == phi_wedge_k(2, 2).value
+    got, phi = motivic_segre_sieve(2, 2).value, phi_wedge_k(2, 2).value
+    assert (got.num, got.den) == (phi.num, phi.den)
 
 
 def test_motivic_sieve_is_cached():
@@ -191,13 +182,17 @@ def assert_pair_denominator(frac, n):
     assert not product(pair_factors(frac.vars, n), frac.vars).exact_divide(frac.den).is_zero()
 
 
+def reference(frac):
+    return CanonicalFraction(frac.num, frac.den)
+
+
 def test_motivic_sieve_two_terms():
     # binom(2,0)_q = 1 and E_2(q) = -1: mS(2,0) = 1 - Phi(2,2)
     got = motivic_segre_sieve(2, 0).value
-    expect = phi_wedge_k(2, 0).value + phi_wedge_k(2, 2).value * (-1)
-    assert got == expect
+    expect = reference(phi_wedge_k(2, 0).value) + reference(phi_wedge_k(2, 2).value) * (-1)
+    assert expect == got
     # every wedge orbit with n <= 4, both conventions, against the sum of the
-    # cached Phi fractions in LaurentFraction arithmetic, reduced over P_n
+    # cached Phi fractions in reference fraction arithmetic, reduced over P_n
     for n in range(1, 5):
         for r in coranks(W, n):
             assert_pair_denominator(phi_wedge_k(n, r).value, n)
@@ -205,16 +200,16 @@ def test_motivic_sieve_two_terms():
                 symbolic = convention == "symbolic"
                 av = ktheory._k_vars(n, ("q",) if symbolic else ())
                 E = q_euler_numbers(n - r)
-                expect = LaurentFraction(Poly.zero(av))
+                expect = CanonicalFraction(Poly.zero(av))
                 for k in range((n - r) // 2 + 1):
                     coeff_q = q_binomial(r + 2 * k, r) * E[2 * k]
                     phi = phi_wedge_k(n, r + 2 * k).value
                     if symbolic:
                         coeff = coeff_q.map_vars(av)
-                        phi = LaurentFraction(phi.num.map_vars(av), phi.den.map_vars(av))
+                        phi = CanonicalFraction(phi.num.map_vars(av), phi.den.map_vars(av))
                     else:
                         coeff = coeff_q.substitute({"q": Poly.linear(av, 0, y=-1)}, av)
-                    expect = expect + LaurentFraction(coeff) * phi
+                    expect = expect + CanonicalFraction(coeff) * phi
                 expect = expect.cancel(pair_factors(av, n))
                 got = motivic_segre_sieve(n, r, q_convention=convention).value
                 assert (got.num, got.den) == (expect.num, expect.den), (n, r, convention)
@@ -242,6 +237,39 @@ def test_phi_k_n5_oracle(monkeypatch):
         phi_wedge_k(5, 1)
 
 
+def k_fractions(n):
+    """Every K-theory fraction of the wedge orbits at n: Phi, and the motivic
+    Segre class in both q conventions."""
+    for r in coranks(W, n):
+        yield phi_wedge_k(n, r).value
+        for convention in ("minus-y", "symbolic"):
+            yield motivic_segre_sieve(n, r, q_convention=convention).value
+
+
+def typed_terms(poly):
+    return {e: (c, type(c)) for e, c in poly.terms.items()}
+
+
+def test_k_fractions_come_out_canonical(monkeypatch):
+    # the producers never canonicalize: each fraction they build must already
+    # be its own canonical form, term for term, coefficient types included
+    def check(n):
+        for frac in k_fractions(n):
+            canon = reference(frac)
+            assert typed_terms(frac.num) == typed_terms(canon.num)
+            assert typed_terms(frac.den) == typed_terms(canon.den)
+
+    for n in range(1, 5):
+        check(n)
+    monkeypatch.setattr(ktheory, "KSCOPE_MAX_N", 5)
+    try:
+        check(5)
+    finally:
+        # the caches answer before the scope check, so drop the n = 5 entries
+        phi_wedge_k.cache_clear()
+        ktheory._motivic_segre_sieve.cache_clear()
+
+
 def test_motivic_sum_probe_reported():
     # additivity suggests the orbit classes sum to 1; reported, not asserted
     rng = random.Random(5)
@@ -266,5 +294,5 @@ def test_motivic_symbolic_convention():
     minus_y = Poly.linear(av, 0, y=-1)
     images = {v: Poly.variable(av, v) for v in av}
     images["q"] = minus_y
-    collapsed = mc.value.substitute(images, av)
+    collapsed = reference(mc.value).substitute(images, av)
     assert collapsed == motivic_segre_sieve(4, 2).value

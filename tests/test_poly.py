@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from csmloci.oracles import TruncSeries, to_chern_basis, total_chern, truncated_product
+from csmloci.oracles import (TruncSeries, to_chern_basis, total_chern, truncate,
+                             truncated_product)
 from csmloci.orbits import Family, alpha_vars
 from csmloci.poly import ExactDivisionError, Poly, product
 
@@ -173,4 +174,4 @@ def test_product_with_bound_matches_truncated_product():
     rng = random.Random(3)
     fs = [rand_poly(rng, AV2, max_deg=1, n_terms=3) for _ in range(4)]
     full = product(fs, AV2)
-    assert truncated_product(fs, AV2, 3) == full.truncate(3)
+    assert truncated_product(fs, AV2, 3) == truncate(full, 3)

@@ -4,13 +4,12 @@ import random
 from fractions import Fraction
 from math import comb
 
-import pytest
-
-from csmloci.orbits import Family, OrbitId, alpha_vars, ambient_dim, coranks
+from csmloci.orbits import Family, OrbitId, ambient_dim, coranks
 from csmloci.poly import Poly
+from csmloci.oracles import truncate
 from csmloci.projective import (aluffi_J, closed_invariants, derived_invariants,
-                                euler_char_table, gamma_coeffs, general_projectivize,
-                                projectivize, section_euler_chars)
+                                euler_char_table, gamma_coeffs, projectivize,
+                                section_euler_chars)
 
 W, S = Family.WEDGE, Family.SYM
 
@@ -45,7 +44,7 @@ def test_projectivize_agrees_with_direct_substitution():
     poly = w_function(orbit).poly
     half = Poly(("xi",), {(1,): Fraction(1, 2)})
     images = {v: half for v in poly.vars}
-    direct = poly.substitute(images, ("xi",)).truncate(ambient_dim(S, 3) - 1)
+    direct = truncate(poly.substitute(images, ("xi",)), ambient_dim(S, 3) - 1)
     assert direct == xi_poly(projectivize(orbit).coeffs)
     assert direct == Poly(("xi",), {(1,): 3, (2,): 9, (3,): 10, (4,): 6, (5,): 3})
 
@@ -160,34 +159,6 @@ def test_chi_top_coefficient():
     assert projectivize(OrbitId(S, 3, 2)).integral() == 3
 
 
-def test_general_projectivize_linear():
-    av = alpha_vars(2)
-    p = Poly.variable(av, "a1")
-    out = general_projectivize(p, (1, 1), 2)
-    expect = Poly(av + ("xi",), {(1, 0, 0): 1, (0, 0, 1): Fraction(1, 2)})
-    assert out == expect
-    out2 = general_projectivize(Poly.linear(av, 0, a1=1, a2=1), (1, 1), 2)
-    assert out2 == Poly(av + ("xi",), {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
-
-
-def test_general_projectivize_rejects_zero_weight():
-    with pytest.raises(ValueError):
-        general_projectivize(Poly.variable(alpha_vars(1), "a1"), (1,), 0)
-
-
-def test_general_projectivize_consistent_with_diagonal():
-    # setting the alphas to zero afterwards agrees with the direct xi/2 route
-    from csmloci.interp import w_function
-    orbit = OrbitId(S, 3, 1)
-    p = w_function(orbit).poly
-    lifted = general_projectivize(p, (1, 1, 1), 2)
-    killed = lifted.substitute(
-        {"a1": 0, "a2": 0, "a3": 0, "xi": Poly.variable(("xi",), "xi")}, ("xi",))
-    N = ambient_dim(S, 3)
-    direct = projectivize(orbit)
-    assert killed.truncate(N - 1) == xi_poly(direct.coeffs)
-
-
 def test_gamma_and_sections_roundtrip():
     pc = projectivize(OrbitId(S, 3, 2))
     assert gamma_coeffs(pc) == [3, 6, 4, 0, 0, 0]
@@ -195,9 +166,11 @@ def test_gamma_and_sections_roundtrip():
 
 
 def test_charpoly_pair():
-    from csmloci.projective import CharPolyPair
-    pair = CharPolyPair.from_proj(projectivize(OrbitId(S, 3, 2)))
-    assert pair.gamma == Poly(("t",), {(0,): 3, (1,): 6, (2,): 4})
-    assert pair.chi == Poly(("t",), {(0,): 3, (1,): -2, (2,): 4})
-    assert aluffi_J(pair.chi) == pair.gamma
-    assert pair.gamma.total_degree() == pair.chi.total_degree()
+    # gamma_X and chi_X = J(gamma_X) have equal degrees, and J is an involution
+    gamma = Poly(("t",), {(i,): c for i, c in
+                          enumerate(gamma_coeffs(projectivize(OrbitId(S, 3, 2)))) if c})
+    chi = aluffi_J(gamma)
+    assert gamma == Poly(("t",), {(0,): 3, (1,): 6, (2,): 4})
+    assert chi == Poly(("t",), {(0,): 3, (1,): -2, (2,): 4})
+    assert aluffi_J(chi) == gamma
+    assert gamma.total_degree() == chi.total_degree()

@@ -9,15 +9,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csmloci.oracles import (NotSymmetricError, TruncSeries, chern_to_alpha, euler_class,
-                             schur_dict_value, to_chern_basis, to_schur_basis)
-from csmloci.interp import w_schur
-from csmloci.orbits import Family, alpha_vars, chern_vars, orbits, weight_pairs
-from csmloci.partitions import (conjugate, count_ssyt, partition, partitions_upto,
-                                staircase)
+from csmloci.oracles import (NotSymmetricError, TruncSeries, chern_to_alpha, chern_to_schur,
+                             euler_class, schur_dict_value, to_chern_basis, to_schur_basis)
+from csmloci.interp import csm_class, w_schur
+from csmloci.orbits import Family, OrbitId, alpha_vars, chern_vars, orbits, weight_pairs
+from csmloci.partitions import conjugate, count_ssyt, partition, staircase
 from csmloci.poly import Poly
-from csmloci.schur import (_strips, chern_to_schur, pushforward_schur, schur_dict_to_alpha,
-                           schur_poly, schur_to_chern)
+from csmloci.schur import (_strips, pushforward_schur, schur_dict_to_alpha, schur_poly,
+                           schur_to_chern)
+
+
+def partitions_upto(max_size, max_len=None):
+    """Every partition of size <= max_size with at most max_len parts: by
+    size, and largest first within a size."""
+    def of(d, cap, slots):
+        if d == 0:
+            yield ()
+        elif slots:
+            for first in range(min(cap, d), 0, -1):
+                for rest in of(d - first, first, slots - 1):
+                    yield (first,) + rest
+
+    slots = max_size if max_len is None else max_len
+    return [lam for d in range(max_size + 1) for lam in of(d, d, slots)]
 
 
 def test_partition_normalization():
@@ -181,6 +195,17 @@ def test_strip_conversions_match_alpha_route(case):
     assert chern_to_schur(got, n) == {lam: c for lam, c in coeffs.items() if len(lam) <= n}
     assert chern_to_schur(chern, n) == to_schur_basis(chern_to_alpha(chern, n), n)
     assert schur_to_chern(chern_to_schur(chern, n), n) == chern
+
+
+def test_class_converts_only_out_of_the_schur_basis():
+    # classes are computed in Schur form; a Chern or alpha payload is output
+    cls = csm_class(OrbitId(Family.SYM, 2, 1))
+    chern, alpha = cls.in_basis("chern"), cls.in_basis("alpha")
+    assert chern.payload == schur_to_chern(cls.payload, 2)
+    assert alpha.payload == schur_dict_to_alpha(cls.payload, 2)
+    for out, basis in ((chern, "schur"), (chern, "alpha"), (alpha, "schur"), (alpha, "chern")):
+        with pytest.raises(ValueError, match="output only"):
+            out.in_basis(basis)
 
 
 POINT = (Fraction(1, 2), Fraction(-3), Fraction(2), Fraction(5, 3), Fraction(-1, 7))
