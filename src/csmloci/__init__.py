@@ -15,12 +15,11 @@ _EXPORTS = {name: module for module, names in (
     ("ktheory", "motivic_segre_sieve phi_wedge_k q_binomial q_euler_numbers q_factorial"),
     ("laurent", "LaurentFraction"),
     ("mather", "chern_mather_wedge euler_obstruction_wedge"),
-    ("oracles", "TruncSeries csm_to_ssm to_chern_basis to_schur_basis"),
+    ("oracles", "TruncSeries csm_to_ssm schur_poly to_chern_basis to_schur_basis"),
     ("orbits", "Family OrbitId"),
     ("partitions", "partition"),
     ("poly", "ExactDivisionError Poly"),
     ("projective", "aluffi_J closed_invariants euler_char_table projectivize"),
-    ("schur", "schur_poly"),
     ("sieve", "euler_numbers invert_binomial_matrix phi_class ssm_sieve"),
 ) for name in names.split()}
 

@@ -8,7 +8,7 @@ named), 2 on a verification failure.
 Each command returns its response, (exit code, stdout text, stderr text), and
 `run` writes it.  A response is a function of the parsed arguments alone, so
 `run` answers a repeated request from one cache of responses; `verify` re-runs
-on every call.
+on every call.  A repeated argument list is not parsed again either.
 """
 
 from __future__ import annotations
@@ -293,17 +293,25 @@ def _respond(key):
         return 1, "", f"error: {ex}\n"
 
 
+@lru_cache(maxsize=None)
+def _parse(argv):
+    """The parsed request for the argument tuple argv: a sorted tuple of the
+    parsed arguments' items.  A usage error and --help raise, so only an
+    accepted request is cached."""
+    return tuple(sorted(vars(build_parser().parse_args(argv)).items()))
+
+
 def run(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        key = _parse(tuple(sys.argv[1:] if argv is None else argv))
     except SystemExit as ex:  # --help: argparse has printed the usage
         return ex.code
     except UsageError as ex:
         print(f"usage error: {ex}", file=sys.stderr)
         return 1
     # a verification re-runs its checks on every call
-    respond = _respond.__wrapped__ if args.command == "verify" else _respond
-    code, out, err = respond(tuple(sorted(vars(args).items())))
+    respond = _respond.__wrapped__ if ("command", "verify") in key else _respond
+    code, out, err = respond(key)
     sys.stdout.write(out)
     sys.stderr.write(err)
     return code

@@ -9,6 +9,7 @@ weighted one, deg c_i = i).  Coefficients serialize as exact
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter, mul
 
 _GREEK = {"a": r"\alpha", "s": r"\sigma", "xi": r"\xi"}
 
@@ -25,11 +26,12 @@ def _degree_weight(name):
 
 
 def sorted_terms(poly):
-    """Deterministic display/serialization order for a Poly."""
+    """Deterministic display/serialization order for a Poly: descending
+    exponents, then a stable sort by (weighted) degree."""
     weights = [_degree_weight(name) for name in poly.vars]
-    return sorted(poly.terms.items(),
-                  key=lambda item: (sum(w * x for w, x in zip(weights, item[0])),
-                                    tuple(-x for x in item[0])))
+    items = sorted(poly.terms.items(), key=itemgetter(0), reverse=True)
+    items.sort(key=lambda item: sum(map(mul, weights, item[0])))
+    return items
 
 
 def coeff_str(c):
@@ -50,28 +52,30 @@ def _coeff_prefix(c, latex):
     return neg, s
 
 
-def _monomial(vars_, exps, latex):
-    parts = []
-    for name, x in zip(vars_, exps):
-        if not x:
-            continue
+def _symbols(vars_, latex):
+    """(symbol, power prefix, power suffix) of each variable: a power x
+    reads prefix + str(x) + suffix."""
+    out = []
+    for name in vars_:
         if latex:
             head, tail = _split_name(name)
             base = _GREEK.get(head, head)
             sym = f"{base}_{{{tail}}}" if tail else base
-            parts.append(sym if x == 1 else f"{sym}^{{{x}}}")
+            out.append((sym, f"{sym}^{{", "}"))
         else:
-            parts.append(name if x == 1 else f"{name}^{x}")
-    return "".join(parts)
+            out.append((name, f"{name}^", ""))
+    return out
 
 
 def poly_text(poly, latex=False):
     if not poly.terms:
         return "0"
+    symbols = _symbols(poly.vars, latex)
     chunks = []
     for exps, c in sorted_terms(poly):
         neg, mag = _coeff_prefix(c, latex)
-        mono = _monomial(poly.vars, exps, latex)
+        mono = "".join([sym if x == 1 else f"{pre}{x}{post}"
+                        for (sym, pre, post), x in zip(symbols, exps) if x])
         if not mono:
             body = mag if mag else "1"
         else:

@@ -3,6 +3,9 @@ compare the production classes against.  No production module imports this.
 
 - TruncSeries, a power series cut at a total degree, divides gradewise;
   `verify --suite core` checks that its inversion is two-sided.
+- schur_poly and branching_schur_dict_to_alpha expand each s_lambda into
+  its monomials by the branching rule; they check schur_dict_to_alpha's
+  Kostka route and the Pieri strips.
 - total_chern and euler_class expand c(V) and e(V) in the Chern roots; they
   check chern_schur, the smooth Chern-Mather class and the restriction data.
 - to_chern_basis, chern_to_alpha and to_schur_basis convert through the full
@@ -30,13 +33,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm, prod
 from operator import add as _add
+from types import MappingProxyType
 
 from .classes import ClassExpr, add_schur
 from .laurent import LaurentFraction
 from .orbits import Family, OrbitId, alpha_vars, as_family, chern_vars, weight_pairs
 from .partitions import partition
 from .poly import ExactDivisionError, Poly, _grlex_key, _mul_dict, _norm, product
-from .schur import _det, _elementary_schur, alternant_schur_coeffs
+from .schur import _det, _elementary_schur, _interlacings, alternant_schur_coeffs
 from .sieve import ssm_schur
 
 
@@ -228,6 +232,47 @@ class TruncSeries:
             q = Poly(self.vars, sl, _clean=False).exact_divide(den)
             out = out + q
         return TruncSeries(out, self.bound - g)
+
+
+@lru_cache(maxsize=None)
+def _schur_terms(lam, n):
+    """Read-only term dict of s_lambda(a_1..a_n), via the branching rule."""
+    if len(lam) > n:
+        return MappingProxyType({})
+    if n == 0:
+        return MappingProxyType({(): 1})
+    out = {}
+    d = sum(lam)
+    for mu in _interlacings(lam):
+        k = d - sum(mu)
+        for e, c in _schur_terms(mu, n - 1).items():
+            ke = e + (k,)
+            out[ke] = out.get(ke, 0) + c
+    return MappingProxyType(out)
+
+
+def schur_poly(lam, n):
+    """The Schur polynomial s_lambda in n variables (zero if len(lam) > n)."""
+    lam = partition(lam)
+    return Poly(alpha_vars(n), dict(_schur_terms(lam, n)), _clean=False)
+
+
+def branching_schur_dict_to_alpha(coeffs, n, max_deg=None):
+    """schur_dict_to_alpha by adding up the full monomial expansion of each
+    s_lambda in a_1..a_n."""
+    acc = {}
+    for lam, c in coeffs.items():
+        if c == 0 or len(lam) > n:
+            continue
+        if max_deg is not None and sum(lam) > max_deg:
+            continue
+        for e, k in _schur_terms(partition(lam), n).items():
+            s = acc.get(e, 0) + c * k
+            if s:
+                acc[e] = s
+            elif e in acc:
+                del acc[e]
+    return Poly(alpha_vars(n), acc)
 
 
 def weight_factor(variables, const, i, j):

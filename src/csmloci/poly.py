@@ -150,9 +150,6 @@ class Poly:
             other = Poly.const(self.vars, other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def scale(self, c):
         c = _norm(c)
         if c == 0:
@@ -167,11 +164,6 @@ class Poly:
             return self.scale(other)
         self._check_vars(other)
         return Poly(self.vars, _mul_dict(self.terms, other.terms), _clean=False)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
 
     def __pow__(self, k):
         if k < 0:
@@ -191,13 +183,6 @@ class Poly:
                 return self.terms == Poly.const(self.vars, other).terms
             return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        from .emit import poly_text
-        return poly_text(self)
 
     # -- division -----------------------------------------------------
 

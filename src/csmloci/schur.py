@@ -6,8 +6,10 @@ k-th elementary symmetric polynomial of the roots.
 
 Classes live in Schur form.  schur_to_chern converts them to the Chern basis
 by a unitriangular peel against the Schur expansion of each Chern monomial,
-built by vertical Pieri strips (Macdonald, Symmetric Functions, I.3, I.5).  schur_dict_to_alpha serves the
-alpha output.
+built by vertical Pieri strips (Macdonald, Symmetric Functions, I.3, I.5).
+schur_dict_to_alpha writes the alpha output from the monomial basis: the
+coefficient of m_mu is a sum of Kostka numbers (I.6), each row of them read
+off by peeling horizontal strips.
 
 The Grassmannian pushforward (pushforward_schur) computes the W-functions,
 ssm, Phi and Phi c(V).  Its state holds, for each I-exponent, the Schur
@@ -60,43 +62,46 @@ def _interlacings(lam):
 
 
 @lru_cache(maxsize=None)
-def _schur_terms(lam, n):
-    """Raw term dict of s_lambda(a_1..a_n), via the branching rule."""
+def _kostka_row(lam, n):
+    """Read-only {mu: K_{lam, mu}} over the partitions mu with at most n
+    parts: the Kostka numbers, counts of the semistandard tableaux of shape
+    lam and content mu (Macdonald, I.6).  K is symmetric in the content, so
+    the largest part mu_1 is peeled first, as the horizontal strip lam / nu
+    of the largest letter: K_{lam, mu} = sum_nu K_{nu, (mu_2, ...)}."""
+    if not lam:
+        return MappingProxyType({(): 1})
     if len(lam) > n:
-        return {}
-    if n == 0:
-        return {(): 1}
-    out = {}
-    d = sum(lam)
-    for mu in _interlacings(lam):
-        k = d - sum(mu)
-        for e, c in _schur_terms(mu, n - 1).items():
-            ke = e + (k,)
-            out[ke] = out.get(ke, 0) + c
-    return out
-
-
-def schur_poly(lam, n):
-    """The Schur polynomial s_lambda in n variables (zero if len(lam) > n)."""
-    lam = partition(lam)
-    return Poly(alpha_vars(n), dict(_schur_terms(lam, n)), _clean=False)
+        return MappingProxyType({})
+    size = sum(lam)
+    out = defaultdict(int)
+    for nu in _interlacings(lam):
+        k = size - sum(nu)
+        if k:
+            for mu, c in _kostka_row(nu, n - 1).items():
+                if not mu or mu[0] <= k:
+                    out[(k,) + mu] += c
+    return MappingProxyType(dict(out))
 
 
 def schur_dict_to_alpha(coeffs, n, max_deg=None):
-    """Expand {partition: coeff} into a polynomial in a_1..a_n."""
-    acc = {}
+    """Expand {partition: coeff} into a polynomial in a_1..a_n.
+
+    The sum is symmetric, so it is sum_mu d_mu m_mu(a) over the partitions mu
+    with at most n parts, with d_mu = sum_lam c_lam K_{lam, mu}; each mu is
+    written out as its distinct orderings only at the end."""
+    d = defaultdict(int)
     for lam, c in coeffs.items():
         if c == 0 or len(lam) > n:
             continue
         if max_deg is not None and sum(lam) > max_deg:
             continue
-        for e, k in _schur_terms(partition(lam), n).items():
-            s = acc.get(e, 0) + c * k
-            if s:
-                acc[e] = s
-            elif e in acc:
-                del acc[e]
-    return Poly(alpha_vars(n), acc)
+        for mu, k in _kostka_row(partition(lam), n).items():
+            d[mu] += c * k
+    terms = {}
+    for mu, c in d.items():
+        if c:
+            terms.update(dict.fromkeys(_orderings(mu + (0,) * (n - len(mu))), _norm(c)))
+    return Poly(alpha_vars(n), terms, _clean=False)
 
 
 def _det(rows):

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csmloci.cli import _respond, build_parser, run
-from csmloci.emit import class_json_dict
+from csmloci.cli import _parse, _respond, build_parser, run
+from csmloci.emit import class_json_dict, sorted_terms
 from csmloci.oracles import parse_class_json
+from csmloci.orbits import alpha_vars, chern_vars
+from csmloci.poly import Poly
 
 
 def capture(capsys, argv):
@@ -213,8 +215,8 @@ def test_cli_fuzz_exit_codes_and_replay(command, data):
     argv = data.draw(requests(command))
     # any request gives a result or a named error, never a traceback; an
     # accepted one writes the same bytes when replayed after a usage error,
-    # and again with no cached response on a freshly built parser, so neither
-    # the response cache nor the shared parser keeps state between requests
+    # and again with no cached parse or response on a freshly built parser,
+    # so neither the caches nor the shared parser keep state between requests
     code, out, err = run_captured(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
@@ -226,6 +228,7 @@ def test_cli_fuzz_exit_codes_and_replay(command, data):
         assert run_captured(["class", "--family", "wedge", "--n", "oops"])[0] == 1
         replayed = run_captured(argv)
         _respond.cache_clear()
+        _parse.cache_clear()
         build_parser.cache_clear()       # a parser that has parsed nothing yet
         assert replayed == run_captured(argv) == (code, out, err)
 
@@ -253,3 +256,53 @@ def test_response_cache_key_is_the_parsed_request():
         info = _respond.cache_info()
         assert run_captured(argv.split())[0] == code
         assert _respond.cache_info() == info         # verify always re-runs
+
+
+def test_each_distinct_argv_is_parsed_once():
+    _parse.cache_clear()
+    _respond.cache_clear()
+    argvs = ["projective --family sym --n 2 --r 1", "projective --family sym --n 02 --r 1",
+             "verify --suite core --max-n 2"]
+    first = [run_captured(argv.split()) for argv in argvs]
+    assert [run_captured(argv.split()) for argv in argvs] == first
+    assert _parse.cache_info()[:2] == (3, 3)          # (hits, misses)
+    # the two spellings of one request share a response; verify re-ran
+    assert _respond.cache_info()[:2] == (3, 1)
+
+
+@pytest.mark.parametrize("argv, code, stream, text, parsed", [
+    ("class --family sym --n 3 --r 1 --kind ssm", 1, 2, "usage error: --trunc is required", 1),
+    ("class --family sym --n oops --r 1", 1, 2, "usage error: argument --n", 0),
+    ("class --help", 0, 1, "usage: csmloci class", 0),
+])
+def test_refused_requests_print_again_on_replay(argv, code, stream, text, parsed):
+    # a usage error raised by a command (after a parse that is kept), an
+    # argparse error and --help each print again on a replay; an argv that
+    # did not parse never enters the cache
+    _parse.cache_clear()
+    for _ in range(2):
+        got = run_captured(argv.split())
+        assert got[0] == code and text in got[stream]
+    assert _parse.cache_info().currsize == parsed
+
+
+@st.composite
+def display_polys(draw):
+    # over the alpha roots, the Chern classes (deg c_i = i) or the K-theory
+    # ring (a_1..a_n, y), whose Laurent exponents may be negative
+    n = draw(st.integers(1, 5))
+    variables, low = draw(st.sampled_from([(alpha_vars(n), 0), (chern_vars(n), 0),
+                                           (alpha_vars(n) + ("y",), -2)]))
+    exps = st.tuples(*[st.integers(low, 4)] * len(variables))
+    return Poly(variables, draw(st.dictionaries(exps, st.integers(-3, 3).filter(bool),
+                                                max_size=30)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(display_polys())
+def test_sorted_terms_is_degree_then_descending_exponents(poly):
+    weights = [int(name[1:]) if name[0] == "c" else 1 for name in poly.vars]
+    expect = sorted(poly.terms.items(),
+                    key=lambda item: (sum(w * x for w, x in zip(weights, item[0])),
+                                      tuple(-x for x in item[0])))
+    assert sorted_terms(poly) == expect

@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csmloci.oracles import (NotSymmetricError, TruncSeries, chern_to_alpha, chern_to_schur,
-                             euler_class, schur_dict_value, to_chern_basis, to_schur_basis)
+from csmloci.oracles import (NotSymmetricError, TruncSeries, _schur_terms,
+                             branching_schur_dict_to_alpha, chern_to_alpha, chern_to_schur,
+                             euler_class, schur_dict_value, schur_poly, to_chern_basis,
+                             to_schur_basis)
 from csmloci.interp import csm_class, w_schur
 from csmloci.orbits import Family, OrbitId, alpha_vars, chern_vars, orbits, weight_pairs
 from csmloci.partitions import conjugate, count_ssyt, partition, staircase
 from csmloci.poly import Poly
-from csmloci.schur import (_strips, pushforward_schur, schur_dict_to_alpha, schur_poly,
+from csmloci.schur import (_kostka_row, _strips, pushforward_schur, schur_dict_to_alpha,
                            schur_to_chern)
 
 
@@ -195,6 +197,52 @@ def test_strip_conversions_match_alpha_route(case):
     assert chern_to_schur(got, n) == {lam: c for lam, c in coeffs.items() if len(lam) <= n}
     assert chern_to_schur(chern, n) == to_schur_basis(chern_to_alpha(chern, n), n)
     assert schur_to_chern(chern_to_schur(chern, n), n) == chern
+
+
+def assert_same_terms(got, expect):
+    # equal term dicts whose coefficients also have the same types
+    assert got == expect
+    assert [type(c) for c in got.terms.values()] == \
+        [type(expect.terms[e]) for e in got.terms]
+
+
+def test_kostka_route_matches_branching_on_w_classes():
+    # every W-class with n <= 5 of both families, and the two at (6, 2),
+    # whole and cut at a degree
+    cases = [(orbit, w_schur(orbit)) for family in (Family.WEDGE, Family.SYM)
+             for n in range(1, 6) for orbit in orbits(family, n)]
+    cases += [(OrbitId(family, 6, 2), w_schur(OrbitId(family, 6, 2)))
+              for family in (Family.WEDGE, Family.SYM)]
+    for orbit, coeffs in cases:
+        for max_deg in (None, 0, 3, orbit.n + 2):
+            assert_same_terms(schur_dict_to_alpha(coeffs, orbit.n, max_deg),
+                              branching_schur_dict_to_alpha(coeffs, orbit.n, max_deg))
+
+
+@st.composite
+def alpha_cases(draw):
+    # partitions may be longer than n (they vanish), coefficients may be zero
+    # or a Fraction, whole or not
+    n = draw(st.integers(0, 5))
+    lams = draw(st.lists(st.sampled_from(partitions_upto(7)), unique=True, max_size=6))
+    coeff = st.integers(-4, 4) | st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+    coeffs = {lam: draw(coeff) for lam in lams}
+    return n, coeffs, draw(st.none() | st.integers(0, 7))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(alpha_cases())
+def test_kostka_route_matches_branching_property(case):
+    n, coeffs, max_deg = case
+    assert_same_terms(schur_dict_to_alpha(coeffs, n, max_deg),
+                      branching_schur_dict_to_alpha(coeffs, n, max_deg))
+
+
+def test_cached_expansions_are_read_only():
+    for cached in (_kostka_row((2, 1), 3), _schur_terms((2, 1), 3)):
+        with pytest.raises(TypeError):
+            cached[(1, 1, 1)] = 999
+    assert dict(_kostka_row((2, 1), 3)) == {(2, 1): 1, (1, 1, 1): 2}
 
 
 def test_class_converts_only_out_of_the_schur_basis():
