@@ -8,6 +8,9 @@ mismatch is surfaced as a structured warning, never silently patched.
 
 from __future__ import annotations
 
+from .emit import poly_text
+from .orbits import chern_vars
+from .poly import Poly
 from .schur import chern_weighted_degree
 
 # 1/cosh coefficients as printed alongside the sieve inverse; the final
@@ -47,13 +50,7 @@ TABULATED_PHI_WEDGE_3 = {
 
 
 def _mono_str(exps):
-    out = []
-    for i, x in enumerate(exps, start=1):
-        if x == 1:
-            out.append(f"c{i}")
-        elif x:
-            out.append(f"c{i}^{x}")
-    return "".join(out) or "1"
+    return poly_text(Poly(chern_vars(len(exps)), {exps: 1}))
 
 
 def phi_wedge_3_divergences(r, computed_chern_poly, max_deg=7):

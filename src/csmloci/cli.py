@@ -244,10 +244,8 @@ def _cmd_ktheory(args):
             "family": "wedge", "n": args.n, "r": args.r, "kind": f"motivic-{mc.kind}",
             "q_convention": mc.q_convention,
             "vars": list(frac.vars),
-            "numerator": [{"key": list(e), "coeff": emit.coeff_str(c)}
-                          for e, c in emit.sorted_terms(frac.num)],
-            "denominator": [{"key": list(e), "coeff": emit.coeff_str(c)}
-                            for e, c in emit.sorted_terms(frac.den)],
+            "numerator": emit._json_terms(emit.sorted_terms(frac.num)),
+            "denominator": emit._json_terms(emit.sorted_terms(frac.den)),
             "warnings": list(mc.notes),
         }
         return 0, _lines(json.dumps(doc, indent=2)), ""

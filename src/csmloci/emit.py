@@ -35,8 +35,15 @@ def sorted_terms(poly):
 
 
 def coeff_str(c):
+    if type(c) is int:
+        return f"{c}/1"
     f = Fraction(c)
     return f"{f.numerator}/{f.denominator}"
+
+
+def _json_terms(items):
+    """The JSON term list of (key, coefficient) pairs in display order."""
+    return [{"key": list(key), "coeff": coeff_str(c)} for key, c in items]
 
 
 def _coeff_prefix(c, latex):
@@ -67,24 +74,24 @@ def _symbols(vars_, latex):
     return out
 
 
-def poly_text(poly, latex=False):
-    if not poly.terms:
-        return "0"
-    symbols = _symbols(poly.vars, latex)
+def _signed_sum(terms, latex):
+    """The text of a sum from its (coefficient, monomial text) pairs."""
     chunks = []
-    for exps, c in sorted_terms(poly):
+    for c, mono in terms:
         neg, mag = _coeff_prefix(c, latex)
-        mono = "".join([sym if x == 1 else f"{pre}{x}{post}"
-                        for (sym, pre, post), x in zip(symbols, exps) if x])
-        if not mono:
-            body = mag if mag else "1"
-        else:
-            body = f"{mag}{mono}" if mag else mono
+        body = f"{mag}{mono}" or "1"
         if not chunks:
             chunks.append(f"-{body}" if neg else body)
         else:
             chunks.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(chunks)
+    return " ".join(chunks) or "0"
+
+
+def poly_text(poly, latex=False):
+    symbols = _symbols(poly.vars, latex)
+    return _signed_sum(((c, "".join([sym if x == 1 else f"{pre}{x}{post}"
+                                      for (sym, pre, post), x in zip(symbols, exps) if x]))
+                        for exps, c in sorted_terms(poly)), latex)
 
 
 def _partition_label(lam, latex):
@@ -102,17 +109,8 @@ def schur_sorted(coeffs):
 
 
 def schur_text(coeffs, latex=False):
-    if not coeffs:
-        return "0"
-    chunks = []
-    for lam, c in schur_sorted(coeffs):
-        neg, mag = _coeff_prefix(c, latex)
-        body = f"{mag}{_partition_label(lam, latex)}" if mag else _partition_label(lam, latex)
-        if not chunks:
-            chunks.append(f"-{body}" if neg else body)
-        else:
-            chunks.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(chunks)
+    return _signed_sum(((c, _partition_label(lam, latex)) for lam, c in schur_sorted(coeffs)),
+                       latex)
 
 
 def class_text(cls, latex=False):
@@ -123,12 +121,7 @@ def class_text(cls, latex=False):
 
 def class_json_dict(cls):
     """JSON document for a ClassExpr, matching the CLI wire format."""
-    if cls.basis == "schur":
-        terms = [{"key": list(lam), "coeff": coeff_str(c)}
-                 for lam, c in schur_sorted(cls.payload)]
-    else:
-        terms = [{"key": list(exps), "coeff": coeff_str(c)}
-                 for exps, c in sorted_terms(cls.payload)]
+    items = schur_sorted(cls.payload) if cls.basis == "schur" else sorted_terms(cls.payload)
     return {
         "family": str(cls.family),
         "n": cls.n,
@@ -137,7 +130,7 @@ def class_json_dict(cls):
         "closure": cls.closure,
         "basis": cls.basis,
         "trunc": cls.trunc,
-        "terms": terms,
+        "terms": _json_terms(items),
         "warnings": list(cls.warnings),
     }
 

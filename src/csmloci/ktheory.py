@@ -36,7 +36,7 @@ from functools import lru_cache
 from .laurent import LaurentFraction
 from .orbits import Family, OrbitId
 from .poly import ExactDivisionError, Poly, product
-from .schur import alternant_schur_coeffs, schur_dict_to_alpha
+from .schur import _staircase_shift, alternant_schur_coeffs, schur_dict_to_alpha
 
 KSCOPE_MAX_N = 4  # exact fraction sizes grow quickly with n
 
@@ -128,8 +128,7 @@ def _phi_k_numerator(n, r):
     av = _k_vars(n)
     a, y = [Poly.variable(av, v) for v in av[:n]], Poly.variable(av, "y")
     I, J = range(r), range(r, n)
-    staircase = tuple(r - 1 - i if i < r else n - 1 - i for i in range(n)) + (0,)
-    factors = [Poly(av, {staircase: 1})]
+    factors = [Poly(av, {_staircase_shift((), r) + _staircase_shift((), n - r) + (0,): 1})]
     factors += [a[i] * a[j] - 1 for i in I for j in I if i < j]
     factors += [f for i in I for j in J for f in (a[i] * a[j] - 1, a[i] + y * a[j])]
     factors += [a[i] * a[j] + y for i in J for j in J if i < j]

@@ -40,7 +40,7 @@ from .laurent import LaurentFraction
 from .orbits import Family, OrbitId, alpha_vars, as_family, chern_vars, weight_pairs
 from .partitions import partition
 from .poly import ExactDivisionError, Poly, _grlex_key, _mul_dict, _norm, product
-from .schur import _det, _elementary_schur, _interlacings, alternant_schur_coeffs
+from .schur import _det, _elementary_schur, alternant_schur_coeffs
 from .sieve import ssm_schur
 
 
@@ -232,6 +232,28 @@ class TruncSeries:
             q = Poly(self.vars, sl, _clean=False).exact_divide(den)
             out = out + q
         return TruncSeries(out, self.bound - g)
+
+
+def _interlacings(lam):
+    """All mu with lam_1 >= mu_1 >= lam_2 >= mu_2 >= ... >= 0."""
+    if not lam:
+        yield ()
+        return
+    bounds = [(lam[i + 1] if i + 1 < len(lam) else 0, lam[i]) for i in range(len(lam))]
+
+    def rec(i):
+        if i == len(bounds):
+            yield ()
+            return
+        lo, hi = bounds[i]
+        for v in range(hi, lo - 1, -1):
+            for rest in rec(i + 1):
+                yield (v,) + rest
+
+    for mu in rec(0):
+        while mu and mu[-1] == 0:
+            mu = mu[:-1]
+        yield mu
 
 
 @lru_cache(maxsize=None)

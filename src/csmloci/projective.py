@@ -7,7 +7,8 @@ are homogeneous, the substitution factors through the Schur expansion:
 s_lambda(xi/2, ..., xi/2) = #SSYT(lambda, n) * (xi/2)^|lambda|.
 
 The degree-i coefficients of the J-involution of the resulting polynomial
-are the Euler characteristics of general linear sections.
+are the Euler characteristics of general linear sections; J is applied in
+its closed form, a sum over the coefficients with binomial weights.
 
 Each projectivized class is computed once per process: its coefficients are
 cached as a tuple, and projectivize hands out a fresh ProjClass over a new
@@ -24,7 +25,7 @@ from math import comb
 from .interp import csm_class
 from .orbits import Family, OrbitId, ambient_dim, as_family, codim, coranks
 from .partitions import count_ssyt
-from .poly import ExactDivisionError, Poly, exact_int
+from .poly import Poly, exact_int
 
 
 @dataclass
@@ -89,22 +90,20 @@ def projectivize(orbit, kind="csm", closure=False):
 
 
 def aluffi_J(p):
-    """The involution J(p)(t) = (t p(-t-1) + p(0)) / (t+1) on Q[t].
+    """The involution J(p)(t) = (t p(-t-1) + p(0)) / (t+1) on Q[t], for p a
+    coefficient list or a Poly in t.
 
     Exchanges the CSM coefficient polynomial of a locally closed subset of
     projective space with its linear-section Euler-characteristic polynomial.
-    The division by t+1 is exact; a remainder signals malformed input.
+    Expanding p(-t-1) in powers of t+1 gives the closed form
+    J(p) = p_0 + sum_{k>=1} (-1)^k p_k t (t+1)^(k-1), so for i >= 1 the
+    coefficient of t^i is sum_{k>=i} (-1)^k p_k C(k-1, i-1).
     """
-    tv = ("t",)
-    if not isinstance(p, Poly):
-        p = Poly(tv, {(i,): c for i, c in enumerate(p)})
-    t = Poly.variable(tv, "t")
-    shifted = p.substitute({"t": Poly.linear(tv, -1, t=-1)}, tv)
-    num = t * shifted + Poly.const(tv, p.coefficient((0,)))
-    try:
-        return num.exact_divide(Poly.linear(tv, 1, t=1))
-    except ExactDivisionError:
-        raise ExactDivisionError("J-transform input is not a CSM coefficient polynomial")
+    p = ([p.coefficient((k,)) for k in range(p.total_degree() + 1)] if isinstance(p, Poly)
+         else list(p))
+    coeffs = p[:1] + [sum((-1) ** k * p[k] * comb(k - 1, i - 1) for k in range(i, len(p)))
+                      for i in range(1, len(p))]
+    return Poly(("t",), {(i,): c for i, c in enumerate(coeffs)})
 
 
 def gamma_coeffs(proj):
@@ -119,10 +118,8 @@ def gamma_coeffs(proj):
 def section_euler_chars(proj):
     """[chi(X_0), ..., chi(X_M)]: Euler characteristics of generic linear
     sections, read off the J-involution of gamma."""
-    g = gamma_coeffs(proj)
-    jt = aluffi_J(g)
-    M = proj.ambient - 1
-    return [(-1) ** i * jt.coefficient((i,)) for i in range(M + 1)]
+    jt = aluffi_J(gamma_coeffs(proj))
+    return [(-1) ** i * jt.coefficient((i,)) for i in range(proj.ambient)]
 
 
 @dataclass
@@ -167,35 +164,16 @@ def closed_invariants(orbit):
     degree 0 and chi 0.
     """
     family, n, r = orbit.family, orbit.n, orbit.r
-    cd = codim(orbit)
-    if family is Family.WEDGE:
-        if r > n - 2:
-            return ClosedInvariants(orbit, cd, 0, 0)
-        if r == 0:
-            deg = 1
-        else:
-            val = Fraction(1, 2 ** (r - 1))
-            for i in range(r - 1):
-                val *= Fraction(comb(n + i, r - 1 - i), comb(2 * i + 1, i))
-            deg = exact_int(val, "closure degree")
-        if r == n - 2:
-            chi = comb(n, 2)
-        else:
-            chi = 0
-        return ClosedInvariants(orbit, cd, deg, chi)
-    if r > n - 1:
-        return ClosedInvariants(orbit, cd, 0, 0)
-    val = Fraction(1)
-    for i in range(r):
-        val *= Fraction(comb(n + i, r - i), comb(2 * i + 1, i))
-    deg = exact_int(val, "closure degree")
-    if r == n - 1:
-        chi = n
-    elif r == n - 2:
-        chi = comb(n, 2)
-    else:
-        chi = 0
-    return ClosedInvariants(orbit, cd, deg, chi)
+    wedge = family is Family.WEDGE
+    if r > n - (2 if wedge else 1):
+        return ClosedInvariants(orbit, codim(orbit), 0, 0)
+    # the degree is a product of k ratios of binomials, halved k times when skew
+    k = max(r - 1, 0) if wedge else r
+    val = Fraction(1, 2 ** k) if wedge else Fraction(1)
+    for i in range(k):
+        val *= Fraction(comb(n + i, k - i), comb(2 * i + 1, i))
+    chi = comb(n, n - r) if n - r <= 2 else 0
+    return ClosedInvariants(orbit, codim(orbit), exact_int(val, "closure degree"), chi)
 
 
 def derived_invariants(orbit):

@@ -18,7 +18,10 @@ enters by Pieri strips read from one cached table per partition
 (_strip_table), a truncated product is cut by the degree its factors still
 to come must add, and the Schur coefficients are read off once per sorted
 I-exponent by the bialternant identity.  alternant_schur_coeffs reads them
-off a full polynomial in the roots, for K theory.
+off a full polynomial in the roots, for K theory.  Both read-offs take each
+exponent tuple through one sort-and-sign step (_sort_sign: a^v alternates to
+the sign of the sort times a^(sorted v), or to zero on a repeated entry) and
+one delta-unshift (_unshift).
 """
 
 from __future__ import annotations
@@ -39,28 +42,6 @@ from .poly import Poly, _norm
 
 # -- Schur polynomials ------------------------------------------------
 
-def _interlacings(lam):
-    """All mu with lam_1 >= mu_1 >= lam_2 >= mu_2 >= ... >= 0."""
-    if not lam:
-        yield ()
-        return
-    bounds = [(lam[i + 1] if i + 1 < len(lam) else 0, lam[i]) for i in range(len(lam))]
-
-    def rec(i):
-        if i == len(bounds):
-            yield ()
-            return
-        lo, hi = bounds[i]
-        for v in range(hi, lo - 1, -1):
-            for rest in rec(i + 1):
-                yield (v,) + rest
-
-    for mu in rec(0):
-        while mu and mu[-1] == 0:
-            mu = mu[:-1]
-        yield mu
-
-
 @lru_cache(maxsize=None)
 def _kostka_row(lam, n):
     """Read-only {mu: K_{lam, mu}} over the partitions mu with at most n
@@ -74,10 +55,11 @@ def _kostka_row(lam, n):
         return MappingProxyType({})
     size = sum(lam)
     out = defaultdict(int)
-    for nu in _interlacings(lam):
+    # lam / nu is a horizontal strip when each nu_i lies in [lam_{i+1}, lam_i]
+    for nu in product(*(range(low, high + 1) for high, low in zip(lam, lam[1:] + (0,)))):
         k = size - sum(nu)
         if k:
-            for mu, c in _kostka_row(nu, n - 1).items():
+            for mu, c in _kostka_row(nu[:len(nu) - nu.count(0)], n - 1).items():
                 if not mu or mu[0] <= k:
                     out[(k,) + mu] += c
     return MappingProxyType(dict(out))
@@ -135,44 +117,12 @@ def alternant_schur_coeffs(poly, n_alt):
     result maps (partition, passive exponent tuple) -> coefficient.  Extracted
     per monomial, so truncated input yields truncated output.
     """
-    out = {}
+    out = defaultdict(int)
     for e, c in poly.terms.items():
-        head = e[:n_alt]
-        # sign = parity of the descending sort; a tie kills the monomial
-        inv = 0
-        dup = False
-        for i in range(n_alt):
-            hi = head[i]
-            for j in range(i + 1, n_alt):
-                if hi < head[j]:
-                    inv += 1
-                elif hi == head[j]:
-                    dup = True
-                    break
-            if dup:
-                break
-        if dup:
-            continue
-        mu = sorted(head, reverse=True)
-        lam = []
-        ok = True
-        for i, m in enumerate(mu):
-            p = m - (n_alt - 1 - i)
-            if p < 0:
-                ok = False
-                break
-            lam.append(p)
-        if not ok:
-            continue
-        while lam and lam[-1] == 0:
-            lam.pop()
-        key = (tuple(lam), e[n_alt:])
-        s = out.get(key, 0) + (c if inv % 2 == 0 else -c)
-        if s:
-            out[key] = _norm(s)
-        elif key in out:
-            del out[key]
-    return out
+        if read := _sort_sign(e[:n_alt]):
+            head, sign = read
+            out[head, e[n_alt:]] += sign * c
+    return {(_unshift(head), tail): _norm(c) for (head, tail), c in out.items() if c}
 
 
 # -- Grassmannian pushforward -------------------------------------------
@@ -391,14 +341,7 @@ def pushforward_schur(family, n, r, inner, cross, units=False, max_deg=None):
                 # the sign: the parity of the tail entries above each head entry
                 odd = (r * m - sum(map(below, head))) & 1
                 by_merged[tuple(sorted(head + tail, reverse=True))] += -c if odd else c
-    out = {}
-    for merged, c in by_merged.items():
-        if c:
-            part = [x - (n - 1 - k) for k, x in enumerate(merged)]
-            while part and not part[-1]:
-                part.pop()
-            out[tuple(part)] = _norm(c)
-    return out
+    return {_unshift(merged): _norm(c) for merged, c in by_merged.items() if c}
 
 
 def _staircase_shift(part, k):
@@ -406,15 +349,29 @@ def _staircase_shift(part, k):
     return tuple(x + k - 1 - i for i, x in enumerate(part + (0,) * (k - len(part))))
 
 
+def _unshift(head):
+    """The partition head - delta_k of a strictly decreasing k-tuple head."""
+    k = len(head)
+    part = tuple(x - (k - 1 - i) for i, x in enumerate(head))
+    return part[:k - part.count(0)]
+
+
+def _sort_sign(v):
+    """(descending sort of v, sign of the sorting permutation), or None when
+    an entry of v repeats: a^v alternates to sign * a^(sorted v), or to 0."""
+    if len(set(v)) < len(v):
+        return None
+    odd = sum(x < y for k, x in enumerate(v) for y in v[k + 1:]) & 1
+    return tuple(sorted(v, reverse=True)), -1 if odd else 1
+
+
 def _sorted_heads(alpha, shift):
     """[(head, count)]: the descending sort of each distinct ordering of alpha
     plus shift that has no repeated entry, with its signs summed."""
     out = defaultdict(int)
     for o in _orderings(alpha):
-        v = tuple(map(_add, o, shift))
-        if len(set(v)) == len(v):
-            odd = sum(x < y for k, x in enumerate(v) for y in v[k + 1:]) & 1
-            out[tuple(sorted(v, reverse=True))] += -1 if odd else 1
+        if read := _sort_sign(tuple(map(_add, o, shift))):
+            out[read[0]] += read[1]
     return [(head, k) for head, k in out.items() if k]
 
 

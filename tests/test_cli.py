@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +17,8 @@ from csmloci.emit import class_json_dict, sorted_terms
 from csmloci.oracles import parse_class_json
 from csmloci.orbits import alpha_vars, chern_vars
 from csmloci.poly import Poly
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def capture(capsys, argv):
@@ -306,3 +312,37 @@ def test_sorted_terms_is_degree_then_descending_exponents(poly):
                     key=lambda item: (sum(w * x for w, x in zip(weights, item[0])),
                                       tuple(-x for x in item[0])))
     assert sorted_terms(poly) == expect
+
+
+OPTIMIZED_REPLAY = """
+import contextlib, hashlib, io, json, sys
+from csmloci.cli import run
+got = {}
+for request in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = run(request.split())
+        except Exception as ex:
+            code = f"raised {type(ex).__name__}: {ex}"
+    got[request] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+print(json.dumps({"optimize": sys.flags.optimize, "got": got}))
+"""
+
+
+def test_golden_records_replay_under_python_O():
+    # exactness checks are not assert statements, so python -O keeps them: every
+    # golden record replays in one optimized interpreter with its recorded exit
+    # code and stdout digest (the record file is read, never written)
+    records = json.loads((ROOT / "perfbench" / "expected" / "queries.json").read_text())["records"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_REPLAY],
+                          input=json.dumps(sorted(records)), capture_output=True,
+                          text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["optimize"] == 1
+    mismatches = {req: got for req, got in doc["got"].items()
+                  if got != [records[req]["exit"], records[req]["stdout_sha256"]]}
+    assert len(doc["got"]) == len(records) and not mismatches

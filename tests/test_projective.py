@@ -97,6 +97,26 @@ def test_aluffi_J_is_involution():
             assert aluffi_J(p).total_degree() <= p.total_degree()
 
 
+def J_by_division(p):
+    """(t p(-t-1) + p(0)) / (t+1), the definition of J, by substitution and
+    exact division."""
+    tv = ("t",)
+    num = Poly.variable(tv, "t") * p.substitute({"t": Poly.linear(tv, -1, t=-1)}, tv)
+    return (num + Poly.const(tv, p.coefficient((0,)))).exact_divide(Poly.linear(tv, 1, t=1))
+
+
+def test_aluffi_J_matches_its_definition():
+    # the identity map would pass the involution test alone
+    rng = random.Random(37)
+    for trial in range(60):
+        coeffs = [rng.randint(-9, 9) if trial % 2 else Fraction(rng.randint(-9, 9),
+                                                                rng.randint(1, 6))
+                  for _ in range(rng.randint(0, 16))]
+        p = Poly(("t",), {(i,): c for i, c in enumerate(coeffs)})
+        assert aluffi_J(p) == J_by_division(p)
+        assert aluffi_J(coeffs) == J_by_division(p)
+
+
 def test_aluffi_J_identity_on_constants():
     assert aluffi_J([5]) == Poly(("t",), {(0,): 5})
 

@@ -17,8 +17,8 @@ from csmloci.interp import csm_class, w_schur
 from csmloci.orbits import Family, OrbitId, alpha_vars, chern_vars, orbits, weight_pairs
 from csmloci.partitions import conjugate, count_ssyt, partition, staircase
 from csmloci.poly import Poly
-from csmloci.schur import (_kostka_row, _strips, pushforward_schur, schur_dict_to_alpha,
-                           schur_to_chern)
+from csmloci.schur import (_kostka_row, _strips, alternant_schur_coeffs, pushforward_schur,
+                           schur_dict_to_alpha, schur_to_chern)
 
 
 def partitions_upto(max_size, max_len=None):
@@ -236,6 +236,43 @@ def test_kostka_route_matches_branching_property(case):
     n, coeffs, max_deg = case
     assert_same_terms(schur_dict_to_alpha(coeffs, n, max_deg),
                       branching_schur_dict_to_alpha(coeffs, n, max_deg))
+
+
+@st.composite
+def alternant_cases(draw):
+    # monomials in n_alt roots and one passive variable y; exponents below 4
+    # make repeated root exponents, which must cancel, common
+    n_alt = draw(st.integers(0, 4))
+    exps = st.tuples(*[st.integers(0, 3)] * (n_alt + 1))
+    coeff = st.integers(-5, 5) | st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+    poly = Poly(alpha_vars(n_alt) + ("y",), draw(st.dictionaries(exps, coeff, max_size=10)))
+    point = draw(st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
+                          min_size=n_alt, max_size=n_alt, unique=True))
+    return n_alt, poly, point
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(alternant_cases())
+def test_alternant_schur_coeffs_is_alt_over_vandermonde(case):
+    # at a point with distinct coordinates, each passive slice of the result
+    # takes the value Alt(p) / V, Alt(p) = sum_w sgn(w) p(x_w(1), ..., x_w(n))
+    n_alt, poly, x = case
+    got = alternant_schur_coeffs(poly, n_alt)
+    vandermonde = Fraction(1)
+    for i, j in itertools.combinations(range(n_alt), 2):
+        vandermonde *= x[i] - x[j]
+    alt = {}
+    for w in itertools.permutations(range(n_alt)):
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(w, 2))
+        for e, c in poly.terms.items():
+            term = sign * c
+            for i, k in zip(w, e[:n_alt]):
+                term *= x[i] ** k
+            alt[e[n_alt:]] = alt.get(e[n_alt:], 0) + term
+    assert {tail for _, tail in got} <= set(alt)
+    for tail, value in alt.items():
+        coeffs = {lam: c for (lam, t), c in got.items() if t == tail}
+        assert schur_dict_value(coeffs, x) == value / vandermonde
 
 
 def test_cached_expansions_are_read_only():
