@@ -4,8 +4,10 @@ A ClassExpr is a symmetric class together with its basis (alpha monomials,
 Chern classes c_i, or Schur coefficients), the orbit it belongs to, and an
 optional truncation degree (None means the payload is an exact polynomial).
 
-The classes are computed in Schur form, and a class converts only out of
-it: to the Chern basis by vertical Pieri strips (schur.schur_to_chern),
+The classes are computed in Schur form, and schur_class is the one place a
+class is cut at its truncation degree: it drops the Schur terms above it,
+so nothing downstream cuts again.  A class converts only out of the Schur
+form: to the Chern basis by vertical Pieri strips (schur.schur_to_chern),
 without expanding into the Chern roots, and to the alpha basis, an output
 format expanded from the Schur form.
 """
@@ -39,10 +41,6 @@ def add_schur(*dicts, coeffs=None):
     return out
 
 
-def truncate_schur(d, bound):
-    return {lam: c for lam, c in d.items() if sum(lam) <= bound}
-
-
 @dataclass
 class ClassExpr:
     """A class value in a declared basis.
@@ -71,30 +69,19 @@ class ClassExpr:
         return dict(self.payload)
 
     def alpha_poly(self):
-        if self.basis == ALPHA:
-            return self.payload
-        return schur_dict_to_alpha(self.schur_coeffs(), self.n, max_deg=self.trunc)
+        return schur_dict_to_alpha(self.schur_coeffs(), self.n)
 
     def chern_poly(self):
-        if self.basis == CHERN:
-            return self.payload
-        coeffs = self.schur_coeffs()
-        if self.trunc is not None:
-            coeffs = truncate_schur(coeffs, self.trunc)
-        return schur_to_chern(coeffs, self.n)
+        return schur_to_chern(self.schur_coeffs(), self.n)
 
     def in_basis(self, basis):
         if basis == self.basis:
             return self
-        if basis == ALPHA:
-            payload = self.alpha_poly()
-        elif basis == CHERN:
-            payload = self.chern_poly()
-        elif basis == SCHUR:
-            payload = self.schur_coeffs()
-        else:
+        convert = {ALPHA: ClassExpr.alpha_poly, CHERN: ClassExpr.chern_poly,
+                   SCHUR: ClassExpr.schur_coeffs}.get(basis)
+        if convert is None:
             raise ValueError(f"unknown basis {basis!r}")
-        return ClassExpr(self.kind, basis, self.family, self.n, self.r, payload,
+        return ClassExpr(self.kind, basis, self.family, self.n, self.r, convert(self),
                          self.trunc, self.closure, list(self.warnings))
 
     # -- structure ------------------------------------------------------
@@ -109,5 +96,7 @@ class ClassExpr:
 
 
 def schur_class(kind, orbit, coeffs, trunc=None, closure=False):
-    coeffs = {partition(lam): _norm(c) for lam, c in coeffs.items() if c}
+    """The class with these Schur coefficients, less the terms above trunc."""
+    coeffs = {partition(lam): _norm(c) for lam, c in coeffs.items()
+              if c and (trunc is None or sum(lam) <= trunc)}
     return ClassExpr(kind, SCHUR, orbit.family, orbit.n, orbit.r, coeffs, trunc, closure)

@@ -120,26 +120,23 @@ def _emit_class(cls, fmt):
 
 
 def _cmd_class(args):
-    from .classes import schur_class, truncate_schur
+    from .classes import schur_class
     from .interp import csm_class, ssm_interp
     from .sieve import csm_sieve_schur, ssm_sieve
     orbit = OrbitId(args.family, args.n, args.r)
     if args.kind == "csm" and args.route == "interp":
         _require_trunc(args)
-        cls = csm_class(orbit, closure=args.closure)
-        if args.trunc is not None:
-            cls = replace(cls, payload=truncate_schur(cls.payload, args.trunc),
-                          trunc=args.trunc)
+        coeffs = csm_class(orbit, closure=args.closure).payload
     elif args.kind == "ssm" and args.route == "interp":
         _require_trunc(args, "for ssm output")
-        cls = ssm_interp(orbit, args.trunc, closure=args.closure)
+        coeffs = ssm_interp(orbit, args.trunc, closure=args.closure).payload
     elif args.kind == "ssm":
         _require_trunc(args, "for the sieve route")
-        cls = ssm_sieve(orbit, args.trunc, closure=args.closure)
+        coeffs = ssm_sieve(orbit, args.trunc, closure=args.closure).payload
     else:
         _require_trunc(args, "for csm via the sieve route")
-        csm = truncate_schur(csm_sieve_schur(orbit, closure=args.closure), args.trunc)
-        cls = schur_class("csm", orbit, csm, trunc=args.trunc, closure=args.closure)
+        coeffs = csm_sieve_schur(orbit, closure=args.closure)
+    cls = schur_class(args.kind, orbit, coeffs, trunc=args.trunc, closure=args.closure)
     return _emit_class(cls.in_basis(args.basis), args.format)
 
 

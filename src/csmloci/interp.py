@@ -54,6 +54,7 @@ def w_schur(orbit):
     return MappingProxyType(pushforward_schur(family, n, r, inner, ((0, 1, 1), (1, 1, 1))))
 
 
+@lru_cache(maxsize=None)
 def ssm_interp_schur(orbit, D):
     """Schur coefficients of ssm(Sigma_{n,r}) = W_{n,r} / c(V) through degree D.
 
@@ -64,11 +65,6 @@ def ssm_interp_schur(orbit, D):
     """
     if D < 0:
         raise ValueError("truncation bound must be non-negative")
-    return _ssm_interp_schur(orbit, D)
-
-
-@lru_cache(maxsize=None)
-def _ssm_interp_schur(orbit, D):
     family, n, r = orbit.family, orbit.n, orbit.r
     if r == 0:
         return _by_additivity(lambda o: ssm_interp_schur(o, D), orbit, {(): 1})
@@ -78,10 +74,10 @@ def _ssm_interp_schur(orbit, D):
 
 
 def _by_additivity(orbit_class, orbit, total):
-    """The open orbit's class: total minus the classes of the other orbits."""
-    family, n = orbit.family, orbit.n
-    rest = [orbit_class(OrbitId(family, n, m)) for m in coranks(family, n) if m]
-    return MappingProxyType(add_schur(total, *rest, coeffs=[1] + [-1] * len(rest)))
+    """The open orbit's class: total minus the class of the closure of the
+    next orbit, which holds every other orbit."""
+    rest = OrbitId(orbit.family, orbit.n, suborbit_coranks(orbit)[1])
+    return MappingProxyType(add_schur(total, closure_schur(orbit_class, rest), coeffs=(1, -1)))
 
 
 @lru_cache(maxsize=None)
@@ -247,7 +243,7 @@ def verify_axioms(orbit, candidate=None):
         candidate = w_function(orbit).poly
     n, r = orbit.n, orbit.r
     checks = []
-    for m in range(n % 2, n + 1, 2):
+    for m in coranks(Family.WEDGE, n):
         probe = OrbitId(Family.WEDGE, n, m)
         data = restriction_data(probe)
         image = data.restrict(candidate)

@@ -55,11 +55,10 @@ class OrbitId:
 
 
 def coranks(family, n):
-    """Coranks of the orbits of the n x n representation, increasing."""
-    family = as_family(family)
-    if family is Family.WEDGE:
-        return list(range(n % 2, n + 1, 2))
-    return list(range(n + 1))
+    """Coranks of the orbits of the n x n representation, increasing: every
+    r <= n with n - r even in the skew case."""
+    step = 2 if as_family(family) is Family.WEDGE else 1
+    return list(range(n % step, n + 1, step))
 
 
 def orbits(family, n):
@@ -104,6 +103,5 @@ def inside_weights(family, r):
 
 def suborbit_coranks(orbit):
     """Coranks of the orbits in the closure of orbit, increasing."""
-    step = 2 if orbit.family is Family.WEDGE else 1
-    return range(orbit.r, orbit.n + 1, step)
+    return [m for m in coranks(orbit.family, orbit.n) if m >= orbit.r]
 

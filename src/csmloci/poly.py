@@ -347,14 +347,11 @@ class Poly:
             total += term
         return _norm(total)
 
-    def map_vars(self, target_vars, rename=None):
-        """Transfer terms onto another variable tuple (by name, or via the
-        rename map old->new); useful for embedding a small-ring polynomial."""
+    def map_vars(self, target_vars):
+        """Transfer terms onto another variable tuple, by name; useful for
+        embedding a small-ring polynomial."""
         target_vars = tuple(target_vars)
-        rename = rename or {}
-        pos = []
-        for name in self.vars:
-            pos.append(target_vars.index(rename.get(name, name)))
+        pos = [target_vars.index(name) for name in self.vars]
         nt = len(target_vars)
         out = {}
         for e, c in self.terms.items():

@@ -136,10 +136,9 @@ class EulerTable:
 
 def euler_char_table(family, n, closure=False):
     """Linear-section Euler characteristics for the orbits with nonempty
-    projectivization (corank <= n-2 in the skew family, <= n-1 symmetric)."""
+    projectivization, those of corank r < n."""
     family = as_family(family)
-    rmax = n - 2 if family is Family.WEDGE else n - 1
-    rs = [r for r in coranks(family, n) if r <= rmax]
+    rs = [r for r in coranks(family, n) if r < n]
     if not rs:
         raise ValueError(f"no {family} orbit with n={n} has a nonempty projectivization;"
                          f" --n must be >= {2 if family is Family.WEDGE else 1}")
@@ -160,12 +159,12 @@ def closed_invariants(orbit):
     """Codimension, closure degree and orbit Euler characteristic of the
     projectivized locus, by the classical closed formulas.
 
-    Empty projectivizations (r = n skew/symmetric, r = n-1 skew) get
-    degree 0 and chi 0.
+    The empty projectivization, of the zero orbit r = n, gets degree 0 and
+    chi 0.
     """
-    family, n, r = orbit.family, orbit.n, orbit.r
-    wedge = family is Family.WEDGE
-    if r > n - (2 if wedge else 1):
+    n, r = orbit.n, orbit.r
+    wedge = orbit.family is Family.WEDGE
+    if r == n:
         return ClosedInvariants(orbit, codim(orbit), 0, 0)
     # the degree is a product of k ratios of binomials, halved k times when skew
     k = max(r - 1, 0) if wedge else r

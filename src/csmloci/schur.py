@@ -65,7 +65,7 @@ def _kostka_row(lam, n):
     return MappingProxyType(dict(out))
 
 
-def schur_dict_to_alpha(coeffs, n, max_deg=None):
+def schur_dict_to_alpha(coeffs, n):
     """Expand {partition: coeff} into a polynomial in a_1..a_n.
 
     The sum is symmetric, so it is sum_mu d_mu m_mu(a) over the partitions mu
@@ -74,8 +74,6 @@ def schur_dict_to_alpha(coeffs, n, max_deg=None):
     d = defaultdict(int)
     for lam, c in coeffs.items():
         if c == 0 or len(lam) > n:
-            continue
-        if max_deg is not None and sum(lam) > max_deg:
             continue
         for mu, k in _kostka_row(partition(lam), n).items():
             d[mu] += c * k

@@ -7,12 +7,14 @@ weight factors.  The sum is a Gysin pushforward from a Grassmann bundle
 inverted as truncated series, inside I on monomials and across I x J by the
 Pieri rule for h_k, and the result comes out in Schur coefficients.
 
-The orbit SSM classes are alternating linear combinations of Phi classes:
-Euler-number coefficients in the skew-symmetric family, plain signed
-binomials in the symmetric family.  The same combination of the polynomials
-Phi_{n,r} c(V) gives the CSM classes exactly: multiplying by c(V) clears
-every unit denominator, so Phi c(V) is the pushforward with inner c(V) on J
-and no truncation.
+The orbit SSM classes are alternating linear combinations of Phi classes
+over the orbits in the closure: Euler-number coefficients in the
+skew-symmetric family, plain signed binomials in the symmetric family.  The
+same combination of the polynomials Phi_{n,r} c(V) gives the CSM classes
+exactly: multiplying by c(V) clears every unit denominator, so Phi c(V) is
+the pushforward with inner c(V) on J and no truncation.  The class of a
+closure is the sum of its orbits' classes (interp.closure_schur), and a
+class is cut at its truncation degree where it is built (schur_class).
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from functools import lru_cache
 from math import comb
 from types import MappingProxyType
 
-from .classes import add_schur, schur_class
-from .interp import chern_schur
-from .orbits import Family, OrbitId, suborbit_coranks
+from .classes import schur_class
+from .interp import chern_schur, closure_schur
+from .orbits import Family, suborbit_coranks
 from .schur import pushforward_schur
 
 
@@ -62,6 +64,8 @@ def invert_binomial_matrix(m, parity="even"):
 @lru_cache(maxsize=None)
 def phi_schur(orbit, D):
     """Schur coefficients of Phi_{n,r} up to total degree D."""
+    if D < 0:
+        raise ValueError("truncation bound must be non-negative")
     family, n, r = orbit.family, orbit.n, orbit.r
     if r == 0:
         return MappingProxyType({(): 1})
@@ -72,8 +76,6 @@ def phi_schur(orbit, D):
 
 def phi_class(orbit, D):
     """Phi_{n,r} as a Schur-basis ClassExpr truncated at D."""
-    if D < 0:
-        raise ValueError("truncation bound must be non-negative")
     return schur_class("phi", orbit, phi_schur(orbit, D), trunc=D)
 
 
@@ -94,31 +96,17 @@ def phi_cv_schur(orbit):
         family, n, r, chern_schur(family, n - r), ((0, 1, 1), (1, -1, 1))))
 
 
-def _sieve_terms(orbit, closure):
-    """[(corank s, coeff)]: ssm(Sigma_{n,r}), or of its closure, is
-    sum coeff Phi_{n,s}.  Euler-number coefficients in the skew-symmetric
-    family, plain signed binomials in the symmetric family."""
-    family, n, r = orbit.family, orbit.n, orbit.r
-    if family is Family.WEDGE:
-        if closure:
-            return [term for m in suborbit_coranks(orbit)
-                    for term in _sieve_terms(OrbitId(family, n, m), False)]
-        E = euler_numbers(n - r)
-        return [(r + 2 * i, comb(r + 2 * i, r) * E[2 * i]) for i in range((n - r) // 2 + 1)]
-    terms = []
-    for i in range(n - r + 1):
-        if closure:
-            c = 1 if r == 0 and i == 0 else (0 if r == 0 else comb(r + i - 1, r - 1))
-        else:
-            c = comb(r + i, r)
-        terms.append((r + i, (-1) ** i * c))
-    return terms
-
-
 def _sieve_sum(orbit, closure, piece):
-    ranks, coeffs = zip(*((s, c) for s, c in _sieve_terms(orbit, closure) if c))
-    return add_schur(*(piece(OrbitId(orbit.family, orbit.n, s)) for s in ranks),
-                     coeffs=coeffs)
+    """sum_s C(s, r) E_{s-r} piece(Sigma_{n,s}) over the orbits Sigma_{n,s} in
+    the closure of Sigma_{n,r}, with E the Euler numbers in the
+    skew-symmetric family and E_k = (-1)^k in the symmetric family; or, for
+    the closure, that sum for each of its orbits, added up."""
+    if closure:
+        return closure_schur(lambda o: _sieve_sum(o, False, piece), orbit)
+    n, r = orbit.n, orbit.r
+    E = euler_numbers(n - r) if orbit.family is Family.WEDGE else \
+        [(-1) ** k for k in range(n - r + 1)]
+    return closure_schur(piece, orbit, [comb(s, r) * E[s - r] for s in suborbit_coranks(orbit)])
 
 
 def ssm_schur(orbit, D, closure=False):
@@ -134,8 +122,6 @@ def csm_sieve_schur(orbit, closure=False):
 
 def ssm_sieve(orbit, D, closure=False):
     """ssm via the sieve route, as a Schur-basis ClassExpr."""
-    if D < 0:
-        raise ValueError("truncation bound must be non-negative")
     return schur_class("ssm", orbit, ssm_schur(orbit, D, closure=closure),
                        trunc=D, closure=closure)
 

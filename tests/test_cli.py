@@ -17,6 +17,7 @@ from csmloci.emit import class_json_dict, sorted_terms
 from csmloci.oracles import parse_class_json
 from csmloci.orbits import alpha_vars, chern_vars
 from csmloci.poly import Poly
+from csmloci.schur import schur_dict_to_alpha, schur_to_chern
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -56,6 +57,25 @@ def test_routes_produce_identical_documents(capsys):
     _, out1, _ = capture(capsys, ["class", "--route", "sieve"] + base)
     _, out2, _ = capture(capsys, ["class", "--route", "interp"] + base)
     assert json.loads(out1)["terms"] == json.loads(out2)["terms"]
+    # csm cut at --trunc: on both routes, in every basis, for the orbit and
+    # its closure, the untruncated class with its terms above --trunc dropped
+    trunc, n = 3, 3
+    for closure in ([], ["--closure"]):
+        orbit = ["class", "--family", "sym", "--n", str(n), "--r", "1", "--kind", "csm",
+                 "--format", "json"] + closure
+        _, out, _ = capture(capsys, orbit + ["--basis", "schur"])
+        full = parse_class_json(json.loads(out)).payload
+        cut = {lam: c for lam, c in full.items() if sum(lam) <= trunc}
+        assert cut != full
+        expected = {"schur": cut, "chern": schur_to_chern(cut, n),
+                    "alpha": schur_dict_to_alpha(cut, n)}
+        for route in ("interp", "sieve"):
+            for basis, payload in expected.items():
+                code, out, _ = capture(capsys, orbit + ["--route", route, "--basis", basis,
+                                                        "--trunc", str(trunc)])
+                got = parse_class_json(json.loads(out))
+                assert code == 0 and (got.trunc, got.closure) == (trunc, bool(closure))
+                assert got.payload == payload, (route, basis, closure)
 
 
 def test_json_round_trip(capsys):

@@ -1,7 +1,8 @@
 """Source hygiene: no assert statements or raised AssertionErrors, no
-definition that production never names, no production module that reaches
-the reference routes in csmloci.oracles, and no functools cache off a
-module-level function."""
+definition that production never names, no defaulted parameter that
+production never passes, no production module that reaches the reference
+routes in csmloci.oracles, and no functools cache off a module-level
+function."""
 
 import ast
 import collections
@@ -62,6 +63,57 @@ def test_every_definition_is_referenced():
     unused = sorted(name for name in defined - CALLED_BY_LIBRARIES - set(_EXPORTS)
                     if not name.startswith("__") and not refs[name])
     assert not unused, f"defined but never named by production: {unused}"
+
+
+def defaulted_parameters(tree):
+    """(called name, positional index or None, parameter name, line) for each
+    defaulted parameter of each function, a method's index counted without
+    self; a class is called by its own name for __init__."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = owner if child.name == "__init__" and owner else child.name
+                args = child.args
+                positional = args.posonlyargs + args.args
+                skip = 1 if owner and "staticmethod" not in \
+                    {getattr(d, "id", None) for d in child.decorator_list} else 0
+                for i, arg in enumerate(positional[len(positional) - len(args.defaults):],
+                                        len(positional) - len(args.defaults)):
+                    found.append((name, i - skip, arg.arg, child.lineno))
+                found.extend((name, None, arg.arg, child.lineno)
+                             for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                             if default is not None)
+            visit(child, child.name if isinstance(child, ast.ClassDef) else None)
+
+    visit(tree, None)
+    return found
+
+
+def test_every_default_is_passed_by_production():
+    # a default that no production call overrides is a parameter production
+    # does not need; a call passes it by keyword, by position, or through a
+    # *args or **kwargs splat
+    passed = collections.defaultdict(set)
+    for _, tree in trees([PACKAGE, ROOT / "perfbench"], skip={ORACLES}):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                passed[name].add("*")
+            passed[name] |= set(range(len(node.args)))
+            passed[name] |= {kw.arg or "**" for kw in node.keywords}
+    unpassed = []
+    for path, tree in trees([PACKAGE], skip={ORACLES}):
+        for name, index, param, line in defaulted_parameters(tree):
+            got = passed[name]
+            if not ({param, "**"} & got or index is not None and {index, "*"} & got):
+                unpassed.append(f"{path.name}:{line} {name}({param}=...)")
+    assert not unpassed, f"defaulted parameters no production call passes: {unpassed}"
 
 
 def oracle_imports(tree):

@@ -1,10 +1,12 @@
 """Euler numbers, Phi classes and the sieve formulas."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from csmloci.classes import add_schur
+from csmloci.interp import ssm_interp, ssm_interp_schur
 from csmloci.oracles import phi_from_ssm, phi_reference_series, to_schur_basis
 from csmloci.orbits import Family, OrbitId, coranks
 from csmloci.poly import Poly
@@ -140,13 +142,19 @@ def test_ssm_sym_2_printed():
 
 
 def test_sym_closure_sieve():
-    # closure coefficients binom(r+i-1, r-1); for r=1 the closure class is
-    # Phi_{2,1} - Phi_{2,2}, which also equals the sum of orbit classes
+    # the closure of Sigma^sym(n,r), r >= 1, is sum_i (-1)^i binom(r+i-1, r-1)
+    # Phi_{n,r+i} in closed form; for (2, 1) that is Phi_{2,1} - Phi_{2,2},
+    # which also equals the sum of orbit classes
     D = 5
+    for n in range(1, 5):
+        for r in range(1, n + 1):
+            closed = add_schur(*(phi_schur(OrbitId(S, n, r + i), D) for i in range(n - r + 1)),
+                               coeffs=[(-1) ** i * comb(r + i - 1, r - 1)
+                                       for i in range(n - r + 1)])
+            assert ssm_schur(OrbitId(S, n, r), D, closure=True) == closed, (n, r)
     closure = ssm_schur(OrbitId(S, 2, 1), D, closure=True)
-    direct = add_schur(phi_schur(OrbitId(S, 2, 1), D), phi_schur(OrbitId(S, 2, 2), D),
-                       coeffs=[1, -1])
-    assert closure == direct
+    assert closure == add_schur(phi_schur(OrbitId(S, 2, 1), D), phi_schur(OrbitId(S, 2, 2), D),
+                                coeffs=[1, -1])
     additivity = add_schur(ssm_schur(OrbitId(S, 2, 1), D), ssm_schur(OrbitId(S, 2, 2), D))
     assert closure == additivity
 
@@ -271,3 +279,20 @@ def test_sign_alternation_reported():
     else:
         print("\nsign alternation observed for n <= 4, D <= 6")
     assert True
+
+
+def test_negative_bound_is_refused_and_never_cached():
+    # every entry to a truncated class names a negative bound, the open
+    # orbits included (Sigma^sym(2,0) once gave {(): 1} at D = -1), and no
+    # cache keeps an entry for it
+    sizes = (phi_schur.cache_info().currsize, ssm_interp_schur.cache_info().currsize)
+    calls = (phi_schur, phi_class, ssm_schur, ssm_sieve, ssm_interp_schur, ssm_interp)
+    for orbit in (OrbitId(S, 2, 0), OrbitId(S, 3, 1), OrbitId(W, 2, 0), OrbitId(W, 3, 1)):
+        for call in calls:
+            with pytest.raises(ValueError, match="truncation bound must be non-negative"):
+                call(orbit, -1)
+        for call in (ssm_schur, ssm_sieve, ssm_interp):
+            with pytest.raises(ValueError, match="truncation bound"):
+                call(orbit, -1, closure=True)
+    assert (phi_schur.cache_info().currsize,
+            ssm_interp_schur.cache_info().currsize) == sizes
