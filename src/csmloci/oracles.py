@@ -9,13 +9,14 @@ compare the production classes against.  No production module imports this.
 - total_chern and euler_class expand c(V) and e(V) in the Chern roots; they
   check chern_schur, the smooth Chern-Mather class and the restriction data.
 - to_chern_basis, chern_to_alpha and to_schur_basis convert through the full
-  polynomial in the roots; chern_to_schur adds up vertical Pieri strips.
-  They check schur_to_chern and each other.
+  polynomial in the roots.  They check schur_to_chern, chern_to_schur and
+  each other.
 - schur_dict_value (alternant determinants), w_value and w_inner_value (the
   defining W sums) evaluate at rational points; they check the kernel.
 - csm_to_ssm divides by c(V) as a series; it checks the interpolation ssm.
 - phi_reference_series clears every subset term of Phi to the Vandermonde
-  and divides; phi_from_ssm inverts the sieve.  Both check the Phi classes.
+  and divides; phi_unit_route expands every denominator of Phi inside the
+  kernel; phi_from_ssm inverts the sieve.  They check the Phi classes.
 - phi_wedge_k_value sums the K-theory Phi terms at a point; it checks phi_wedge_k.
 - CanonicalFraction is a LaurentFraction in canonical form with field
   arithmetic, equality, cancellation and substitution; it re-adds the
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import Counter, defaultdict
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm, prod
@@ -40,7 +41,7 @@ from .laurent import LaurentFraction
 from .orbits import Family, OrbitId, alpha_vars, as_family, chern_vars, weight_pairs
 from .partitions import partition
 from .poly import ExactDivisionError, Poly, _grlex_key, _mul_dict, _norm, product
-from .schur import _det, _elementary_schur, alternant_schur_coeffs
+from .schur import _det, alternant_schur_coeffs, pushforward_schur
 from .sieve import ssm_schur
 
 
@@ -402,16 +403,6 @@ def chern_to_alpha(p, n=None):
     return Poly(alpha_vars(n), acc)
 
 
-def chern_to_schur(p, n):
-    """Schur coefficients {partition: coeff} of a polynomial in c_1..c_n,
-    as the sum of the Schur expansions of its Chern monomials."""
-    out = defaultdict(int)
-    for kvec, c in p.terms.items():
-        for lam, k in _elementary_schur(kvec, n).items():
-            out[lam] += c * k
-    return {lam: _norm(c) for lam, c in out.items() if c}
-
-
 def _require_symmetric(p, n):
     """Raise NotSymmetricError unless each monomial's S_n-orbit is present in
     full, every member with the coefficient of its dominant rearrangement."""
@@ -613,6 +604,18 @@ def phi_reference_series(orbit, D):
     vandermonde = product([lin(0, **{f"a{i}": 1, f"a{j}": -1})
                            for i in range(1, n + 1) for j in range(i + 1, n + 1)], av)
     return total.exact_divide_homogeneous(vandermonde).truncate(D)
+
+
+def phi_unit_route(orbit, D):
+    """Schur coefficients of Phi_{n,r} through degree D with every
+    denominator expanded inside the kernel: the units (1 + a_i + a_j)
+    inside I inverted on monomials, and (1 + a_i + a_j)^{-1} over I x J by
+    truncated h_k strips (p = -1), next to (a_i + a_j)(1 + a_i - a_j)."""
+    family, n, r = orbit.family, orbit.n, orbit.r
+    if r == 0:
+        return {(): 1}
+    return pushforward_schur(family, n, r, {(): 1}, ((0, 1, 1), (1, -1, 1), (1, 1, -1)),
+                             units=True, max_deg=D)
 
 
 def phi_from_ssm(orbit, D):

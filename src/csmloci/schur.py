@@ -6,13 +6,15 @@ k-th elementary symmetric polynomial of the roots.
 
 Classes live in Schur form.  schur_to_chern converts them to the Chern basis
 by a unitriangular peel against the Schur expansion of each Chern monomial,
-built by vertical Pieri strips (Macdonald, Symmetric Functions, I.3, I.5).
+built by vertical Pieri strips (Macdonald, Symmetric Functions, I.3, I.5);
+chern_to_schur converts back by the same strips.
 schur_dict_to_alpha writes the alpha output from the monomial basis: the
 coefficient of m_mu is a sum of Kostka numbers (I.6), each row of them read
 off by peeling horizontal strips.
 
 The Grassmannian pushforward (pushforward_schur) computes the W-functions,
-ssm, Phi and Phi c(V).  Its state holds, for each I-exponent, the Schur
+the interpolation ssm and Phi c(V), from which the sieve divides out c(V)
+to get Phi.  Its state holds, for each I-exponent, the Schur
 polynomials in a_J that multiply that monomial in a_I; a cross factor
 enters by Pieri strips read from one cached table per partition
 (_strip_table), a truncated product is cut by the degree its factors still
@@ -258,7 +260,9 @@ def pushforward_schur(family, n, r, inner, cross, units=False, max_deg=None):
     set (i <= j for sym, with 1 + 2a_i at i = j); and prod_{i in I, j in J}
     (c + a_i + s a_j)^p for each (c, s, p) of cross, p = +-1 and c = 1 when
     p = -1.  So P is symmetric in a_I.  An inverted factor is a series, so
-    it needs max_deg; without it the call raises ValueError.
+    it needs max_deg; without it the call raises ValueError.  Production
+    inverts only the units (interp.ssm_interp_schur) and passes p = 1 only;
+    p = -1 serves the reference route oracles.phi_unit_route and the tests.
 
     The state {alpha: {mu: coeff}} stands for sum coeff a_I^alpha s_mu(a_J):
     a row of Schur coefficients in a_J for each I-exponent.  A partition mu
@@ -396,15 +400,28 @@ def _orderings(alpha):
 def _elementary_schur(kvec, n):
     """Read-only Schur dict of c^kvec = prod_k e_k^kvec[k-1] in n variables:
     each factor e_k adds the vertical k-strips (Pieri)."""
-    if not any(kvec):
+    k, rest = _top_factor(kvec)
+    if not k:
         return MappingProxyType({(): 1})
-    k = max(i for i, x in enumerate(kvec) if x) + 1
-    rest = kvec[:k - 1] + (kvec[k - 1] - 1,) + kvec[k:]
     out = defaultdict(int)
-    for mu, c in _elementary_schur(rest, n).items():
-        for nu in _strips(mu, k, n, True):
-            out[nu] += c
+    _add_vertical_strips(out, _elementary_schur(rest, n), k, n)
     return MappingProxyType(dict(out))
+
+
+def _top_factor(kvec):
+    """(k, rest) with c^kvec = c_k c^rest and k the largest index of a
+    factor, or (0, kvec) for the constant monomial."""
+    k = next((i for i in range(len(kvec), 0, -1) if kvec[i - 1]), 0)
+    return (k, kvec[:k - 1] + (kvec[k - 1] - 1,) + kvec[k:]) if k else (0, kvec)
+
+
+def _add_vertical_strips(out, coeffs, k, n):
+    """Add e_k times the Schur dict coeffs into out: each s_mu gives the
+    s_nu of its vertical k-strips (Pieri)."""
+    for mu, c in coeffs.items():
+        if c:
+            for nu in _strips(mu, k, n, True):
+                out[nu] += c
 
 
 def schur_to_chern(coeffs, n):
@@ -434,6 +451,25 @@ def schur_to_chern(coeffs, n):
                 heapq.heappush(heap, (-sum(nu), tuple(-x for x in nu)))
             work[nu] = work.get(nu, 0) - c * k
     return Poly(chern_vars(n), terms)
+
+
+def chern_to_schur(p, n):
+    """Schur coefficients {partition: coeff} of a polynomial in c_1..c_n.
+
+    Each monomial is e_k c^rest with e_k its factor of largest index
+    (_top_factor).  The Schur expansions of the rests are summed per k, and
+    each sum is multiplied by e_k once, so no monomial of the top degrees
+    needs an expansion of its own."""
+    by_top = [defaultdict(int) for _ in range(n + 1)]
+    for kvec, c in p.terms.items():
+        k, rest = _top_factor(kvec)
+        acc = by_top[k]
+        for lam, m in _elementary_schur(rest, n).items():
+            acc[lam] += c * m
+    out = by_top[0]
+    for k in range(1, n + 1):
+        _add_vertical_strips(out, by_top[k], k, n)
+    return {lam: _norm(c) for lam, c in out.items() if c}
 
 
 def chern_weighted_degree(exps):

@@ -1,8 +1,8 @@
 """Source hygiene: no assert statements or raised AssertionErrors, no
 definition that production never names, no defaulted parameter that
 production never passes, no production module that reaches the reference
-routes in csmloci.oracles, and no functools cache off a module-level
-function."""
+routes in csmloci.oracles, no functools cache off a module-level function,
+and no two caches of one name."""
 
 import ast
 import collections
@@ -188,3 +188,21 @@ def test_caches_decorate_module_level_functions():
     found = [f"{path.name}:{line}" for path, tree in trees([PACKAGE])
              for line, ok in cache_uses(tree) if not ok]
     assert not found
+
+
+def cached_function_names(tree):
+    """Names of the module-level functions that a functools cache decorates."""
+    lines = {line for line, ok in cache_uses(tree) if ok}
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(dec.lineno in lines for dec in node.decorator_list)]
+
+
+def test_cache_names_are_unique():
+    # the benchmark keys the caches it empties before each cold pass by bare
+    # function name, so of two caches with one name one stays warm
+    names = collections.Counter(name for _, tree in trees([PACKAGE])
+                                for name in cached_function_names(tree))
+    assert len(names) > 20
+    repeated = sorted(name for name, k in names.items() if k > 1)
+    assert not repeated, f"cache names used more than once: {repeated}"

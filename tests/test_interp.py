@@ -149,7 +149,7 @@ def test_cached_results_are_read_only():
     from csmloci.ktheory import (_phi_k_cleared, phi_wedge_k, q_binomial, q_euler_numbers,
                                  q_factorial)
     from csmloci.schur import _elementary_schur
-    from csmloci.sieve import euler_numbers, phi_cv_schur, phi_schur
+    from csmloci.sieve import _inverse_cv_chern, euler_numbers, phi_cv_schur, phi_schur
     orbit = OrbitId(S, 3, 1)
     before = csm_class(orbit).payload
     for cached in (w_schur(orbit), w_schur(OrbitId(S, 3, 0)),
@@ -181,7 +181,7 @@ def test_cached_results_are_read_only():
     with pytest.raises(TypeError):
         qe[2] = qe[0]
     for poly in (mc.value.num, mc.value.den, phi_wedge_k(4, 0).value.num,
-                 q_factorial(3), q_binomial(4, 2), qe[2]):
+                 q_factorial(3), q_binomial(4, 2), qe[2], _inverse_cv_chern(S, 3, 4)):
         was = dict(poly.terms)
         e = next(iter(was))
         with pytest.raises(TypeError):
@@ -189,7 +189,7 @@ def test_cached_results_are_read_only():
         assert dict(poly.terms) == was
     # nor can their vars or terms be rebound or deleted
     for poly in (mc.value.num, q_factorial(3), q_binomial(4, 2), qe[2],
-                 _phi_k_cleared(2, 2)):
+                 _phi_k_cleared(2, 2), _inverse_cv_chern(S, 3, 4)):
         was = (poly.vars, dict(poly.terms))
         for name in ("vars", "terms"):
             with pytest.raises(AttributeError):

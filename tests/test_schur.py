@@ -10,15 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csmloci.oracles import (NotSymmetricError, TruncSeries, _schur_terms,
-                             branching_schur_dict_to_alpha, chern_to_alpha, chern_to_schur,
+                             branching_schur_dict_to_alpha, chern_to_alpha,
                              euler_class, schur_dict_value, schur_poly, to_chern_basis,
                              to_schur_basis)
 from csmloci.interp import csm_class, w_schur
 from csmloci.orbits import Family, OrbitId, alpha_vars, chern_vars, orbits, weight_pairs
 from csmloci.partitions import conjugate, count_ssyt, partition, staircase
 from csmloci.poly import Poly
-from csmloci.schur import (_kostka_row, _strips, alternant_schur_coeffs, pushforward_schur,
-                           schur_dict_to_alpha, schur_to_chern)
+from csmloci.schur import (_kostka_row, _strips, alternant_schur_coeffs, chern_to_schur,
+                           pushforward_schur, schur_dict_to_alpha, schur_to_chern)
 
 
 def partitions_upto(max_size, max_len=None):

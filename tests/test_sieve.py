@@ -1,5 +1,6 @@
 """Euler numbers, Phi classes and the sieve formulas."""
 
+import hashlib
 from fractions import Fraction
 from math import comb
 
@@ -7,10 +8,12 @@ import pytest
 
 from csmloci.classes import add_schur
 from csmloci.interp import ssm_interp, ssm_interp_schur
-from csmloci.oracles import phi_from_ssm, phi_reference_series, to_schur_basis
-from csmloci.orbits import Family, OrbitId, coranks
+from csmloci.interp import chern_schur
+from csmloci.oracles import phi_from_ssm, phi_reference_series, phi_unit_route, to_schur_basis
+from csmloci.orbits import Family, OrbitId, chern_vars, coranks, orbits
 from csmloci.poly import Poly
-from csmloci.sieve import (binomial_matrix, csm_sieve_schur, euler_numbers,
+from csmloci.schur import chern_weighted_degree, schur_to_chern
+from csmloci.sieve import (_inverse_cv_chern, binomial_matrix, csm_sieve_schur, euler_numbers,
                            invert_binomial_matrix, phi_class, phi_schur, ssm_schur, ssm_sieve)
 
 W, S = Family.WEDGE, Family.SYM
@@ -108,10 +111,66 @@ def test_phi_against_reference_clearing_route():
 def test_truncated_phi_is_cut_of_longer(fam):
     for n in range(1, 6):
         for r in coranks(fam, n):
-            for D in (0, 2, 5):
+            for D in (0, 2, 5, 12):
                 longer = phi_schur(OrbitId(fam, n, r), D + 3)
                 cut = {lam: c for lam, c in longer.items() if sum(lam) <= D}
                 assert phi_schur(OrbitId(fam, n, r), D) == cut
+
+
+def test_phi_division_matches_unit_route():
+    # Phi c(V) divided by c(V) in the Chern basis equals the kernel run with
+    # every denominator expanded as a series, coefficient types included
+    for fam in (W, S):
+        for n, Ds in [(n, (0, 1, 2, 5, 12)) for n in range(1, 6)] + [(6, (0, 2, 4))]:
+            for orbit in orbits(fam, n):
+                for D in Ds:
+                    got, want = dict(phi_schur(orbit, D)), phi_unit_route(orbit, D)
+                    assert got == want, (orbit, D)
+                    assert [type(got[lam]) for lam in want] == list(map(type, want.values()))
+
+
+def cut_weighted(p, D):
+    return {e: c for e, c in p.terms.items() if chern_weighted_degree(e) <= D}
+
+
+@pytest.mark.parametrize("fam", [W, S])
+def test_inverse_cv_is_two_sided(fam):
+    # c(V_n) in c_1..c_n times the cached inverse is 1 through weighted
+    # degree D, and the inverse at D is the cut of the inverse at D + 3
+    for n in range(1, 7):
+        cv = schur_to_chern(chern_schur(fam, n), n)
+        for D in range(13):
+            inverse = _inverse_cv_chern(fam, n, D)
+            assert inverse.vars == chern_vars(n)
+            assert cut_weighted(cv * inverse, D) == {(0,) * n: 1}, (n, D)
+            assert dict(inverse.terms) == cut_weighted(_inverse_cv_chern(fam, n, D + 3), D)
+
+
+# sha256 over the orbits of (family, n), in catalog order, of the sorted items
+# of phi_schur at D = 12 (n <= 5) or D = 6 (n = 6), recorded before Phi was
+# computed by division
+PHI_DIGESTS = {
+    (W, 1): "b94b1cb7d1cbc4e4791574cd93e5514a2b093fe640d2f7d3843a71615941f761",
+    (W, 2): "5c8602838b6acf345e86eccb51e6536b707d222c3e0dfcb5da8c921719b23de5",
+    (W, 3): "263f32ac9f68e29220756f9b68565a3d26e1ca8f2771c8d49fb08350b900a554",
+    (W, 4): "2e019fea7ec999e488cf1f48b94b48edcf368dd56c390c560e800dd7c50e0707",
+    (W, 5): "85923c90c065af0f26aaaa89537546400867657878e36e2d7960370c090ca3bc",
+    (W, 6): "78a6906b84ee157e268071a7db50867a4433ea71c3ce18f39bb34f42b48eb6bf",
+    (S, 1): "fc7bd55d1f2314277fc58c509de32845af5344f090ae4f9cba176471df969ca3",
+    (S, 2): "2f0f0de2f8c3a117f0e2463e9d2408f5b54b318a4b6e47a6e3556a137ff66c60",
+    (S, 3): "d4ab46a0e1893aad31327b66890d246daa189c906a3513d5317e9ccae9892a81",
+    (S, 4): "12cd00d1d543f6ecce3532750dc94595e94d8f6aff5743fbde0bf8769d2b9035",
+    (S, 5): "6e6f7446ddb0fb8f5f22b9b01cd0c33868ddae144529b3552e74128032140d3f",
+    (S, 6): "0dac172447c1bb7b961f497c496797e553051074127a4d9c5c5281d2eb705096",
+}
+
+
+def test_phi_digests():
+    for (fam, n), digest in PHI_DIGESTS.items():
+        h = hashlib.sha256()
+        for orbit in orbits(fam, n):
+            h.update(repr(sorted(phi_schur(orbit, 12 if n <= 5 else 6).items())).encode())
+        assert h.hexdigest() == digest, (fam, n)
 
 
 def test_ssm_wedge_2_0():
@@ -286,6 +345,7 @@ def test_negative_bound_is_refused_and_never_cached():
     # orbits included (Sigma^sym(2,0) once gave {(): 1} at D = -1), and no
     # cache keeps an entry for it
     sizes = (phi_schur.cache_info().currsize, ssm_interp_schur.cache_info().currsize)
+    inverses = _inverse_cv_chern.cache_info().currsize
     calls = (phi_schur, phi_class, ssm_schur, ssm_sieve, ssm_interp_schur, ssm_interp)
     for orbit in (OrbitId(S, 2, 0), OrbitId(S, 3, 1), OrbitId(W, 2, 0), OrbitId(W, 3, 1)):
         for call in calls:
@@ -296,3 +356,4 @@ def test_negative_bound_is_refused_and_never_cached():
                 call(orbit, -1, closure=True)
     assert (phi_schur.cache_info().currsize,
             ssm_interp_schur.cache_info().currsize) == sizes
+    assert _inverse_cv_chern.cache_info().currsize == inverses
