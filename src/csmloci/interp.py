@@ -13,7 +13,8 @@ bialternant identity gives Schur coefficients.  The open orbit comes from
 additivity: the csm classes of all orbits add up to c(V), so
 W_{n,0} = c(V) - sum_{r>=1} W_{n,r}, and the recursion closes because
 W_{n,r} needs only W_{n-r,0}; c(V) in Schur form comes from Lascoux's
-closed formula.
+closed formula (chern_schur), and divide_by_cv divides a class cut at a
+degree by c(V) (the sieve's Phi classes).
 
 The ssm class W_{n,r} / c(V) is computed the same way: c(V) is symmetric,
 so it divides each subset term, which leaves the inner ssm of the open orbit
@@ -25,16 +26,20 @@ orbit classes over the orbits in the closure (closure_schur).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import comb
+from operator import mul
 from types import MappingProxyType
 
 from .classes import add_schur, schur_class
-from .orbits import Family, OrbitId, coranks, inside_weights, suborbit_coranks
-from .poly import ExactDivisionError, Poly, exact_int, product
-from .schur import _det, _staircase_shift, pushforward_schur, schur_dict_to_alpha
+from .orbits import Family, OrbitId, chern_vars, coranks, inside_weights, suborbit_coranks
+from .poly import ExactDivisionError, Poly, product
+from .schur import (_staircase_shift, chern_to_schur, chern_weighted_degree, pushforward_schur,
+                    schur_dict_to_alpha, schur_to_chern)
 
 
 # -- the W-functions ----------------------------------------------------
@@ -87,21 +92,112 @@ def chern_schur(family, n):
     With y_i = 1/2 + a_i, c(V) = prod (y_i + y_j) = coeff s_lam(y) for
     (lam, coeff) = inside_weights(family, n).  Lascoux's formula (Macdonald,
     Symmetric Functions, I.3 Ex. 10) expands s_lam(1 + x) over the mu inside
-    lam with the positive coefficients det(C(lam_i + n - i, mu_j + n - j)),
-    so c(V) = coeff sum_mu 2^(|mu| - |lam|) det(...) s_mu(a), checked exact.
+    lam with the positive coefficients det(C(t_i, b_j)), t = lam + delta_n
+    and b = mu + delta_n, so c(V) = coeff sum_mu 2^(|mu| - |lam|) det s_mu(a);
+    the power of 2 is taken off by a shift, checked exact.
+
+    Every determinant comes from one Laplace expansion, column by column with
+    mu_1 first: the minor on a set R of k rows and the columns b_1..b_k is
+    the sum over i in R of C(t_i, b_k) times the minor on R - {i} and
+    b_1..b_(k-1), with the sign (-1)^(number of rows of R after i).  One minor
+    is kept per row set, so the mu that share a prefix share its minors.
     """
+    return MappingProxyType(_lascoux(family, n, sum(inside_weights(family, n)[0])))
+
+
+def _lascoux(family, n, max_size):
+    """{mu: coeff} of c(V_n) in Schur form over the mu with |mu| <= max_size,
+    in lex order of mu: chern_schur's expansion, each mu-prefix stopped once
+    its size passes max_size."""
     lam, coeff = inside_weights(family, n)
-    mus = [()]
-    for part in lam:
-        mus = [mu + (k,) for mu in mus for k in range(min(mu[-1:] + (part,)) + 1)]
+    top = sum(lam)
+    lam += (0,) * (n - len(lam))
     tops = _staircase_shift(lam, n)
     out = {}
-    for mu in mus:
-        mu = tuple(k for k in mu if k)
-        det = _det([[comb(t, b) for b in _staircase_shift(mu, n)] for t in tops])
-        out[mu] = exact_int(Fraction(coeff * det << sum(mu), 1 << sum(lam)),
-                            f"c(V) coefficient of s{mu}")
-    return MappingProxyType(out)
+
+    def expand(mu, size, minors):
+        k = len(mu)
+        if k == n:
+            value, drop = coeff * minors.get((1 << n) - 1, 0), top - size
+            if value & ((1 << drop) - 1):
+                raise ExactDivisionError(f"c(V) coefficient of s{mu} is not an integer: "
+                                         f"{Fraction(value, 1 << drop)}")
+            out[mu[:n - mu.count(0)]] = value >> drop
+            return
+        for part in range(min(mu[-1:] + (lam[k],)) + 1):
+            if size + part > max_size:
+                break
+            b = part + n - 1 - k
+            column = [comb(t, b) for t in tops if t >= b]  # C(t, b) = 0 below
+            extended = {}
+            for used, minor in minors.items():
+                for i, entry in enumerate(column):
+                    if not used >> i & 1:
+                        key = used | 1 << i
+                        signed = -entry if (used >> i).bit_count() & 1 else entry
+                        extended[key] = extended.get(key, 0) + signed * minor
+            expand(mu + (part,), size + part, extended)
+
+    expand((), 0, {0: 1})
+    return out
+
+
+def divide_by_cv(coeffs, family, n, D):
+    """Schur coefficients of f through degree D, given those of f c(V_n)
+    through degree D: in c_1..c_n, times c(V_n)^{-1} through weighted
+    degree D (_inverse_cv_rows), and back.
+
+    A Chern monomial c^kvec of weighted degree <= D has every exponent <= D,
+    so it is packed into one int, kvec_i the digit of (D + 1)^(i - 1), and a
+    product of two monomials through degree D is the sum of their keys."""
+    inverse = _inverse_cv_rows(family, n, D)
+    out = defaultdict(int)
+    for d, row in enumerate(_packed_rows(schur_to_chern(coeffs, n), D)):
+        tail = tuple(chain.from_iterable(inverse[:D - d + 1]))
+        for key, c in row:
+            for key2, c2 in tail:
+                out[key + key2] += c * c2
+    terms = {}
+    for key, c in out.items():
+        if c:
+            kvec = []
+            for _ in range(n):
+                key, x = divmod(key, D + 1)
+                kvec.append(x)
+            terms[tuple(kvec)] = c
+    return chern_to_schur(Poly(chern_vars(n), terms, _clean=False), n)
+
+
+@lru_cache(maxsize=None)
+def _inverse_cv_rows(family, n, D):
+    """c(V_n)^{-1} in c_1..c_n through weighted degree D, read-only: row d
+    holds its (packed monomial, coeff) of weighted degree d (see
+    divide_by_cv).  c(V) is expanded only through size D (_lascoux).
+
+    c(V) has constant term 1, so degree by degree the inverse f of g = c(V)
+    is f_0 = 1, f_d = -sum_{k=1..d} g_k f_{d-k}."""
+    g = _packed_rows(schur_to_chern(_lascoux(family, n, D), n), D)
+    f = [((0, 1),)]
+    for d in range(1, D + 1):
+        fd = defaultdict(int)
+        for k in range(1, d + 1):
+            for key, c in g[k]:
+                for key2, c2 in f[d - k]:
+                    fd[key + key2] -= c * c2
+        f.append(tuple((key, c) for key, c in fd.items() if c))
+    return tuple(f)
+
+
+def _packed_rows(p, D):
+    """[[(packed kvec, coeff)] of weighted degree d for d = 0..D] of a
+    polynomial in c_1..c_n, packed in base D + 1 (see divide_by_cv)."""
+    digits = [(D + 1) ** i for i in range(len(p.vars))]
+    rows = [[] for _ in range(D + 1)]
+    for kvec, c in p.terms.items():
+        d = chern_weighted_degree(kvec)
+        if d <= D:
+            rows[d].append((sum(map(mul, kvec, digits)), c))
+    return rows
 
 
 @dataclass

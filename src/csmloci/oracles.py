@@ -8,6 +8,8 @@ compare the production classes against.  No production module imports this.
   Kostka route and the Pieri strips.
 - total_chern and euler_class expand c(V) and e(V) in the Chern roots; they
   check chern_schur, the smooth Chern-Mather class and the restriction data.
+  chern_schur_bareiss computes each of Lascoux's coefficients of c(V) by its
+  own determinant; it checks chern_schur's shared expansion.
 - to_chern_basis, chern_to_alpha and to_schur_basis convert through the full
   polynomial in the roots.  They check schur_to_chern, chern_to_schur and
   each other.
@@ -38,10 +40,11 @@ from types import MappingProxyType
 
 from .classes import ClassExpr, add_schur
 from .laurent import LaurentFraction
-from .orbits import Family, OrbitId, alpha_vars, as_family, chern_vars, weight_pairs
+from .orbits import (Family, OrbitId, alpha_vars, as_family, chern_vars, inside_weights,
+                     weight_pairs)
 from .partitions import partition
-from .poly import ExactDivisionError, Poly, _grlex_key, _mul_dict, _norm, product
-from .schur import _det, alternant_schur_coeffs, pushforward_schur
+from .poly import ExactDivisionError, Poly, _grlex_key, _mul_dict, _norm, exact_int, product
+from .schur import _staircase_shift, alternant_schur_coeffs, pushforward_schur
 from .sieve import ssm_schur
 
 
@@ -437,6 +440,25 @@ def to_schur_basis(p, n=None):
             alternant_schur_coeffs(Poly(p.vars, shifted, _clean=False), n).items()}
 
 
+def _det(rows):
+    """Exact determinant of an integer matrix, fraction-free (Bareiss)."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
 def schur_dict_value(coeffs, vals):
     """Evaluate a Schur coefficient dict at an exact rational point with
     distinct coordinates, by the ratio of alternant determinants.
@@ -460,6 +482,24 @@ def schur_dict_value(coeffs, vals):
         if len(lam) <= n:
             total += c * Fraction(alternant(lam), q ** sum(lam))
     return total / alternant(())
+
+
+def chern_schur_bareiss(family, n):
+    """c(V) in Schur form by Lascoux's formula with one Bareiss determinant
+    det(C(lam_i + n - i, mu_j + n - j)) and one exact Fraction per mu inside
+    lam: the reference for interp.chern_schur's shared column expansion."""
+    lam, coeff = inside_weights(family, n)
+    mus = [()]
+    for part in lam:
+        mus = [mu + (k,) for mu in mus for k in range(min(mu[-1:] + (part,)) + 1)]
+    tops = _staircase_shift(lam, n)
+    out = {}
+    for mu in mus:
+        mu = tuple(k for k in mu if k)
+        det = _det([[comb(t, b) for b in _staircase_shift(mu, n)] for t in tops])
+        out[mu] = exact_int(Fraction(coeff * det << sum(mu), 1 << sum(lam)),
+                            f"c(V) coefficient of s{mu}")
+    return out
 
 
 def csm_to_ssm(csm, D):

@@ -11,8 +11,12 @@ from .poly import exact_int
 def partition(parts):
     """Canonicalize to a weakly decreasing tuple of positive parts.
 
-    Trailing zeros are stripped; an increasing pair is an error.
+    Trailing zeros are stripped; an increasing pair is an error.  A tuple of
+    ints that is canonical already is returned as it is.
     """
+    if type(parts) is tuple and {*map(type, parts)} <= {int} and \
+            (not parts or parts[-1] > 0) and sorted(parts, reverse=True) == list(parts):
+        return parts
     parts = tuple(int(p) for p in parts)
     while parts and parts[-1] == 0:
         parts = parts[:-1]
@@ -48,10 +52,9 @@ def count_ssyt(lam, n):
     if not lam:
         return 1
     conj = conjugate(lam)
-    val = Fraction(1)
+    contents = hooks = 1
     for i, row in enumerate(lam):
         for j in range(row):
-            content = j - i
-            hook = (row - j) + (conj[j] - i) - 1
-            val *= Fraction(n + content, hook)
-    return exact_int(val, f"SSYT count of {lam}")
+            contents *= n + j - i
+            hooks *= (row - j) + (conj[j] - i) - 1
+    return exact_int(Fraction(contents, hooks), f"SSYT count of {lam}")

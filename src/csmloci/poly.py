@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from math import lcm
 from operator import add as _add
 from types import MappingProxyType
 
@@ -381,10 +382,15 @@ class _ReadOnlyPoly(Poly):
 # -- raw dict kernels (hot paths) --------------------------------------
 
 def _mul_dict(a, b):
+    """The product of two term dicts.  Each side is written over the common
+    denominator of its coefficients, so the products are of ints, and each
+    output coefficient is divided once."""
     if not a or not b:
         return {}
     if len(a) < len(b):
         a, b = b, a
+    a, den_a = _over_common_denominator(a)
+    b, den_b = _over_common_denominator(b)
     out = {}
     get = out.get
     bi = list(b.items())
@@ -396,7 +402,17 @@ def _mul_dict(a, b):
                 out[ke] = s
             elif ke in out:
                 del out[ke]
-    return {e: _norm(c) for e, c in out.items()}
+    den = den_a * den_b
+    return {e: _norm(Fraction(c, den) if den != 1 else c) for e, c in out.items()}
+
+
+def _over_common_denominator(terms):
+    """(terms times q, q) for q the least common denominator of the
+    coefficients (ints or Fractions), so the scaled coefficients are ints."""
+    q = lcm(*(c.denominator for c in terms.values()))
+    if q == 1:
+        return terms, 1
+    return {e: c.numerator * (q // c.denominator) for e, c in terms.items()}, q
 
 
 def product(factors, variables=None):

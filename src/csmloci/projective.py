@@ -53,13 +53,14 @@ class ProjClass:
 
 
 def _xi_coeffs_from_schur(schur_coeffs, n, N):
-    out = [Fraction(0)] * N
+    """The coefficients of xi^d, d < N, of the Schur dict at a_i = xi/2:
+    sum over |lam| = d of c_lam #SSYT(lam, n), over 2^d."""
+    out = [0] * N
     for lam, c in schur_coeffs.items():
         d = sum(lam)
-        if d >= N:
-            continue
-        out[d] += Fraction(c) * count_ssyt(lam, n) / (2 ** d)
-    return [exact_int(v, "projectivized coefficient") for v in out]
+        if d < N:
+            out[d] += c * count_ssyt(lam, n)
+    return [exact_int(Fraction(v, 1 << d), "projectivized coefficient") for d, v in enumerate(out)]
 
 
 @lru_cache(maxsize=None)

@@ -86,25 +86,6 @@ def schur_dict_to_alpha(coeffs, n):
     return Poly(alpha_vars(n), terms, _clean=False)
 
 
-def _det(rows):
-    """Exact determinant of an integer matrix, fraction-free (Bareiss)."""
-    m = [list(row) for row in rows]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1] if n else 1
-
-
 # -- alternant (bialternant) extraction -------------------------------
 
 def alternant_schur_coeffs(poly, n_alt):

@@ -6,9 +6,12 @@ weight factors over unit denominators (1 + a_i + a_j).  Multiplying by
 c(V) = prod (1 + a_i + a_j), symmetric in all n roots, clears every one of
 them: Phi c(V) is a Gysin pushforward from a Grassmann bundle
 (schur.pushforward_schur) with inner c(V) on J and nothing inverted.  So
-Phi_{n,r} through degree D is that pushforward cut at D, divided by c(V):
-in c_1..c_n, times the series c(V)^{-1} through weighted degree D, and
-back to Schur coefficients.
+Phi_{n,r} through degree D is that pushforward cut at D, divided by c(V).
+The division lives beside c(V) itself, in interp.divide_by_cv: it goes to
+c_1..c_n, with each Chern monomial packed into one int so that multiplying
+two monomials is adding two ints, multiplies by the series c(V)^{-1}
+through weighted degree D (cached once per (family, n, D)), and comes back
+to Schur coefficients.
 
 The orbit SSM classes are alternating linear combinations of Phi classes
 over the orbits in the closure: Euler-number coefficients in the
@@ -21,18 +24,14 @@ it is built (schur_class).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from functools import lru_cache
-from itertools import chain
 from math import comb
-from operator import add as _add
 from types import MappingProxyType
 
 from .classes import schur_class
-from .interp import chern_schur, closure_schur
-from .orbits import Family, chern_vars, suborbit_coranks
-from .poly import Poly
-from .schur import chern_to_schur, chern_weighted_degree, pushforward_schur, schur_to_chern
+from .interp import chern_schur, closure_schur, divide_by_cv
+from .orbits import Family, suborbit_coranks
+from .schur import pushforward_schur
 
 
 # -- Euler numbers ------------------------------------------------------
@@ -70,16 +69,13 @@ def invert_binomial_matrix(m, parity="even"):
 @lru_cache(maxsize=None)
 def phi_schur(orbit, D):
     """Schur coefficients of Phi_{n,r} up to total degree D, read-only:
-    Phi c(V) cut at D (_phi_cv_pushforward), in c_1..c_n, times c(V)^{-1}
-    through weighted degree D, back in Schur form."""
+    Phi c(V) cut at D (_phi_cv_pushforward) divided by c(V) through degree
+    D (interp.divide_by_cv, on packed Chern monomials)."""
     if D < 0:
         raise ValueError("truncation bound must be non-negative")
-    family, n = orbit.family, orbit.n
     if orbit.r == 0:
         return MappingProxyType({(): 1})
-    numerator = schur_to_chern(_phi_cv_pushforward(orbit, D), n)
-    quotient = _chern_mul_cut(numerator, _inverse_cv_chern(family, n, D), D)
-    return MappingProxyType(chern_to_schur(quotient, n))
+    return MappingProxyType(divide_by_cv(_phi_cv_pushforward(orbit, D), orbit.family, orbit.n, D))
 
 
 def phi_class(orbit, D):
@@ -95,46 +91,6 @@ def _phi_cv_pushforward(orbit, max_deg):
     family, n, r = orbit.family, orbit.n, orbit.r
     return pushforward_schur(family, n, r, chern_schur(family, n - r),
                              ((0, 1, 1), (1, -1, 1)), max_deg=max_deg)
-
-
-@lru_cache(maxsize=None)
-def _inverse_cv_chern(family, n, D):
-    """c(V_n)^{-1} in c_1..c_n through weighted degree D, read-only.
-
-    c(V) has constant term 1, so degree by degree the inverse f of g = c(V)
-    is f_0 = 1, f_d = -sum_{k=1..d} g_k f_{d-k}."""
-    cut = {lam: c for lam, c in chern_schur(family, n).items() if sum(lam) <= D}
-    g = _by_degree(schur_to_chern(cut, n), D)
-    f = [{(0,) * n: 1}]
-    for d in range(1, D + 1):
-        fd = defaultdict(int)
-        for k in range(1, d + 1):
-            for e, c in g[k]:
-                for e2, c2 in f[d - k].items():
-                    fd[tuple(map(_add, e, e2))] -= c * c2
-        f.append({e: c for e, c in fd.items() if c})
-    return Poly(chern_vars(n), {e: c for fd in f for e, c in fd.items()}, _clean=False).read_only()
-
-
-def _by_degree(p, D):
-    """[[(kvec, coeff)] of weighted degree d for d = 0..D] of a Chern polynomial."""
-    out = [[] for _ in range(D + 1)]
-    for e, c in p.terms.items():
-        d = chern_weighted_degree(e)
-        if d <= D:
-            out[d].append((e, c))
-    return out
-
-
-def _chern_mul_cut(p, q, D):
-    """The product of two polynomials in c_1..c_n through weighted degree D."""
-    qs = _by_degree(q, D)
-    out = defaultdict(int)
-    for d, row in enumerate(_by_degree(p, D)):
-        for e, c in row:
-            for e2, c2 in chain.from_iterable(qs[:D - d + 1]):
-                out[tuple(map(_add, e, e2))] += c * c2
-    return Poly(p.vars, out)
 
 
 # -- sieve formulas ------------------------------------------------------

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csmloci.classes import add_schur
 from csmloci.interp import (csm_class, restriction_data, ssm_interp, ssm_interp_schur,
@@ -144,12 +146,50 @@ def test_chern_schur_is_weight_product():
             assert schur_dict_value(chern_schur(fam, n), pt) == expect
 
 
-def test_cached_results_are_read_only():
+def test_chern_schur_matches_bareiss_oracle():
+    # the shared column expansion against one Bareiss determinant per mu,
+    # key order and coefficient types included
     from csmloci.interp import chern_schur
+    from csmloci.oracles import chern_schur_bareiss
+    for fam in (W, S):
+        for n in range(1, 9):
+            got, want = chern_schur(fam, n), chern_schur_bareiss(fam, n)
+            assert list(got.items()) == list(want.items()), (fam, n)
+            assert {type(c) for c in got.values()} == {int}
+
+
+def test_cut_expansion_is_cut_of_full():
+    # c(V) expanded only through size D is the full expansion cut at D
+    from csmloci.interp import _lascoux, chern_schur
+    from csmloci.orbits import inside_weights
+    for fam in (W, S):
+        for n in range(1, 8):
+            full = chern_schur(fam, n)
+            for D in range(sum(inside_weights(fam, n)[0]) + 2):
+                cut = [(mu, c) for mu, c in full.items() if sum(mu) <= D]
+                assert list(_lascoux(fam, n, D).items()) == cut, (fam, n, D)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([W, S]), st.integers(1, 4), st.integers(0, 9),
+       st.dictionaries(st.lists(st.integers(1, 4), max_size=4).map(
+           lambda parts: tuple(sorted(parts, reverse=True))), st.integers(-9, 9), max_size=6))
+def test_divide_by_cv_inverts_the_product(fam, n, D, f):
+    # (f c(V)) cut at D, divided by c(V), is f cut at D
+    from csmloci.interp import chern_schur, divide_by_cv
+    from csmloci.schur import chern_to_schur, schur_to_chern
+    f = {lam: c for lam, c in f.items() if c and len(lam) <= n}
+    product = chern_to_schur(schur_to_chern(f, n) * schur_to_chern(chern_schur(fam, n), n), n)
+    cut = {lam: c for lam, c in product.items() if sum(lam) <= D}
+    assert divide_by_cv(cut, fam, n, D) == {lam: c for lam, c in f.items() if sum(lam) <= D}
+
+
+def test_cached_results_are_read_only():
+    from csmloci.interp import _inverse_cv_rows, chern_schur
     from csmloci.ktheory import (_phi_k_cleared, phi_wedge_k, q_binomial, q_euler_numbers,
                                  q_factorial)
     from csmloci.schur import _elementary_schur
-    from csmloci.sieve import _inverse_cv_chern, euler_numbers, phi_cv_schur, phi_schur
+    from csmloci.sieve import euler_numbers, phi_cv_schur, phi_schur
     orbit = OrbitId(S, 3, 1)
     before = csm_class(orbit).payload
     for cached in (w_schur(orbit), w_schur(OrbitId(S, 3, 0)),
@@ -161,6 +201,11 @@ def test_cached_results_are_read_only():
             cached[()] = 999
     with pytest.raises(TypeError):
         euler_numbers(4)[2] = 7
+    # the inverse of c(V): rows by weighted degree of (packed monomial, coeff)
+    inverse = _inverse_cv_rows(S, 3, 4)
+    for rows in (inverse, inverse[1]):
+        with pytest.raises(TypeError):
+            rows[0] = (0, 999)
     mc = phi_wedge_k(2, 2)
     with pytest.raises(AttributeError):
         mc.kind = "bogus"
@@ -181,7 +226,7 @@ def test_cached_results_are_read_only():
     with pytest.raises(TypeError):
         qe[2] = qe[0]
     for poly in (mc.value.num, mc.value.den, phi_wedge_k(4, 0).value.num,
-                 q_factorial(3), q_binomial(4, 2), qe[2], _inverse_cv_chern(S, 3, 4)):
+                 q_factorial(3), q_binomial(4, 2), qe[2]):
         was = dict(poly.terms)
         e = next(iter(was))
         with pytest.raises(TypeError):
@@ -189,7 +234,7 @@ def test_cached_results_are_read_only():
         assert dict(poly.terms) == was
     # nor can their vars or terms be rebound or deleted
     for poly in (mc.value.num, q_factorial(3), q_binomial(4, 2), qe[2],
-                 _phi_k_cleared(2, 2), _inverse_cv_chern(S, 3, 4)):
+                 _phi_k_cleared(2, 2)):
         was = (poly.vars, dict(poly.terms))
         for name in ("vars", "terms"):
             with pytest.raises(AttributeError):

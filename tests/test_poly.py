@@ -152,6 +152,28 @@ def test_ring_laws_random():
         assert a + b == b + a
 
 
+def test_products_with_fraction_coefficients():
+    # products over a common denominator equal the term-by-term sum of
+    # Fraction products: integral coefficients come out as int, cancelled
+    # terms vanish
+    x, y = (Poly.variable(AV2, v) for v in AV2)
+    assert (x.scale(Fraction(1, 2)) + y.scale(Fraction(1, 3))) * (x.scale(2) - y.scale(3)) == \
+        Poly(AV2, {(2, 0): 1, (1, 1): Fraction(-5, 6), (0, 2): -1})
+    assert ((x + y).scale(Fraction(1, 2)) * (x - y).scale(Fraction(1, 2))).terms == \
+        {(2, 0): Fraction(1, 4), (0, 2): Fraction(-1, 4)}
+    rng = random.Random(21)
+    for _ in range(25):
+        a, b = rand_poly(rng, AV3), rand_poly(rng, AV3) + Poly.const(AV3, rng.randint(-3, 3))
+        want = {}
+        for e1, c1 in a.terms.items():
+            for e2, c2 in b.terms.items():
+                e = tuple(u + v for u, v in zip(e1, e2))
+                want[e] = want.get(e, 0) + Fraction(c1) * c2
+        want = {e: c.numerator if c.denominator == 1 else c for e, c in want.items() if c}
+        got = (a * b).terms
+        assert got == want and all(type(got[e]) is type(c) for e, c in want.items())
+
+
 def test_evaluation_oracle_on_products():
     rng = random.Random(99)
     for _ in range(10):

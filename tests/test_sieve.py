@@ -7,14 +7,13 @@ from math import comb
 import pytest
 
 from csmloci.classes import add_schur
-from csmloci.interp import ssm_interp, ssm_interp_schur
-from csmloci.interp import chern_schur
+from csmloci.interp import _inverse_cv_rows, chern_schur, ssm_interp, ssm_interp_schur
 from csmloci.oracles import phi_from_ssm, phi_reference_series, phi_unit_route, to_schur_basis
-from csmloci.orbits import Family, OrbitId, chern_vars, coranks, orbits
+from csmloci.orbits import Family, OrbitId, coranks, orbits
 from csmloci.poly import Poly
 from csmloci.schur import chern_weighted_degree, schur_to_chern
-from csmloci.sieve import (_inverse_cv_chern, binomial_matrix, csm_sieve_schur, euler_numbers,
-                           invert_binomial_matrix, phi_class, phi_schur, ssm_schur, ssm_sieve)
+from csmloci.sieve import (binomial_matrix, csm_sieve_schur, euler_numbers, invert_binomial_matrix,
+                           phi_class, phi_schur, ssm_schur, ssm_sieve)
 
 W, S = Family.WEDGE, Family.SYM
 
@@ -133,6 +132,18 @@ def cut_weighted(p, D):
     return {e: c for e, c in p.terms.items() if chern_weighted_degree(e) <= D}
 
 
+def unpack_rows(rows, n, D):
+    """The cached inverse's rows as one polynomial in c_1..c_n; each row
+    holds int coefficients of packed monomials of its weighted degree."""
+    terms = {}
+    for d, row in enumerate(rows):
+        for key, c in row:
+            kvec = tuple(key // (D + 1) ** i % (D + 1) for i in range(n))
+            assert key < (D + 1) ** n and chern_weighted_degree(kvec) == d and type(c) is int
+            terms[kvec] = c
+    return cpoly(n, terms)
+
+
 @pytest.mark.parametrize("fam", [W, S])
 def test_inverse_cv_is_two_sided(fam):
     # c(V_n) in c_1..c_n times the cached inverse is 1 through weighted
@@ -140,10 +151,12 @@ def test_inverse_cv_is_two_sided(fam):
     for n in range(1, 7):
         cv = schur_to_chern(chern_schur(fam, n), n)
         for D in range(13):
-            inverse = _inverse_cv_chern(fam, n, D)
-            assert inverse.vars == chern_vars(n)
+            rows = _inverse_cv_rows(fam, n, D)
+            assert len(rows) == D + 1
+            inverse = unpack_rows(rows, n, D)
             assert cut_weighted(cv * inverse, D) == {(0,) * n: 1}, (n, D)
-            assert dict(inverse.terms) == cut_weighted(_inverse_cv_chern(fam, n, D + 3), D)
+            longer = unpack_rows(_inverse_cv_rows(fam, n, D + 3), n, D + 3)
+            assert dict(inverse.terms) == cut_weighted(longer, D)
 
 
 # sha256 over the orbits of (family, n), in catalog order, of the sorted items
@@ -345,7 +358,7 @@ def test_negative_bound_is_refused_and_never_cached():
     # orbits included (Sigma^sym(2,0) once gave {(): 1} at D = -1), and no
     # cache keeps an entry for it
     sizes = (phi_schur.cache_info().currsize, ssm_interp_schur.cache_info().currsize)
-    inverses = _inverse_cv_chern.cache_info().currsize
+    inverses = _inverse_cv_rows.cache_info().currsize
     calls = (phi_schur, phi_class, ssm_schur, ssm_sieve, ssm_interp_schur, ssm_interp)
     for orbit in (OrbitId(S, 2, 0), OrbitId(S, 3, 1), OrbitId(W, 2, 0), OrbitId(W, 3, 1)):
         for call in calls:
@@ -356,4 +369,4 @@ def test_negative_bound_is_refused_and_never_cached():
                 call(orbit, -1, closure=True)
     assert (phi_schur.cache_info().currsize,
             ssm_interp_schur.cache_info().currsize) == sizes
-    assert _inverse_cv_chern.cache_info().currsize == inverses
+    assert _inverse_cv_rows.cache_info().currsize == inverses
