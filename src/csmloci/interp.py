@@ -14,14 +14,14 @@ additivity: the csm classes of all orbits add up to c(V), so
 W_{n,0} = c(V) - sum_{r>=1} W_{n,r}, and the recursion closes because
 W_{n,r} needs only W_{n-r,0}; c(V) in Schur form comes from Lascoux's
 closed formula (chern_schur), and divide_by_cv divides a class cut at a
-degree by c(V) (the sieve's Phi classes).
+degree by c(V).
 
-The ssm class W_{n,r} / c(V) is computed the same way: c(V) is symmetric,
-so it divides each subset term, which leaves the inner ssm of the open orbit
-on J, the unit factors (1 + a_i + a_j) inside I inverted, and (a_i + a_j)
-over I x J.  The open orbit again comes from additivity, the ssm classes
-adding up to 1.  Closure classes and the Chern-Mather class are sums of
-orbit classes over the orbits in the closure (closure_schur).
+The ssm class through degree D is W_{n,r} / c(V): the same recursion with
+every product cut at D (the kernel's cut, the inner open-orbit W and the
+c(V) of additivity cut alike) gives W through degree D, and divide_by_cv
+divides it by c(V), as the sieve divides Phi c(V).  Closure classes and the
+Chern-Mather class are sums of orbit classes over the orbits in the closure
+(closure_schur).
 """
 
 from __future__ import annotations
@@ -45,37 +45,32 @@ from .schur import (_staircase_shift, chern_to_schur, chern_weighted_degree, pus
 # -- the W-functions ----------------------------------------------------
 
 @lru_cache(maxsize=None)
-def w_schur(orbit):
-    """Schur coefficients of W_{n,r} = csm(Sigma_{n,r}), read-only.
+def w_schur(orbit, *cut):
+    """Schur coefficients of W_{n,r} = csm(Sigma_{n,r}), read-only: exact,
+    or through degree D when cut is (D,).
 
-    For r >= 1 the kernel pushes the base-subset term forward; the open
-    orbit is c(V) minus the other orbits' classes.
+    For r >= 1 the kernel pushes the base-subset term forward, its inner
+    W_{n-r,0} cut alike; the open orbit is c(V), cut alike (_lascoux),
+    minus the other orbits' classes.  Every call passes cut on as *cut, so
+    one class has one cache key.
     """
     family, n, r = orbit.family, orbit.n, orbit.r
     if r == 0:
-        return _by_additivity(w_schur, orbit, chern_schur(family, n))
-    inner = w_schur(OrbitId(family, n - r, 0)) if r < n else {(): 1}
+        total = _lascoux(family, n, *cut) if cut else chern_schur(family, n)
+        return _by_additivity(lambda o: w_schur(o, *cut), orbit, total)
+    inner = w_schur(OrbitId(family, n - r, 0), *cut) if r < n else {(): 1}
     # over I x J: (a_i + a_j)(1 + a_i + a_j)
-    return MappingProxyType(pushforward_schur(family, n, r, inner, ((0, 1, 1), (1, 1, 1))))
+    return MappingProxyType(pushforward_schur(family, n, r, inner, ((0, 1), (1, 1)), *cut))
 
 
 @lru_cache(maxsize=None)
 def ssm_interp_schur(orbit, D):
-    """Schur coefficients of ssm(Sigma_{n,r}) = W_{n,r} / c(V) through degree D.
-
-    Dividing each subset term of W by c(V) leaves the inner ssm of the open
-    orbit on J, the inverted unit factors inside I and (a_i + a_j) over
-    I x J, so the same pushforward computes it; the open orbit comes from
-    additivity, ssm(Sigma_{n,0}) = 1 - sum_{r>=1} ssm(Sigma_{n,r}).
-    """
+    """Schur coefficients of ssm(Sigma_{n,r}) = W_{n,r} / c(V) through
+    degree D, read-only: W cut at D (w_schur), divided by c(V) through
+    degree D (divide_by_cv)."""
     if D < 0:
         raise ValueError("truncation bound must be non-negative")
-    family, n, r = orbit.family, orbit.n, orbit.r
-    if r == 0:
-        return _by_additivity(lambda o: ssm_interp_schur(o, D), orbit, {(): 1})
-    inner = ssm_interp_schur(OrbitId(family, n - r, 0), D) if r < n else {(): 1}
-    return MappingProxyType(pushforward_schur(
-        family, n, r, inner, ((0, 1, 1),), units=True, max_deg=D))
+    return MappingProxyType(divide_by_cv(w_schur(orbit, D), orbit.family, orbit.n, D))
 
 
 def _by_additivity(orbit_class, orbit, total):

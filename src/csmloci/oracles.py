@@ -6,8 +6,9 @@ compare the production classes against.  No production module imports this.
 - schur_poly and branching_schur_dict_to_alpha expand each s_lambda into
   its monomials by the branching rule; they check schur_dict_to_alpha's
   Kostka route and the Pieri strips.
-- total_chern and euler_class expand c(V) and e(V) in the Chern roots; they
-  check chern_schur, the smooth Chern-Mather class and the restriction data.
+- total_chern and euler_class expand c(V) and e(V) in the Chern roots, one
+  factor per weight (weight_pairs); they check chern_schur, the smooth
+  Chern-Mather class and the restriction data.
   chern_schur_bareiss computes each of Lascoux's coefficients of c(V) by its
   own determinant; it checks chern_schur's shared expansion.
 - to_chern_basis, chern_to_alpha and to_schur_basis convert through the full
@@ -15,10 +16,11 @@ compare the production classes against.  No production module imports this.
   each other.
 - schur_dict_value (alternant determinants), w_value and w_inner_value (the
   defining W sums) evaluate at rational points; they check the kernel.
-- csm_to_ssm divides by c(V) as a series; it checks the interpolation ssm.
+- csm_to_ssm divides by c(V) as a series in the roots; it checks the
+  interpolation ssm and with it interp.divide_by_cv, which both ssm routes
+  share.
 - phi_reference_series clears every subset term of Phi to the Vandermonde
-  and divides; phi_unit_route expands every denominator of Phi inside the
-  kernel; phi_from_ssm inverts the sieve.  They check the Phi classes.
+  and divides; phi_from_ssm inverts the sieve.  They check the Phi classes.
 - phi_wedge_k_value sums the K-theory Phi terms at a point; it checks phi_wedge_k.
 - CanonicalFraction is a LaurentFraction in canonical form with field
   arithmetic, equality, cancellation and substitution; it re-adds the
@@ -40,11 +42,10 @@ from types import MappingProxyType
 
 from .classes import ClassExpr, add_schur
 from .laurent import LaurentFraction
-from .orbits import (Family, OrbitId, alpha_vars, as_family, chern_vars, inside_weights,
-                     weight_pairs)
+from .orbits import Family, OrbitId, alpha_vars, as_family, chern_vars, inside_weights
 from .partitions import partition
 from .poly import ExactDivisionError, Poly, _grlex_key, _mul_dict, _norm, exact_int, product
-from .schur import _staircase_shift, alternant_schur_coeffs, pushforward_schur
+from .schur import _staircase_shift, alternant_schur_coeffs
 from .sieve import ssm_schur
 
 
@@ -299,6 +300,13 @@ def branching_schur_dict_to_alpha(coeffs, n, max_deg=None):
             elif e in acc:
                 del acc[e]
     return Poly(alpha_vars(n), acc)
+
+
+def weight_pairs(family, n):
+    """Index pairs (i, j), 1-based, of the torus weights a_i + a_j: i < j,
+    or i <= j for sym."""
+    sym = as_family(family) is Family.SYM
+    return [(i, j) for i in range(1, n + 1) for j in range(i if sym else i + 1, n + 1)]
 
 
 def weight_factor(variables, const, i, j):
@@ -644,18 +652,6 @@ def phi_reference_series(orbit, D):
     vandermonde = product([lin(0, **{f"a{i}": 1, f"a{j}": -1})
                            for i in range(1, n + 1) for j in range(i + 1, n + 1)], av)
     return total.exact_divide_homogeneous(vandermonde).truncate(D)
-
-
-def phi_unit_route(orbit, D):
-    """Schur coefficients of Phi_{n,r} through degree D with every
-    denominator expanded inside the kernel: the units (1 + a_i + a_j)
-    inside I inverted on monomials, and (1 + a_i + a_j)^{-1} over I x J by
-    truncated h_k strips (p = -1), next to (a_i + a_j)(1 + a_i - a_j)."""
-    family, n, r = orbit.family, orbit.n, orbit.r
-    if r == 0:
-        return {(): 1}
-    return pushforward_schur(family, n, r, {(): 1}, ((0, 1, 1), (1, -1, 1), (1, 1, -1)),
-                             units=True, max_deg=D)
 
 
 def phi_from_ssm(orbit, D):

@@ -86,13 +86,6 @@ def chern_vars(n):
     return tuple(f"c{i}" for i in range(1, n + 1))
 
 
-def weight_pairs(family, n):
-    """Index pairs (i, j), 1-based, of the torus weights a_i + a_j: i < j,
-    or i <= j for sym."""
-    sym = as_family(family) is Family.SYM
-    return [(i, j) for i in range(1, n + 1) for j in range(i if sym else i + 1, n + 1)]
-
-
 def inside_weights(family, r):
     """(lam, coeff) with the product of the weights a_i + a_j inside
     I = {1..r} equal to coeff s_lam(a_1..a_r): s_(r-1,...,1) for wedge,

@@ -12,15 +12,17 @@ schur_dict_to_alpha writes the alpha output from the monomial basis: the
 coefficient of m_mu is a sum of Kostka numbers (I.6), each row of them read
 off by peeling horizontal strips.
 
-The Grassmannian pushforward (pushforward_schur) computes the W-functions,
-the interpolation ssm and Phi c(V), from which the sieve divides out c(V)
-to get Phi.  Its state holds, for each I-exponent, the Schur
+The Grassmannian pushforward (pushforward_schur) computes the W-functions
+and Phi c(V), exact or cut at a degree; every factor it takes is a
+polynomial, and both ssm routes divide a cut class by c(V) afterwards
+(interp.divide_by_cv).  Its state holds, for each I-exponent, the Schur
 polynomials in a_J that multiply that monomial in a_I; a cross factor
-enters by Pieri strips read from one cached table per partition
-(_strip_table), a truncated product is cut by the degree its factors still
-to come must add, and the Schur coefficients are read off once per sorted
-I-exponent by the bialternant identity.  alternant_schur_coeffs reads them
-off a full polynomial in the roots, for K theory.  Both read-offs take each
+enters by vertical Pieri strips (e_k) read from one cached table per
+partition (_strip_table), a truncated product is cut by the degree its
+factors still to come must add, and the Schur coefficients are read off
+once per sorted I-exponent by the bialternant identity.
+alternant_schur_coeffs reads them off a full polynomial in the roots, for
+K theory.  Both read-offs take each
 exponent tuple through one sort-and-sign step (_sort_sign: a^v alternates to
 the sign of the sort times a^(sorted v), or to zero on a repeated entry) and
 one delta-unshift (_unshift).
@@ -37,7 +39,7 @@ from math import comb, inf
 from operator import add as _add
 from types import MappingProxyType
 
-from .orbits import alpha_vars, chern_vars, inside_weights, weight_pairs
+from .orbits import alpha_vars, chern_vars, inside_weights
 from .partitions import partition
 from .poly import Poly, _norm
 
@@ -109,63 +111,48 @@ def alternant_schur_coeffs(poly, n_alt):
 # -- Grassmannian pushforward -------------------------------------------
 
 def _power_terms(c, q, upto):
-    """[(t, coeff)] of (c + x)^q through x^upto, ascending; c is 0 or 1,
-    and c = 1 when q < 0."""
+    """[(t, coeff)] of (c + x)^q, q >= 0, through x^upto, ascending; c is 0
+    or 1."""
     if c == 0:
-        return [(q, 1)] if 0 <= q <= upto else []
-    if q >= 0:
-        return [(t, comb(q, t)) for t in range(min(q, upto) + 1)]
-    return [(t, (-1) ** t * comb(t - q - 1, t)) for t in range(upto + 1)]
+        return [(q, 1)] if q <= upto else []
+    return [(t, comb(q, t)) for t in range(min(q, upto) + 1)]
 
 
 @lru_cache(maxsize=None)
-def _strip_table(mu, m, vertical, kmax):
-    """The Pieri strips on mu in m variables by size: entry k lists the
-    partitions nu with at most m parts such that nu/mu is a vertical strip
-    (no two boxes in a row) or a horizontal strip (no two in a column) of k
-    boxes, k = 0..kmax, so e_k s_mu, resp. h_k s_mu, is the sum of these
-    s_nu (Pieri).  A mu with more than m parts is zero in m variables and
-    gets the empty table.
+def _strip_table(mu, m):
+    """The vertical Pieri strips on mu in m variables by size: entry k lists
+    the partitions nu with at most m parts such that nu/mu is a vertical
+    strip of k boxes (no two in a row), k = 0..m, so e_k s_mu is the sum of
+    these s_nu (Pieri).  A mu with more than m parts is zero in m variables
+    and gets the empty table.
 
     With mu padded to m parts, a vertical strip adds one box to a prefix of
     each block of equal parts, so it is a composition of k bounded by the
-    block lengths; a horizontal strip picks each nu_i in [mu_i, mu_{i-1}].
+    block lengths.
     """
     if len(mu) > m:
         return ()
-    padded = mu + (0,) * (m - len(mu))
-    table = [[] for _ in range(kmax + 1)]
-    if vertical:
-        # block (v, length) with its first j parts raised, zeros dropped
-        blocks = [(v, len(list(run))) for v, run in groupby(padded)]
-        adds = product(*(range(length + 1) for _, length in blocks))
-        parts = product(*([(v + 1,) * j + (v,) * (length - j) if v else (1,) * j
-                           for j in range(length + 1)] for v, length in blocks))
-        for js, pieces in zip(adds, parts):
-            k = sum(js)
-            if k <= kmax:
-                table[k].append(tuple(chain.from_iterable(pieces)))
-    else:
-        size = sum(mu)
-        tops = (inf,) + padded
-        for nu in product(*(range(x, min(top, x + kmax) + 1) for x, top in zip(padded, tops))):
-            k = sum(nu) - size
-            if k <= kmax:
-                table[k].append(nu[:m - nu.count(0)])
+    table = [[] for _ in range(m + 1)]
+    # block (v, length) with its first j parts raised, zeros dropped
+    blocks = [(v, len(list(run))) for v, run in groupby(mu + (0,) * (m - len(mu)))]
+    adds = product(*(range(length + 1) for _, length in blocks))
+    parts = product(*([(v + 1,) * j + (v,) * (length - j) if v else (1,) * j
+                       for j in range(length + 1)] for v, length in blocks))
+    for js, pieces in zip(adds, parts):
+        table[sum(js)].append(tuple(chain.from_iterable(pieces)))
     return tuple(map(tuple, table))
 
 
-def _strips(mu, k, m, vertical):
+def _strips(mu, k, m):
     """The k-box row of mu's strip table (see _strip_table)."""
-    table = _strip_table(mu, m, vertical, m if vertical else k)
+    table = _strip_table(mu, m)
     return table[k] if k < len(table) else ()
 
 
-def _pieri_mul(state, i, fk, m, vertical, bound):
-    """state times sum_k fk[k](a_i) e_k(a_J) (vertical) or h_k(a_J), where
-    fk[k] lists (t, coeff) of a polynomial in a_i by ascending t.  Only
-    alpha_i <= alpha_{i-1} is made: alpha_{i-1} is final by now."""
-    last = len(fk) - 1  # m for e_k; for h_k, the call's cut
+def _pieri_mul(state, i, fk, m, bound):
+    """state times sum_k fk[k](a_i) e_k(a_J), where fk[k] lists (t, coeff)
+    of a polynomial in a_i by ascending t.  Only alpha_i <= alpha_{i-1} is
+    made: alpha_{i-1} is final by now."""
     width = 1 + max((t for terms in fk for t, _ in terms), default=0)
     out = {}
     for alpha, row in state.items():
@@ -174,11 +161,8 @@ def _pieri_mul(state, i, fk, m, vertical, bound):
         cap = alpha[i - 1] - ai if i else inf
         dests = [None] * width  # t -> the out row of head + (ai + t,) + tail
         for mu, c in row.items():
-            size = sum(mu)
-            room = free - size
-            # an h-strip table stops where |nu| reaches the call's cut: one
-            # table per mu and call, whatever the room of each key
-            table = _strip_table(mu, m, vertical, last if vertical else last - size)
+            room = free - sum(mu)
+            table = _strip_table(mu, m)
             for k, terms in enumerate(fk):
                 if k > room:
                     break
@@ -200,36 +184,13 @@ def _pieri_mul(state, i, fk, m, vertical, bound):
     return _nonzero(out)
 
 
-def _unit_mul(state, i, j, bound):
-    """state times 1 / (1 + a_i + a_j), or 1 / (1 + 2a_i) when i = j, with
-    0-based indices into the I exponents."""
-    expansion = [(t, u, t - u, (-1) ** t * comb(t, u))
-                 for t in range(bound + 1) for u in range(t + 1)]
-    out = defaultdict(lambda: defaultdict(int))
-    for alpha, row in state.items():
-        free = bound - sum(alpha)
-        rooms = [(mu, c, free - sum(mu)) for mu, c in row.items()]
-        most = max(room for _, _, room in rooms)
-        for t, u, v, b in expansion:
-            if t > most:
-                break
-            a2 = list(alpha)
-            a2[i] += u
-            a2[j] += v
-            dest = out[tuple(a2)]
-            for mu, c, room in rooms:
-                if t <= room:
-                    dest[mu] += c * b
-    return _nonzero(out)
-
-
 def _nonzero(state):
     """state without its zero coefficients and empty rows."""
     return {alpha: kept for alpha, row in state.items()
             if (kept := {mu: c for mu, c in row.items() if c})}
 
 
-def pushforward_schur(family, n, r, inner, cross, units=False, max_deg=None):
+def pushforward_schur(family, n, r, inner, cross, max_deg=None):
     """Schur coefficients of the sum over the r-subsets I of [n] of
     P_I / prod_{i in I, j not in I} (a_i - a_j) for an orbit's base-subset
     term P: the Gysin formula of a Grassmann bundle.  Nothing is divided
@@ -237,33 +198,29 @@ def pushforward_schur(family, n, r, inner, cross, units=False, max_deg=None):
 
     P is given at I = {1..r}, J = {r+1..n} (m = n - r) as the product of
     inner, a Schur dict in a_J; the family's weights a_i + a_j inside I,
-    coeff s_lam(a_I) by inside_weights, each over 1 + a_i + a_j if units is
-    set (i <= j for sym, with 1 + 2a_i at i = j); and prod_{i in I, j in J}
-    (c + a_i + s a_j)^p for each (c, s, p) of cross, p = +-1 and c = 1 when
-    p = -1.  So P is symmetric in a_I.  An inverted factor is a series, so
-    it needs max_deg; without it the call raises ValueError.  Production
-    inverts only the units (interp.ssm_interp_schur) and passes p = 1 only;
-    p = -1 serves the reference route oracles.phi_unit_route and the tests.
+    coeff s_lam(a_I) by inside_weights; and prod_{i in I, j in J}
+    (c + a_i + s a_j) for each (c, s) of cross, c in {0, 1} and s = +-1.
+    So P is symmetric in a_I, and a polynomial.
 
     The state {alpha: {mu: coeff}} stands for sum coeff a_I^alpha s_mu(a_J):
     a row of Schur coefficients in a_J for each I-exponent.  A partition mu
     with more than m parts is zero in a_J, so such inner terms are dropped
-    on entry.  Over J a cross factor is sum_k (p s)^k (c + a_i)^(p m - k)
-    times e_k(a_J), or h_k(a_J) when p = -1, so it enters by Pieri strips:
-    a pass builds each shifted exponent once per (alpha, t) and adds into
-    its row, and takes the strips of mu for every k from one table
-    (_strip_table), looked up once per (alpha, mu).  The sum over I is
-    Alt_n(sum coeff a_I^(alpha + lam + delta_r) a_J^(mu + delta_m)) over the
-    Vandermonde, whose Schur coefficients the bialternant identity reads off.
-    A term of degree d gives partitions of size d + |lam| - r m, so with
-    max_deg set, products are cut at degree max_deg + r m - |lam|.
+    on entry.  Over J a cross factor is sum_k s^k (c + a_i)^(m - k) e_k(a_J),
+    so it enters by vertical Pieri strips: a pass builds each shifted
+    exponent once per (alpha, t) and adds into its row, and takes the strips
+    of mu for every k from one table (_strip_table), looked up once per
+    (alpha, mu).  The sum over I is Alt_n(sum coeff a_I^(alpha + lam +
+    delta_r) a_J^(mu + delta_m)) over the Vandermonde, whose Schur
+    coefficients the bialternant identity reads off.  A term of degree d
+    gives partitions of size d + |lam| - r m, so with max_deg set, products
+    are cut at degree max_deg + r m - |lam|.
 
-    The cut looks ahead.  A cross factor with c = 0, p = 1 is homogeneous of
-    degree exactly m in a_i and a_J, and every other factor only adds degree,
-    so a key is dropped once its degree plus m for each such pass still to
-    run, over every index, passes the cut: nothing it feeds is kept.  These
-    degree-exact passes run last on each index, so the others (above all
-    the truncated h-strips of p = -1) run with that much less room.
+    The cut looks ahead.  A cross factor with c = 0 is homogeneous of degree
+    exactly m in a_i and a_J, and every other factor only adds degree, so a
+    key is dropped once its degree plus m for each such pass still to run,
+    over every index, passes the cut: nothing it feeds is kept.  These
+    degree-exact passes run last on each index, so the others run with that
+    much less room.
 
     Only the descending alpha (alpha_0 >= alpha_1 >= ...) are computed.  P
     is symmetric in a_I (a cut at a total degree keeps it so), so its
@@ -283,26 +240,21 @@ def pushforward_schur(family, n, r, inner, cross, units=False, max_deg=None):
     are summed per merged exponent tuple, which minus delta_n is the
     partition.
     """
-    if max_deg is None and (units or any(p < 0 for *_, p in cross)):
-        raise ValueError("pushforward_schur needs max_deg to expand an inverted factor")
     lam, coeff = inside_weights(family, r)
     m = n - r
     bound = inf if max_deg is None else max_deg + r * m - sum(lam)
-    passes = []  # (least degree added, vertical strips?, [(t, coeff)] for each k)
-    for c, s, p in cross:
-        fk = [[(t, (p * s) ** k * b) for t, b in _power_terms(c, p * m - k, bound)]
-              for k in range((m if p > 0 else bound) + 1)]
-        passes.append((m if c == 0 and p == 1 else 0, p > 0, fk))
+    passes = []  # (least degree added, [(t, coeff)] for each k)
+    for c, s in cross:
+        fk = [[(t, s ** k * b) for t, b in _power_terms(c, m - k, bound)] for k in range(m + 1)]
+        passes.append((0 if c else m, fk))
     passes.sort(key=lambda pss: pss[0])  # the degree-exact factors last
-    ahead = r * sum(degree for degree, _, _ in passes)
+    ahead = r * sum(degree for degree, _ in passes)
     row = {mu: coeff * c for mu, c in inner.items() if len(mu) <= m and sum(mu) <= bound - ahead}
     state = {(0,) * r: row} if row else {}
-    for i, j in weight_pairs(family, r) if units else ():
-        state = _unit_mul(state, i - 1, j - 1, bound - ahead)
     for i in range(r):
-        for degree, vertical, fk in passes:
+        for degree, fk in passes:
             ahead -= degree
-            state = _pieri_mul(state, i, fk, m, vertical, bound - ahead)
+            state = _pieri_mul(state, i, fk, m, bound - ahead)
         state = {alpha: row for alpha, row in state.items() if max(alpha[i:]) == alpha[i]}
 
     shift = _staircase_shift(lam, r)
@@ -401,7 +353,7 @@ def _add_vertical_strips(out, coeffs, k, n):
     s_nu of its vertical k-strips (Pieri)."""
     for mu, c in coeffs.items():
         if c:
-            for nu in _strips(mu, k, n, True):
+            for nu in _strips(mu, k, n):
                 out[nu] += c
 
 

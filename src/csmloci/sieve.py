@@ -90,7 +90,7 @@ def _phi_cv_pushforward(orbit, max_deg):
     c(V_{n-r}) and the factors (a_i + a_j)(1 + a_i - a_j) over I x J."""
     family, n, r = orbit.family, orbit.n, orbit.r
     return pushforward_schur(family, n, r, chern_schur(family, n - r),
-                             ((0, 1, 1), (1, -1, 1)), max_deg=max_deg)
+                             ((0, 1), (1, -1)), max_deg=max_deg)
 
 
 # -- sieve formulas ------------------------------------------------------

@@ -117,7 +117,11 @@ def suite_axioms(max_n):
 
 
 def suite_cross(max_n):
-    """Sieve route vs interpolation route, plus normalization."""
+    """Sieve route vs interpolation route, plus normalization.  The routes
+    share their last step, the division by c(V) (interp.divide_by_cv), so
+    the comparison checks the sieve combination of Phi c(V) against the
+    cut W-classes; the division itself is checked by the tests, against a
+    series division in the roots."""
     from .interp import ssm_interp
     from .sieve import ssm_schur, ssm_sieve
     lines, ok = [], True

@@ -1,5 +1,6 @@
 """W-functions, restriction data and the interpolation axiom verifier."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from csmloci.interp import (csm_class, restriction_data, ssm_interp, ssm_interp_
                             verify_axioms, w_function, w_schur)
 from csmloci.oracles import (_require_symmetric, csm_to_ssm, schur_dict_value, to_chern_basis,
                              total_chern, w_inner_value, w_value)
-from csmloci.orbits import Family, OrbitId, alpha_vars, coranks
+from csmloci.orbits import Family, OrbitId, alpha_vars, coranks, orbits
 from csmloci.partitions import staircase
 from csmloci.poly import Poly
 from csmloci.schur import schur_dict_to_alpha
@@ -134,7 +135,7 @@ def test_chern_schur_is_weight_product():
     # the closed form against prod (1 + a_i + a_j) over the weights at a
     # rational point, without the kernel
     from csmloci.interp import chern_schur
-    from csmloci.orbits import weight_pairs
+    from csmloci.oracles import weight_pairs
     point = (Fraction(1, 2), Fraction(-3), Fraction(2), Fraction(5, 3), Fraction(-1, 7),
              Fraction(4), Fraction(-2, 5))
     for fam in (W, S):
@@ -246,6 +247,23 @@ def test_cached_results_are_read_only():
     assert q_binomial(4, 2).terms[(2,)] == 2 and q_factorial(3).terms[(1,)] == 2
 
 
+def test_cut_w_is_cut_of_exact_w():
+    # every call passes the cut on as *cut, so w_schur(o) is one cache key:
+    # from fresh caches the csm classes with n <= 5 leave one entry per orbit
+    w_schur.cache_clear()
+    small = [orbit for fam in (W, S) for n in range(1, 6) for orbit in orbits(fam, n)]
+    for orbit in small:
+        csm_class(orbit)
+    assert w_schur.cache_info().currsize == len(small)
+    for fam in (W, S):
+        for n in range(1, 7):
+            for orbit in orbits(fam, n):
+                exact = w_schur(orbit)
+                for D in (0, 1, 3, 6, 12):
+                    assert w_schur(orbit, D) == \
+                        {lam: c for lam, c in exact.items() if sum(lam) <= D}, (orbit, D)
+
+
 def test_csm_to_ssm_example():
     cls = csm_to_ssm(csm_class(OrbitId(W, 2, 2)), 4)
     assert cls.chern_poly() == cpoly(2, {(1, 0): 1, (2, 0): -1, (3, 0): 1, (4, 0): -1})
@@ -257,20 +275,52 @@ def test_csm_to_ssm_degree_zero():
 
 
 def test_cross_route_equality():
+    # both routes divide by c(V) through divide_by_cv, so the series
+    # division of csm by c(V) in the roots checks that step on its own
     for fam in (W, S):
         for n in range(1, 5):
             for r in coranks(fam, n):
                 orbit = OrbitId(fam, n, r)
                 assert ssm_interp(orbit, 6).payload == ssm_sieve(orbit, 6).payload
-                # the kernel ssm against the series division of csm by c(V)
                 assert ssm_interp(orbit, 6).payload == \
                     csm_to_ssm(csm_class(orbit), 6).payload
                 assert ssm_interp(orbit, 6, closure=True).payload == \
                     ssm_sieve(orbit, 6, closure=True).payload
+        for orbit in orbits(fam, 5):
+            assert ssm_interp(orbit, 8).payload == csm_to_ssm(csm_class(orbit), 8).payload
         for n, D in [(n, 12) for n in range(1, 6)] + [(6, 10)]:
             for r in coranks(fam, n):
                 orbit = OrbitId(fam, n, r)
                 assert ssm_interp_schur(orbit, D) == ssm_schur(orbit, D)
+
+
+# sha256 of repr(sorted(ssm_interp_schur(o, D).items())), fed orbit by orbit
+# over orbits(family, n) in order, D = 12 for n <= 5 and D = 6 for n = 6:
+# recorded from the kernel that expanded 1 / c(V) itself (inverted unit
+# factors inside I, the open orbit from ssm classes adding up to 1)
+SSM_INTERP_DIGESTS = {
+    (W, 1): "b94b1cb7d1cbc4e4791574cd93e5514a2b093fe640d2f7d3843a71615941f761",
+    (W, 2): "249241cf3963b010681c431f73d6adcb317779ba7883e9320182bfdb77d79510",
+    (W, 3): "ecabc25b1977fee5f18476b5295e606ee0d65c16814d344e688fc5ae9ccab11b",
+    (W, 4): "14c2c0c6b32ea16004055a67aa2e178e784a9115d77d3cd38ac753bf64693043",
+    (W, 5): "87788c682f37dc707590fab1a9e1e60d2e430865573054ece2c78ced90271ada",
+    (W, 6): "f0f453de9ba3d42257a590020e491ec3f9f1f4762bb9d83adb2ca9dfd54f9335",
+    (S, 1): "820309a4a5007cf0e144e5da8d5d8375f26312c72a03dd907003cffb94031f93",
+    (S, 2): "e9756c7083b0d4564be5d4e35d0a5fd0c4ed7958804672b4481b12b27f1529f5",
+    (S, 3): "e897752ad954f2ae9c32f76d7dcad1f5914783737b67169d52a36b87873f5a7a",
+    (S, 4): "325202ed97b7eac0a5dac3c9e79de78a1969ddfbc21edeebae5566a72d82ac4c",
+    (S, 5): "467cf518f48f1cbfe607c6242e924893c29a00ae1799005f6a3eab37d8d12a0a",
+    (S, 6): "a35d6346153f5208621f253435ae23e702ec9d98b9a1fad74b8bff3eaa6b2149",
+}
+
+
+def test_ssm_interp_digests():
+    # the coefficient types are in the repr: an int and an equal Fraction differ
+    for (fam, n), digest in SSM_INTERP_DIGESTS.items():
+        h = hashlib.sha256()
+        for orbit in orbits(fam, n):
+            h.update(repr(sorted(ssm_interp_schur(orbit, 12 if n <= 5 else 6).items())).encode())
+        assert h.hexdigest() == digest, (fam, n)
 
 
 def test_stable_schur_output():

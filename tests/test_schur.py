@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from csmloci.oracles import (NotSymmetricError, TruncSeries, _schur_terms,
                              branching_schur_dict_to_alpha, chern_to_alpha,
                              euler_class, schur_dict_value, schur_poly, to_chern_basis,
-                             to_schur_basis)
+                             to_schur_basis, weight_pairs)
 from csmloci.interp import csm_class, w_schur
-from csmloci.orbits import Family, OrbitId, alpha_vars, chern_vars, orbits, weight_pairs
+from csmloci.orbits import Family, OrbitId, alpha_vars, chern_vars, orbits
 from csmloci.partitions import conjugate, count_ssyt, partition, staircase
 from csmloci.poly import Poly
 from csmloci.schur import (_kostka_row, _strips, alternant_schur_coeffs, chern_to_schur,
@@ -173,14 +173,13 @@ def test_schur_roundtrip_property(case):
 @given(st.integers(1, 4).flatmap(lambda m: st.tuples(
     st.just(m), st.sampled_from(list(partitions_upto(6, max_len=m + 2))), st.integers(0, 4))))
 def test_pieri_strips(case):
-    # e_k s_mu sums the vertical k-strips over mu, h_k s_mu the horizontal
-    # ones; a mu with more than m parts is zero in m variables and has none
+    # e_k s_mu sums the vertical k-strips over mu; a mu with more than m
+    # parts is zero in m variables and has none
     m, mu, k = case
-    for vertical, factor in ((True, (1,) * k), (False, (k,))):
-        expect = Poly.zero(alpha_vars(m))
-        for nu in _strips(mu, k, m, vertical):
-            expect = expect + schur_poly(nu, m)
-        assert schur_poly(mu, m) * schur_poly(factor, m) == expect
+    expect = Poly.zero(alpha_vars(m))
+    for nu in _strips(mu, k, m):
+        expect = expect + schur_poly(nu, m)
+    assert schur_poly(mu, m) * schur_poly((1,) * k, m) == expect
 
 
 @st.composite
@@ -312,11 +311,11 @@ def test_class_converts_only_out_of_the_schur_basis():
 
 
 POINT = (Fraction(1, 2), Fraction(-3), Fraction(2), Fraction(5, 3), Fraction(-1, 7))
-CROSS_SHAPES = ((0, 1, 1), (1, 1, 1), (1, -1, 1))
+CROSS_SHAPES = ((0, 1), (1, 1), (1, -1), (0, -1))
 
 
 @st.composite
-def pushforward_cases(draw, shapes=CROSS_SHAPES, units=(False,)):
+def pushforward_cases(draw):
     n = draw(st.integers(2, 5))
     r = draw(st.integers(2, n))
     m = n - r
@@ -325,8 +324,8 @@ def pushforward_cases(draw, shapes=CROSS_SHAPES, units=(False,)):
                          unique=True, min_size=1, max_size=3))
     inner = {mu: draw(st.integers(-3, 3).filter(bool)) for mu in lams}
     family = draw(st.sampled_from((Family.WEDGE, Family.SYM)))
-    cross = draw(st.lists(st.sampled_from(shapes), unique=True, min_size=1))
-    return family, n, r, inner, cross, draw(st.sampled_from(units))
+    cross = draw(st.lists(st.sampled_from(CROSS_SHAPES), unique=True, min_size=1))
+    return family, n, r, inner, cross
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -335,7 +334,7 @@ def test_pushforward_is_subset_sum(case):
     # the kernel equals the literal Gysin sum over I of the base-subset term,
     # inner(a_J) prod_{i<j in I} (a_i + a_j) (i <= j for sym) times the cross
     # factors, over prod_{i in I, j not in I} (a_i - a_j) at a rational point
-    family, n, r, inner, cross, _ = case
+    family, n, r, inner, cross = case
     a = POINT[:n]
     expect = Fraction(0)
     for I in itertools.combinations(range(n), r):
@@ -345,8 +344,8 @@ def test_pushforward_is_subset_sum(case):
             term *= a[I[x - 1]] + a[I[y - 1]]
         for i in I:
             for j in J:
-                for c, s, p in cross:
-                    term *= (c + a[i] + s * a[j]) ** p
+                for c, s in cross:
+                    term *= c + a[i] + s * a[j]
                 term /= a[i] - a[j]
         expect += term
     got = pushforward_schur(family, n, r, inner, cross)
@@ -354,32 +353,19 @@ def test_pushforward_is_subset_sum(case):
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(pushforward_cases(CROSS_SHAPES + ((1, 1, -1), (0, -1, 1)), (False, True)),
-       st.integers(0, 6))
+@given(pushforward_cases(), st.integers(0, 6))
 def test_truncated_pushforward_is_cut_of_longer(case, D):
     # the cut that looks ahead to the degree-exact passes loses nothing of
     # size <= D, whatever the order of the cross factors
-    family, n, r, inner, cross, units = case
+    family, n, r, inner, cross = case
 
     def upto_D(coeffs):
         return {mu: c for mu, c in coeffs.items() if sum(mu) <= D}
 
-    got = pushforward_schur(family, n, r, inner, cross, units, D)
-    assert got == upto_D(pushforward_schur(family, n, r, inner, cross, units, D + 3))
-    assert got == pushforward_schur(family, n, r, inner, cross[::-1], units, D)
-    if all(p > 0 for *_, p in cross) and not units:
-        assert got == upto_D(pushforward_schur(family, n, r, inner, cross))
-
-
-def test_pushforward_inverse_needs_max_deg():
-    # an inverted factor, across I x J or inside I, is a series: without a
-    # truncation the kernel names max_deg instead of failing inside
-    for family, r, units, cross in ((Family.WEDGE, 1, False, ((0, 1, 1), (1, 1, -1))),
-                                    (Family.WEDGE, 2, True, ((0, 1, 1),)),
-                                    (Family.SYM, 2, True, ((0, 1, 1),))):
-        with pytest.raises(ValueError, match="max_deg"):
-            pushforward_schur(family, 3, r, {(): 1}, cross, units)
-        assert pushforward_schur(family, 3, r, {(): 1}, cross, units, max_deg=3)
+    got = pushforward_schur(family, n, r, inner, cross, D)
+    assert got == upto_D(pushforward_schur(family, n, r, inner, cross, D + 3))
+    assert got == pushforward_schur(family, n, r, inner, cross[::-1], D)
+    assert got == upto_D(pushforward_schur(family, n, r, inner, cross))
 
 
 # sha256 of repr(sorted(w_schur(o).items())), fed orbit by orbit over

@@ -7,8 +7,8 @@ from math import comb
 import pytest
 
 from csmloci.classes import add_schur
-from csmloci.interp import _inverse_cv_rows, chern_schur, ssm_interp, ssm_interp_schur
-from csmloci.oracles import phi_from_ssm, phi_reference_series, phi_unit_route, to_schur_basis
+from csmloci.interp import _inverse_cv_rows, chern_schur, ssm_interp, ssm_interp_schur, w_schur
+from csmloci.oracles import phi_from_ssm, phi_reference_series, to_schur_basis
 from csmloci.orbits import Family, OrbitId, coranks, orbits
 from csmloci.poly import Poly
 from csmloci.schur import chern_weighted_degree, schur_to_chern
@@ -114,18 +114,6 @@ def test_truncated_phi_is_cut_of_longer(fam):
                 longer = phi_schur(OrbitId(fam, n, r), D + 3)
                 cut = {lam: c for lam, c in longer.items() if sum(lam) <= D}
                 assert phi_schur(OrbitId(fam, n, r), D) == cut
-
-
-def test_phi_division_matches_unit_route():
-    # Phi c(V) divided by c(V) in the Chern basis equals the kernel run with
-    # every denominator expanded as a series, coefficient types included
-    for fam in (W, S):
-        for n, Ds in [(n, (0, 1, 2, 5, 12)) for n in range(1, 6)] + [(6, (0, 2, 4))]:
-            for orbit in orbits(fam, n):
-                for D in Ds:
-                    got, want = dict(phi_schur(orbit, D)), phi_unit_route(orbit, D)
-                    assert got == want, (orbit, D)
-                    assert [type(got[lam]) for lam in want] == list(map(type, want.values()))
 
 
 def cut_weighted(p, D):
@@ -357,7 +345,8 @@ def test_negative_bound_is_refused_and_never_cached():
     # every entry to a truncated class names a negative bound, the open
     # orbits included (Sigma^sym(2,0) once gave {(): 1} at D = -1), and no
     # cache keeps an entry for it
-    sizes = (phi_schur.cache_info().currsize, ssm_interp_schur.cache_info().currsize)
+    sizes = (phi_schur.cache_info().currsize, ssm_interp_schur.cache_info().currsize,
+             w_schur.cache_info().currsize)
     inverses = _inverse_cv_rows.cache_info().currsize
     calls = (phi_schur, phi_class, ssm_schur, ssm_sieve, ssm_interp_schur, ssm_interp)
     for orbit in (OrbitId(S, 2, 0), OrbitId(S, 3, 1), OrbitId(W, 2, 0), OrbitId(W, 3, 1)):
@@ -367,6 +356,6 @@ def test_negative_bound_is_refused_and_never_cached():
         for call in (ssm_schur, ssm_sieve, ssm_interp):
             with pytest.raises(ValueError, match="truncation bound"):
                 call(orbit, -1, closure=True)
-    assert (phi_schur.cache_info().currsize,
-            ssm_interp_schur.cache_info().currsize) == sizes
+    assert (phi_schur.cache_info().currsize, ssm_interp_schur.cache_info().currsize,
+            w_schur.cache_info().currsize) == sizes
     assert _inverse_cv_rows.cache_info().currsize == inverses
