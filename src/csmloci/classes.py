@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .orbits import Family
-from .partitions import partition
 from .poly import _norm
 from .schur import schur_dict_to_alpha, schur_to_chern
 
@@ -96,7 +95,7 @@ class ClassExpr:
 
 
 def schur_class(kind, orbit, coeffs, trunc=None, closure=False):
-    """The class with these Schur coefficients, less the terms above trunc."""
-    coeffs = {partition(lam): _norm(c) for lam, c in coeffs.items()
-              if c and (trunc is None or sum(lam) <= trunc)}
+    """The class with these Schur coefficients, less the terms above trunc.
+    The keys are taken as given: every Schur dict is built canonical."""
+    coeffs = {lam: c for lam, c in coeffs.items() if c and (trunc is None or sum(lam) <= trunc)}
     return ClassExpr(kind, SCHUR, orbit.family, orbit.n, orbit.r, coeffs, trunc, closure)

@@ -13,15 +13,14 @@ bialternant identity gives Schur coefficients.  The open orbit comes from
 additivity: the csm classes of all orbits add up to c(V), so
 W_{n,0} = c(V) - sum_{r>=1} W_{n,r}, and the recursion closes because
 W_{n,r} needs only W_{n-r,0}; c(V) in Schur form comes from Lascoux's
-closed formula (chern_schur), and divide_by_cv divides a class cut at a
-degree by c(V).
+closed formula (chern_schur).  Each class of V_n (c(V), W and the sieve's
+Phi c(V)) is one cached function, exact, or cut at D by a trailing cut
+(D,) that it passes on to every class it is built from.
 
-The ssm class through degree D is W_{n,r} / c(V): the same recursion with
-every product cut at D (the kernel's cut, the inner open-orbit W and the
-c(V) of additivity cut alike) gives W through degree D, and divide_by_cv
-divides it by c(V), as the sieve divides Phi c(V).  Closure classes and the
-Chern-Mather class are sums of orbit classes over the orbits in the closure
-(closure_schur).
+The ssm class through degree D is W_{n,r} / c(V); both routes divide by
+c(V) through over_cv, the one bound check and cut rule.  Closure classes
+and the Chern-Mather class are sums of orbit classes over the orbits in the
+closure (closure_schur).
 """
 
 from __future__ import annotations
@@ -36,7 +35,8 @@ from operator import mul
 from types import MappingProxyType
 
 from .classes import add_schur, schur_class
-from .orbits import Family, OrbitId, chern_vars, coranks, inside_weights, suborbit_coranks
+from .orbits import (Family, OrbitId, ambient_dim, chern_vars, coranks, inside_weights,
+                     suborbit_coranks)
 from .poly import ExactDivisionError, Poly, product
 from .schur import (_staircase_shift, chern_to_schur, chern_weighted_degree, pushforward_schur,
                     schur_dict_to_alpha, schur_to_chern)
@@ -50,14 +50,13 @@ def w_schur(orbit, *cut):
     or through degree D when cut is (D,).
 
     For r >= 1 the kernel pushes the base-subset term forward, its inner
-    W_{n-r,0} cut alike; the open orbit is c(V), cut alike (_lascoux),
+    W_{n-r,0} cut alike; the open orbit is c(V), cut alike (chern_schur),
     minus the other orbits' classes.  Every call passes cut on as *cut, so
     one class has one cache key.
     """
     family, n, r = orbit.family, orbit.n, orbit.r
     if r == 0:
-        total = _lascoux(family, n, *cut) if cut else chern_schur(family, n)
-        return _by_additivity(lambda o: w_schur(o, *cut), orbit, total)
+        return _by_additivity(lambda o: w_schur(o, *cut), orbit, chern_schur(family, n, *cut))
     inner = w_schur(OrbitId(family, n - r, 0), *cut) if r < n else {(): 1}
     # over I x J: (a_i + a_j)(1 + a_i + a_j)
     return MappingProxyType(pushforward_schur(family, n, r, inner, ((0, 1), (1, 1)), *cut))
@@ -66,11 +65,22 @@ def w_schur(orbit, *cut):
 @lru_cache(maxsize=None)
 def ssm_interp_schur(orbit, D):
     """Schur coefficients of ssm(Sigma_{n,r}) = W_{n,r} / c(V) through
-    degree D, read-only: W cut at D (w_schur), divided by c(V) through
-    degree D (divide_by_cv)."""
+    degree D, read-only (over_cv)."""
+    return over_cv(w_schur, orbit, D)
+
+
+def over_cv(orbit_class, orbit, D):
+    """orbit_class(orbit, *cut) / c(V_n) through degree D, read-only.  No
+    class of V_n passes the degree of c(V_n), ambient_dim(family, n), so from
+    there on the class cut at D is the exact one, cut = ().  c(V) itself, as
+    Phi_{n,0} c(V) is, gives 1 without a division."""
     if D < 0:
         raise ValueError("truncation bound must be non-negative")
-    return MappingProxyType(divide_by_cv(w_schur(orbit, D), orbit.family, orbit.n, D))
+    family, n = orbit.family, orbit.n
+    cut = (D,) if D < ambient_dim(family, n) else ()
+    coeffs = orbit_class(orbit, *cut)
+    return MappingProxyType({(): 1} if coeffs is chern_schur(family, n, *cut) else
+                            divide_by_cv(coeffs, family, n, D))
 
 
 def _by_additivity(orbit_class, orbit, total):
@@ -81,8 +91,9 @@ def _by_additivity(orbit_class, orbit, total):
 
 
 @lru_cache(maxsize=None)
-def chern_schur(family, n):
-    """c(V) in Schur form, exact and read-only.
+def chern_schur(family, n, *cut):
+    """c(V_n) in Schur form by lex order, read-only: exact, or through
+    degree D when cut is (D,).
 
     With y_i = 1/2 + a_i, c(V) = prod (y_i + y_j) = coeff s_lam(y) for
     (lam, coeff) = inside_weights(family, n).  Lascoux's formula (Macdonald,
@@ -95,17 +106,11 @@ def chern_schur(family, n):
     mu_1 first: the minor on a set R of k rows and the columns b_1..b_k is
     the sum over i in R of C(t_i, b_k) times the minor on R - {i} and
     b_1..b_(k-1), with the sign (-1)^(number of rows of R after i).  One minor
-    is kept per row set, so the mu that share a prefix share its minors.
-    """
-    return MappingProxyType(_lascoux(family, n, sum(inside_weights(family, n)[0])))
-
-
-def _lascoux(family, n, max_size):
-    """{mu: coeff} of c(V_n) in Schur form over the mu with |mu| <= max_size,
-    in lex order of mu: chern_schur's expansion, each mu-prefix stopped once
-    its size passes max_size."""
+    is kept per row set, so the mu that share a prefix share its minors; a
+    prefix stops once its size passes the cut."""
     lam, coeff = inside_weights(family, n)
     top = sum(lam)
+    max_size = cut[0] if cut else top
     lam += (0,) * (n - len(lam))
     tops = _staircase_shift(lam, n)
     out = {}
@@ -134,7 +139,7 @@ def _lascoux(family, n, max_size):
             expand(mu + (part,), size + part, extended)
 
     expand((), 0, {0: 1})
-    return out
+    return MappingProxyType(out)
 
 
 def divide_by_cv(coeffs, family, n, D):
@@ -167,11 +172,11 @@ def divide_by_cv(coeffs, family, n, D):
 def _inverse_cv_rows(family, n, D):
     """c(V_n)^{-1} in c_1..c_n through weighted degree D, read-only: row d
     holds its (packed monomial, coeff) of weighted degree d (see
-    divide_by_cv).  c(V) is expanded only through size D (_lascoux).
+    divide_by_cv), from c(V) cut at D (chern_schur).
 
     c(V) has constant term 1, so degree by degree the inverse f of g = c(V)
     is f_0 = 1, f_d = -sum_{k=1..d} g_k f_{d-k}."""
-    g = _packed_rows(schur_to_chern(_lascoux(family, n, D), n), D)
+    g = _packed_rows(schur_to_chern(chern_schur(family, n, D), n), D)
     f = [((0, 1),)]
     for d in range(1, D + 1):
         fd = defaultdict(int)

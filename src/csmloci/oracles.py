@@ -1,8 +1,8 @@
-"""Reference routes: independent implementations that the tests and `verify`
-compare the production classes against.  No production module imports this.
+"""Reference routes: independent implementations that the tests compare the
+production classes against.  No production module imports this.
 
 - TruncSeries, a power series cut at a total degree, divides gradewise;
-  `verify --suite core` checks that its inversion is two-sided.
+  csm_to_ssm and phi_reference_series divide with it.
 - schur_poly and branching_schur_dict_to_alpha expand each s_lambda into
   its monomials by the branching rule; they check schur_dict_to_alpha's
   Kostka route and the Pieri strips.
@@ -17,8 +17,8 @@ compare the production classes against.  No production module imports this.
 - schur_dict_value (alternant determinants), w_value and w_inner_value (the
   defining W sums) evaluate at rational points; they check the kernel.
 - csm_to_ssm divides by c(V) as a series in the roots; it checks the
-  interpolation ssm and with it interp.divide_by_cv, which both ssm routes
-  share.
+  interpolation ssm and with it interp.over_cv and divide_by_cv, which both
+  ssm routes share.
 - phi_reference_series clears every subset term of Phi to the Vandermonde
   and divides; phi_from_ssm inverts the sieve.  They check the Phi classes.
 - phi_wedge_k_value sums the K-theory Phi terms at a point; it checks phi_wedge_k.

@@ -11,12 +11,8 @@ from .poly import exact_int
 def partition(parts):
     """Canonicalize to a weakly decreasing tuple of positive parts.
 
-    Trailing zeros are stripped; an increasing pair is an error.  A tuple of
-    ints that is canonical already is returned as it is.
+    Trailing zeros are stripped; an increasing pair is an error.
     """
-    if type(parts) is tuple and {*map(type, parts)} <= {int} and \
-            (not parts or parts[-1] > 0) and sorted(parts, reverse=True) == list(parts):
-        return parts
     parts = tuple(int(p) for p in parts)
     while parts and parts[-1] == 0:
         parts = parts[:-1]

@@ -40,7 +40,6 @@ from operator import add as _add
 from types import MappingProxyType
 
 from .orbits import alpha_vars, chern_vars, inside_weights
-from .partitions import partition
 from .poly import Poly, _norm
 
 
@@ -79,7 +78,7 @@ def schur_dict_to_alpha(coeffs, n):
     for lam, c in coeffs.items():
         if c == 0 or len(lam) > n:
             continue
-        for mu, k in _kostka_row(partition(lam), n).items():
+        for mu, k in _kostka_row(lam, n).items():
             d[mu] += c * k
     terms = {}
     for mu, c in d.items():

@@ -6,12 +6,12 @@ weight factors over unit denominators (1 + a_i + a_j).  Multiplying by
 c(V) = prod (1 + a_i + a_j), symmetric in all n roots, clears every one of
 them: Phi c(V) is a Gysin pushforward from a Grassmann bundle
 (schur.pushforward_schur) with inner c(V) on J and nothing inverted.  So
-Phi_{n,r} through degree D is that pushforward cut at D, divided by c(V).
-The division lives beside c(V) itself, in interp.divide_by_cv: it goes to
-c_1..c_n, with each Chern monomial packed into one int so that multiplying
-two monomials is adding two ints, multiplies by the series c(V)^{-1}
-through weighted degree D (cached once per (family, n, D)), and comes back
-to Schur coefficients.
+Phi_{n,r} through degree D is Phi c(V) cut at D (phi_cv_schur) divided by
+c(V) through interp.over_cv, as the interpolation route divides W.  The
+division (interp.divide_by_cv) goes to c_1..c_n, with each Chern monomial
+packed into one int so that multiplying two monomials is adding two ints,
+multiplies by the series c(V)^{-1} through weighted degree D (cached once
+per (family, n, D)), and comes back to Schur coefficients.
 
 The orbit SSM classes are alternating linear combinations of Phi classes
 over the orbits in the closure: Euler-number coefficients in the
@@ -29,7 +29,7 @@ from math import comb
 from types import MappingProxyType
 
 from .classes import schur_class
-from .interp import chern_schur, closure_schur, divide_by_cv
+from .interp import chern_schur, closure_schur, over_cv
 from .orbits import Family, suborbit_coranks
 from .schur import pushforward_schur
 
@@ -69,13 +69,9 @@ def invert_binomial_matrix(m, parity="even"):
 @lru_cache(maxsize=None)
 def phi_schur(orbit, D):
     """Schur coefficients of Phi_{n,r} up to total degree D, read-only:
-    Phi c(V) cut at D (_phi_cv_pushforward) divided by c(V) through degree
-    D (interp.divide_by_cv, on packed Chern monomials)."""
-    if D < 0:
-        raise ValueError("truncation bound must be non-negative")
-    if orbit.r == 0:
-        return MappingProxyType({(): 1})
-    return MappingProxyType(divide_by_cv(_phi_cv_pushforward(orbit, D), orbit.family, orbit.n, D))
+    Phi c(V) divided by c(V) through degree D (interp.over_cv), which gives
+    Phi_{n,0} = c(V) / c(V) = 1 without a division."""
+    return over_cv(phi_cv_schur, orbit, D)
 
 
 def phi_class(orbit, D):
@@ -83,27 +79,23 @@ def phi_class(orbit, D):
     return schur_class("phi", orbit, phi_schur(orbit, D), trunc=D)
 
 
-def _phi_cv_pushforward(orbit, max_deg):
-    """Schur coefficients of Phi_{n,r} c(V) for r >= 1, cut at degree max_deg
-    unless it is None.  c(V) cancels every unit denominator of the subset
-    term and leaves c(V_{n-r}) on J, so the pushforward has inner
-    c(V_{n-r}) and the factors (a_i + a_j)(1 + a_i - a_j) over I x J."""
+@lru_cache(maxsize=None)
+def phi_cv_schur(orbit, *cut):
+    """Schur coefficients of the polynomial Phi_{n,r} c(V), read-only: exact,
+    or through degree D when cut is (D,).
+
+    For the open orbit it is c(V) itself (chern_schur, cut alike).  Else
+    c(V) cancels every unit denominator of the subset term and leaves
+    c(V_{n-r}) on J, so the pushforward has inner c(V_{n-r}), cut alike, and
+    the factors (a_i + a_j)(1 + a_i - a_j) over I x J."""
     family, n, r = orbit.family, orbit.n, orbit.r
-    return pushforward_schur(family, n, r, chern_schur(family, n - r),
-                             ((0, 1), (1, -1)), max_deg=max_deg)
+    if r == 0:
+        return chern_schur(family, n, *cut)
+    return MappingProxyType(pushforward_schur(family, n, r, chern_schur(family, n - r, *cut),
+                                              ((0, 1), (1, -1)), *cut))
 
 
 # -- sieve formulas ------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def phi_cv_schur(orbit):
-    """Schur coefficients of the polynomial Phi_{n,r} c(V), exact and
-    read-only: c(V) itself for the open orbit, else the uncut pushforward."""
-    family, n = orbit.family, orbit.n
-    if orbit.r == 0:
-        return chern_schur(family, n)
-    return MappingProxyType(_phi_cv_pushforward(orbit, None))
-
 
 def _sieve_sum(orbit, closure, piece):
     """sum_s C(s, r) E_{s-r} piece(Sigma_{n,s}) over the orbits Sigma_{n,s} in

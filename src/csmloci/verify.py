@@ -13,27 +13,28 @@ from fractions import Fraction
 
 from .classes import add_schur
 from .orbits import Family, OrbitId, alpha_vars, codim, coranks
-from .partitions import staircase
+from .partitions import partition, staircase
 from .poly import Poly
 
 D = 6
 
 
-def _rand_poly(rng, variables, max_deg=3):
+def _rand_poly(rng, variables):
     terms = {}
     nv = len(variables)
     for _ in range(4):
-        e = tuple(rng.randint(0, max_deg) for _ in range(nv))
-        if sum(e) > max_deg + 2:
+        e = tuple(rng.randint(0, 3) for _ in range(nv))
+        if sum(e) > 5:
             continue
         terms[e] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
     return Poly(variables, terms)
 
 
 def suite_core(max_n):
-    """Ring laws, inversion, exact division, substitution, Euler numbers."""
+    """Ring laws, exact division, division by c(V), substitution, Euler numbers."""
     from .catalog import TABULATED_EULER, euler_number_warnings
-    from .oracles import TruncSeries
+    from .interp import chern_schur, divide_by_cv
+    from .schur import chern_to_schur, schur_to_chern
     from .sieve import binomial_matrix, euler_numbers, invert_binomial_matrix
     rng = random.Random(20240901)
     lines, ok = [], True
@@ -57,11 +58,16 @@ def suite_core(max_n):
     ok &= div_ok
     lines.append(f"{'PASS' if div_ok else 'FAIL'} exact_divide(a*b, b) == a")
 
-    inv_ok = True
-    for _ in range(10):
-        p = _rand_poly(rng, av, max_deg=2) + Poly.const(av, rng.randint(1, 5))
-        s = TruncSeries(p, 6)
-        inv_ok &= (s * s.invert()).poly == Poly.const(av, 1)
+    # divide_by_cv undoes multiplication by c(V), for random Schur dicts f
+    inv_ok, cv_rng = True, random.Random(20240902)
+    cut = lambda coeffs: {lam: c for lam, c in coeffs.items() if sum(lam) <= D}
+    for family in (Family.WEDGE, Family.SYM):
+        cv = schur_to_chern(chern_schur(family, 3), 3)
+        for _ in range(5):
+            f = {partition(sorted(cv_rng.choices(range(4), k=3), reverse=True)):
+                 cv_rng.choice((-5, -2, -1, 1, 3, 6)) for _ in range(4)}
+            product = chern_to_schur(schur_to_chern(f, 3) * cv, 3)
+            inv_ok &= divide_by_cv(cut(product), family, 3, D) == cut(f)
     ok &= inv_ok
     lines.append(f"{'PASS' if inv_ok else 'FAIL'} series inversion is two-sided up to degree")
 

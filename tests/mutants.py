@@ -1,0 +1,129 @@
+"""Mutation gate: does the class-algebra test set notice a broken kernel?
+
+Each mutant below replaces one exact snippet of one file of src/csmloci.  The
+script applies each mutant alone to a temporary copy of the package, runs
+tests/test_schur.py, tests/test_sieve.py and tests/test_interp.py against it
+with -x, and prints {"killed": [...], "survived": [...]} as JSON: a mutant
+is killed when the tests fail.  The unmutated copy must pass first.
+
+    python tests/mutants.py [NAME ...]    # every mutant, or those named
+
+Standard library only, and not collected by pytest.  A mutant that survives
+is either a gap in the tests or an equivalent mutant, one that changes no
+result; CHANGES.md names the known equivalents.
+"""
+
+import json
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TESTS = ("tests/test_schur.py", "tests/test_sieve.py", "tests/test_interp.py")
+
+# (name, file under src/csmloci, exact snippet, replacement)
+MUTANTS = [
+    ("over_cv: no cut rule", "interp.py",
+     "cut = (D,) if D < ambient_dim(family, n) else ()", "cut = (D,)"),
+    ("over_cv: cut rule < to <=", "interp.py",
+     "cut = (D,) if D < ambient_dim(family, n) else ()",
+     "cut = (D,) if D <= ambient_dim(family, n) else ()"),
+    ("over_cv: no c(V) / c(V) shortcut", "interp.py",
+     "{(): 1} if coeffs is chern_schur(family, n, *cut) else", "{(): 1} if False else"),
+    ("over_cv: no bound check", "interp.py",
+     "if D < 0:\n        raise", "if D < -1:\n        raise"),
+    ("chern_schur: cut > to >=", "interp.py",
+     "if size + part > max_size:", "if size + part >= max_size:"),
+    ("phi_cv_schur: open orbit widened to r <= 1", "sieve.py",
+     "if r == 0:\n        return chern_schur(family, n, *cut)",
+     "if r <= 1:\n        return chern_schur(family, n, *cut)"),
+    ("_inverse_cv_rows: recurrence sign", "interp.py",
+     "fd[key + key2] -= c * c2", "fd[key + key2] += c * c2"),
+    ("divide_by_cv: inverse one row short", "interp.py",
+     "inverse[:D - d + 1]", "inverse[:D - d]"),
+    ("_sieve_sum: C(s, r + 1)", "sieve.py",
+     "comb(s, r) * E[s - r]", "comb(s, r + 1) * E[s - r]"),
+    ("_sieve_sum: no binomial", "sieve.py",
+     "comb(s, r) * E[s - r]", "E[s - r]"),
+    ("pushforward_schur: read-off sign without r m", "schur.py",
+     "odd = (r * m - sum(map(below, head))) & 1", "odd = sum(map(below, head)) & 1"),
+    ("pushforward_schur: look-ahead one degree too far", "schur.py",
+     "ahead = r * sum(degree for degree, _ in passes)",
+     "ahead = r * sum(degree for degree, _ in passes) + 1"),
+    ("pushforward_schur: no kill on a shared entry", "schur.py",
+     "if c and disjoint(head):", "if c:"),
+    ("_sort_sign: no sign", "schur.py",
+     "return tuple(sorted(v, reverse=True)), -1 if odd else 1",
+     "return tuple(sorted(v, reverse=True)), 1"),
+    ("_strip_table: long mu kept", "schur.py",
+     "    if len(mu) > m:\n        return ()", "    if len(mu) > m + 1:\n        return ()"),
+    ("_strip_table: one box short per block", "schur.py",
+     "adds = product(*(range(length + 1) for _, length in blocks))",
+     "adds = product(*(range(length) for _, length in blocks))"),
+    ("_kostka_row: strip without its top", "schur.py",
+     "range(low, high + 1)", "range(low, high)"),
+    ("_kostka_row: long lam kept", "schur.py",
+     "    if len(lam) > n:\n        return MappingProxyType({})",
+     "    if len(lam) > n + 1:\n        return MappingProxyType({})"),
+    ("_over_pairs: trial division by the last pair", "ktheory.py",
+     "quo = num.exact_divide(factors[0]) if factors else num\n"
+     "    except ExactDivisionError:\n"
+     "        return LaurentFraction(num, product(factors, num.vars))\n"
+     "    for f in factors[1:]:",
+     "quo = num.exact_divide(factors[-1]) if factors else num\n"
+     "    except ExactDivisionError:\n"
+     "        return LaurentFraction(num, product(factors, num.vars))\n"
+     "    for f in factors[:-1]:"),
+]
+
+
+def tests_pass(tree):
+    """Whether the tests pass against the package copy under tree/src."""
+    # -B: no bytecode, which a mutant of the same size and second could reuse
+    run = subprocess.run([sys.executable, "-B", "-m", "pytest", "-x", "-q", "-p",
+                          "no:cacheprovider", *TESTS],
+                         cwd=tree, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return run.returncode == 0
+
+
+def copy_tree(tree):
+    """The package, the three test files and the pytest settings under tree,
+    which pytest then takes as its root: its pythonpath setting puts
+    tree/src, not the checkout's src, on the path."""
+    shutil.copytree(ROOT / "src" / "csmloci", tree / "src" / "csmloci",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (tree / "tests").mkdir()
+    for test in TESTS:
+        shutil.copy(ROOT / test, tree / test)
+    shutil.copy(ROOT / "pyproject.toml", tree / "pyproject.toml")
+
+
+def main(names):
+    chosen = [m for m in MUTANTS if not names or m[0] in names]
+    if names and len(chosen) != len(set(names)):
+        sys.exit(f"unknown mutant among {names}")
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = pathlib.Path(tmp)
+        copy_tree(tree)
+        if not tests_pass(tree):
+            sys.exit("the tests fail on the unmutated package")
+        result = {"killed": [], "survived": []}
+        for name, file, snippet, replacement in chosen:
+            path = tree / "src" / "csmloci" / file
+            source = path.read_text()
+            if source.count(snippet) != 1:
+                sys.exit(f"{name}: the snippet is not found exactly once in {file}")
+            path.write_text(source.replace(snippet, replacement))
+            try:
+                status = "survived" if tests_pass(tree) else "killed"
+            finally:
+                path.write_text(source)
+            result[status].append(name)
+            print(f"{name}: {status}", file=sys.stderr)
+    print(json.dumps(result, indent=2))
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

@@ -117,30 +117,23 @@ def test_every_default_is_passed_by_production():
 
 
 def oracle_imports(tree):
-    """(line, inside a function?) of each import that names the oracles module."""
+    """Lines of the imports that name the oracles module."""
     found = []
-
-    def visit(node, in_function):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ImportFrom):
-                parts = (child.module or "").split(".") + [a.name for a in child.names]
-            elif isinstance(child, ast.Import):
-                parts = [p for a in child.names for p in a.name.split(".")]
-            else:
-                parts = []
-            if "oracles" in parts:
-                found.append((child.lineno, in_function))
-            visit(child, in_function or isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
-
-    visit(tree, False)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".") + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            parts = [p for a in node.names for p in a.name.split(".")]
+        else:
+            continue
+        if "oracles" in parts:
+            found.append(node.lineno)
     return found
 
 
 def test_oracles_stay_off_the_production_path():
     # oracles imports the production modules and never the other way round:
-    # only verify may load it, inside a function, and no other module names
-    # anything the oracles define
+    # no production module loads it or names anything the oracles define
     defined = {node.name for node in ast.parse(ORACLES.read_text()).body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert defined
@@ -148,10 +141,7 @@ def test_oracles_stay_off_the_production_path():
     for path, tree in trees([PACKAGE]):
         if path == ORACLES:
             continue
-        found += [f"{path.name}:{line} imports oracles" for line, in_function
-                  in oracle_imports(tree) if not (in_function and path.stem == "verify")]
-        if path.stem == "verify":
-            continue
+        found += [f"{path.name}:{line} imports oracles" for line in oracle_imports(tree)]
         for node in ast.walk(tree):
             name = node.id if isinstance(node, ast.Name) else \
                 node.attr if isinstance(node, ast.Attribute) else \

@@ -13,8 +13,8 @@ from csmloci.interp import (csm_class, restriction_data, ssm_interp, ssm_interp_
                             verify_axioms, w_function, w_schur)
 from csmloci.oracles import (_require_symmetric, csm_to_ssm, schur_dict_value, to_chern_basis,
                              total_chern, w_inner_value, w_value)
-from csmloci.orbits import Family, OrbitId, alpha_vars, coranks, orbits
-from csmloci.partitions import staircase
+from csmloci.orbits import Family, OrbitId, alpha_vars, ambient_dim, coranks, orbits
+from csmloci.partitions import partition, staircase
 from csmloci.poly import Poly
 from csmloci.schur import schur_dict_to_alpha
 from csmloci.sieve import ssm_schur, ssm_sieve
@@ -161,14 +161,14 @@ def test_chern_schur_matches_bareiss_oracle():
 
 def test_cut_expansion_is_cut_of_full():
     # c(V) expanded only through size D is the full expansion cut at D
-    from csmloci.interp import _lascoux, chern_schur
+    from csmloci.interp import chern_schur
     from csmloci.orbits import inside_weights
     for fam in (W, S):
         for n in range(1, 8):
             full = chern_schur(fam, n)
             for D in range(sum(inside_weights(fam, n)[0]) + 2):
                 cut = [(mu, c) for mu, c in full.items() if sum(mu) <= D]
-                assert list(_lascoux(fam, n, D).items()) == cut, (fam, n, D)
+                assert list(chern_schur(fam, n, D).items()) == cut, (fam, n, D)
 
 
 @settings(max_examples=60, deadline=None)
@@ -262,6 +262,35 @@ def test_cut_w_is_cut_of_exact_w():
                 for D in (0, 1, 3, 6, 12):
                     assert w_schur(orbit, D) == \
                         {lam: c for lam, c in exact.items() if sum(lam) <= D}, (orbit, D)
+
+
+def test_ssm_at_top_degree_reuses_exact_w():
+    # no class of V_n passes degree ambient_dim(n), so from there on the ssm
+    # divides the exact W: it adds no cut W to the cache the csm filled
+    w_schur.cache_clear()
+    small = [orbit for fam in (W, S) for n in range(1, 6) for orbit in orbits(fam, n)]
+    for orbit in small:
+        csm_class(orbit)
+    for orbit in small:
+        ssm_interp_schur(orbit, ambient_dim(orbit.family, orbit.n))
+    assert w_schur.cache_info().currsize == len(small)
+
+
+def test_class_keys_are_canonical_partitions():
+    # classes are handed on without re-normalizing their keys, so every key
+    # must be built canonical: a tuple of ints, weakly decreasing, no zeros
+    from csmloci.interp import chern_schur
+    from csmloci.sieve import phi_schur
+    for fam in (W, S):
+        for n in range(1, 6):
+            dicts = [chern_schur(fam, n), chern_schur(fam, n, 12)]
+            for orbit in orbits(fam, n):
+                dicts += [w_schur(orbit), w_schur(orbit, 12), phi_schur(orbit, 12),
+                          ssm_interp_schur(orbit, 12)]
+            for coeffs in dicts:
+                for key in coeffs:
+                    assert type(key) is tuple and {type(p) for p in key} <= {int}, key
+                    assert partition(key) == key, key
 
 
 def test_csm_to_ssm_example():

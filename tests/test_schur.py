@@ -41,11 +41,9 @@ def test_partition_normalization():
     assert partition([]) == ()
     with pytest.raises(ValueError):
         partition([1, 2])
-    # a canonical tuple of ints is returned as it is; any other input is
-    # converted, or refused with the same errors
-    canonical = (3, 3, 1)
-    assert partition(canonical) is canonical and partition(()) == ()
-    assert partition([3, 3, 1]) == canonical and type(partition([3, 3, 1])) is tuple
+    # any input is converted to a tuple of ints, or refused
+    assert partition(()) == () and partition((3, 3, 1)) == (3, 3, 1)
+    assert type(partition([3, 3, 1])) is tuple
     assert partition((3, 1, 0, 0)) == (3, 1)
     assert partition((True, True)) == (1, 1)
     assert {type(p) for p in partition((2, True))} == {int}

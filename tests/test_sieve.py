@@ -13,7 +13,7 @@ from csmloci.orbits import Family, OrbitId, coranks, orbits
 from csmloci.poly import Poly
 from csmloci.schur import chern_weighted_degree, schur_to_chern
 from csmloci.sieve import (binomial_matrix, csm_sieve_schur, euler_numbers, invert_binomial_matrix,
-                           phi_class, phi_schur, ssm_schur, ssm_sieve)
+                           phi_class, phi_cv_schur, phi_schur, ssm_schur, ssm_sieve)
 
 W, S = Family.WEDGE, Family.SYM
 
@@ -114,6 +114,17 @@ def test_truncated_phi_is_cut_of_longer(fam):
                 longer = phi_schur(OrbitId(fam, n, r), D + 3)
                 cut = {lam: c for lam, c in longer.items() if sum(lam) <= D}
                 assert phi_schur(OrbitId(fam, n, r), D) == cut
+
+
+def test_cut_phi_cv_is_cut_of_exact():
+    # Phi c(V) cut at D, its inner c(V_{n-r}) cut alike, is the exact one cut
+    for fam in (W, S):
+        for n in range(1, 7):
+            for orbit in orbits(fam, n):
+                exact = phi_cv_schur(orbit)
+                for D in (0, 1, 3, 6, 12):
+                    assert phi_cv_schur(orbit, D) == \
+                        {lam: c for lam, c in exact.items() if sum(lam) <= D}, (orbit, D)
 
 
 def cut_weighted(p, D):
@@ -345,9 +356,8 @@ def test_negative_bound_is_refused_and_never_cached():
     # every entry to a truncated class names a negative bound, the open
     # orbits included (Sigma^sym(2,0) once gave {(): 1} at D = -1), and no
     # cache keeps an entry for it
-    sizes = (phi_schur.cache_info().currsize, ssm_interp_schur.cache_info().currsize,
-             w_schur.cache_info().currsize)
-    inverses = _inverse_cv_rows.cache_info().currsize
+    cached = (phi_schur, ssm_interp_schur, w_schur, phi_cv_schur, chern_schur, _inverse_cv_rows)
+    sizes = [call.cache_info().currsize for call in cached]
     calls = (phi_schur, phi_class, ssm_schur, ssm_sieve, ssm_interp_schur, ssm_interp)
     for orbit in (OrbitId(S, 2, 0), OrbitId(S, 3, 1), OrbitId(W, 2, 0), OrbitId(W, 3, 1)):
         for call in calls:
@@ -356,6 +366,4 @@ def test_negative_bound_is_refused_and_never_cached():
         for call in (ssm_schur, ssm_sieve, ssm_interp):
             with pytest.raises(ValueError, match="truncation bound"):
                 call(orbit, -1, closure=True)
-    assert (phi_schur.cache_info().currsize, ssm_interp_schur.cache_info().currsize,
-            w_schur.cache_info().currsize) == sizes
-    assert _inverse_cv_rows.cache_info().currsize == inverses
+    assert [call.cache_info().currsize for call in cached] == sizes
