@@ -15,7 +15,6 @@ _EXPORTS = {name: module for module, names in (
     ("ktheory", "motivic_segre_sieve phi_wedge_k q_binomial q_euler_numbers q_factorial"),
     ("laurent", "LaurentFraction"),
     ("mather", "chern_mather_wedge euler_obstruction_wedge"),
-    ("oracles", "TruncSeries csm_to_ssm schur_poly to_chern_basis to_schur_basis"),
     ("orbits", "Family OrbitId"),
     ("partitions", "partition"),
     ("poly", "ExactDivisionError Poly"),

@@ -6,9 +6,9 @@ success and after --help, 1 on a usage error (the offending parameter is
 named), 2 on a verification failure.
 
 Each command returns its response, (exit code, stdout text, stderr text), and
-`run` writes it.  A response is a function of the parsed arguments alone, so
-`run` answers a repeated request from one cache of responses; `verify` re-runs
-on every call.  A repeated argument list is not parsed again either.
+`run` writes it.  A response is a function of the argument list alone, so
+`run` answers a repeated argument list from one cache of responses, keyed by
+the list as given, refusals included; `verify` re-runs on every call.
 """
 
 from __future__ import annotations
@@ -276,11 +276,12 @@ _COMMANDS = {
 
 
 @lru_cache(maxsize=None)
-def _respond(key):
-    """The response (exit code, stdout text, stderr text) to the parsed
-    arguments `key`, a sorted tuple of their items."""
-    args = argparse.Namespace(**dict(key))
+def _respond(argv):
+    """The response (exit code, stdout text, stderr text) to the argument
+    tuple argv.  --help raises SystemExit, after argparse has printed the
+    usage, so it is never cached."""
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except UsageError as ex:
         return 1, "", f"usage error: {ex}\n"
@@ -288,25 +289,15 @@ def _respond(key):
         return 1, "", f"error: {ex}\n"
 
 
-@lru_cache(maxsize=None)
-def _parse(argv):
-    """The parsed request for the argument tuple argv: a sorted tuple of the
-    parsed arguments' items.  A usage error and --help raise, so only an
-    accepted request is cached."""
-    return tuple(sorted(vars(build_parser().parse_args(argv)).items()))
-
-
 def run(argv=None):
+    argv = tuple(sys.argv[1:] if argv is None else argv)
+    # a verification re-runs its checks on every call; no option but -h can
+    # come before the subcommand
+    respond = _respond.__wrapped__ if argv[:1] == ("verify",) else _respond
     try:
-        key = _parse(tuple(sys.argv[1:] if argv is None else argv))
+        code, out, err = respond(argv)
     except SystemExit as ex:  # --help: argparse has printed the usage
         return ex.code
-    except UsageError as ex:
-        print(f"usage error: {ex}", file=sys.stderr)
-        return 1
-    # a verification re-runs its checks on every call
-    respond = _respond.__wrapped__ if ("command", "verify") in key else _respond
-    code, out, err = respond(key)
     sys.stdout.write(out)
     sys.stderr.write(err)
     return code

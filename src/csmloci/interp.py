@@ -18,7 +18,9 @@ Phi c(V)) is one cached function, exact, or cut at D by a trailing cut
 (D,) that it passes on to every class it is built from.
 
 The ssm class through degree D is W_{n,r} / c(V); both routes divide by
-c(V) through over_cv, the one bound check and cut rule.  Closure classes
+c(V) through over_cv, the one bound check.  One rule (_cut_at) picks the
+cut of both the class and the inverse of c(V): the exact class once D
+reaches the top degree of c(V).  Closure classes
 and the Chern-Mather class are sums of orbit classes over the orbits in the
 closure (closure_schur).
 """
@@ -69,15 +71,21 @@ def ssm_interp_schur(orbit, D):
     return over_cv(w_schur, orbit, D)
 
 
+def _cut_at(family, n, D):
+    """The cut that takes a class of V_n through degree D: (D,), or () from
+    D = ambient_dim(family, n) on, the degree of c(V_n), which no class of
+    V_n passes, so that there the cut class is the exact one."""
+    return (D,) if D < ambient_dim(family, n) else ()
+
+
 def over_cv(orbit_class, orbit, D):
-    """orbit_class(orbit, *cut) / c(V_n) through degree D, read-only.  No
-    class of V_n passes the degree of c(V_n), ambient_dim(family, n), so from
-    there on the class cut at D is the exact one, cut = ().  c(V) itself, as
-    Phi_{n,0} c(V) is, gives 1 without a division."""
+    """orbit_class(orbit, *cut) / c(V_n) through degree D, read-only, with
+    the cut of _cut_at.  c(V) itself, as Phi_{n,0} c(V) is, gives 1 without a
+    division."""
     if D < 0:
         raise ValueError("truncation bound must be non-negative")
     family, n = orbit.family, orbit.n
-    cut = (D,) if D < ambient_dim(family, n) else ()
+    cut = _cut_at(family, n, D)
     coeffs = orbit_class(orbit, *cut)
     return MappingProxyType({(): 1} if coeffs is chern_schur(family, n, *cut) else
                             divide_by_cv(coeffs, family, n, D))
@@ -172,11 +180,12 @@ def divide_by_cv(coeffs, family, n, D):
 def _inverse_cv_rows(family, n, D):
     """c(V_n)^{-1} in c_1..c_n through weighted degree D, read-only: row d
     holds its (packed monomial, coeff) of weighted degree d (see
-    divide_by_cv), from c(V) cut at D (chern_schur).
+    divide_by_cv), from c(V) with the cut of _cut_at, so that from the top
+    degree of c(V) on it reads the exact chern_schur(family, n).
 
     c(V) has constant term 1, so degree by degree the inverse f of g = c(V)
     is f_0 = 1, f_d = -sum_{k=1..d} g_k f_{d-k}."""
-    g = _packed_rows(schur_to_chern(chern_schur(family, n, D), n), D)
+    g = _packed_rows(schur_to_chern(chern_schur(family, n, *_cut_at(family, n, D)), n), D)
     f = [((0, 1),)]
     for d in range(1, D + 1):
         fd = defaultdict(int)

@@ -202,7 +202,8 @@ def _motivic_segre_sieve(n, r, q_convention):
         coeff_q = q_binomial(r + 2 * k, r) * E[2 * k]
         cleared = _phi_k_cleared(n, r + 2 * k)
         if symbolic:
-            coeff, cleared = coeff_q.map_vars(av), cleared.map_vars(av)
+            coeff, cleared = (p.substitute({v: Poly.variable(av, v) for v in p.vars}, av)
+                              for p in (coeff_q, cleared))
         else:
             coeff = coeff_q.substitute({"q": Poly.linear(av, 0, y=-1)}, av)
         num = num + coeff * cleared

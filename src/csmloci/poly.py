@@ -252,7 +252,8 @@ class Poly:
 
         `images` maps variable names to Polys over a common variable set
         (or to int/Fraction constants).  Every variable actually appearing
-        in self must be mapped.
+        in self must be mapped.  Single-term images are an exponent remap, so
+        renaming or embedding into a larger ring is a substitution too.
         """
         if target_vars is None:
             for img in images.values():
@@ -347,21 +348,6 @@ class Poly:
                 term = term * p
             total += term
         return _norm(total)
-
-    def map_vars(self, target_vars):
-        """Transfer terms onto another variable tuple, by name; useful for
-        embedding a small-ring polynomial."""
-        target_vars = tuple(target_vars)
-        pos = [target_vars.index(name) for name in self.vars]
-        nt = len(target_vars)
-        out = {}
-        for e, c in self.terms.items():
-            ne = [0] * nt
-            for i, x in enumerate(e):
-                if x:
-                    ne[pos[i]] = x
-            out[tuple(ne)] = c
-        return Poly(target_vars, out, _clean=False)
 
 
 class _ReadOnlyPoly(Poly):

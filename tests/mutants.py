@@ -1,10 +1,11 @@
 """Mutation gate: does the class-algebra test set notice a broken kernel?
 
 Each mutant below replaces one exact snippet of one file of src/csmloci.  The
-script applies each mutant alone to a temporary copy of the package, runs
-tests/test_schur.py, tests/test_sieve.py and tests/test_interp.py against it
-with -x, and prints {"killed": [...], "survived": [...]} as JSON: a mutant
-is killed when the tests fail.  The unmutated copy must pass first.
+script applies each mutant alone to a temporary copy of the package, runs the
+test files that cover it against it with -x (by default the kernel's,
+tests/test_schur.py, tests/test_sieve.py and tests/test_interp.py), and
+prints {"killed": [...], "survived": [...]} as JSON: a mutant is killed when
+its tests fail.  The unmutated copy must pass every test file used first.
 
     python tests/mutants.py [NAME ...]    # every mutant, or those named
 
@@ -21,15 +22,18 @@ import sys
 import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-TESTS = ("tests/test_schur.py", "tests/test_sieve.py", "tests/test_interp.py")
+KERNEL = ("tests/test_schur.py", "tests/test_sieve.py", "tests/test_interp.py")
+GOLDEN = "perfbench/expected/queries.json"
+READS = {"tests/test_cli.py": (GOLDEN,), "tests/test_golden.py": (GOLDEN,)}  # data files
 
-# (name, file under src/csmloci, exact snippet, replacement)
+# (name, file under src/csmloci, exact snippet, replacement[, test files]);
+# the test files default to KERNEL
 MUTANTS = [
-    ("over_cv: no cut rule", "interp.py",
-     "cut = (D,) if D < ambient_dim(family, n) else ()", "cut = (D,)"),
-    ("over_cv: cut rule < to <=", "interp.py",
-     "cut = (D,) if D < ambient_dim(family, n) else ()",
-     "cut = (D,) if D <= ambient_dim(family, n) else ()"),
+    ("_cut_at: no cut rule", "interp.py",
+     "return (D,) if D < ambient_dim(family, n) else ()", "return (D,)"),
+    ("_cut_at: cut rule < to <=", "interp.py",
+     "return (D,) if D < ambient_dim(family, n) else ()",
+     "return (D,) if D <= ambient_dim(family, n) else ()"),
     ("over_cv: no c(V) / c(V) shortcut", "interp.py",
      "{(): 1} if coeffs is chern_schur(family, n, *cut) else", "{(): 1} if False else"),
     ("over_cv: no bound check", "interp.py",
@@ -76,28 +80,44 @@ MUTANTS = [
      "    except ExactDivisionError:\n"
      "        return LaurentFraction(num, product(factors, num.vars))\n"
      "    for f in factors[:-1]:"),
+    ("run: verify answered from the cache", "cli.py",
+     "respond = _respond.__wrapped__ if argv[:1] == (\"verify\",) else _respond",
+     "respond = _respond", ("tests/test_cli.py",)),
+    ("sorted_terms: ascending exponents", "emit.py",
+     "sorted(poly.terms.items(), key=itemgetter(0), reverse=True)",
+     "sorted(poly.terms.items(), key=itemgetter(0))",
+     ("tests/test_cli.py", "tests/test_golden.py")),
+    ("aluffi_J: returns its input", "projective.py",
+     "return Poly((\"t\",), {(i,): c for i, c in enumerate(coeffs)})",
+     "return Poly((\"t\",), {(i,): c for i, c in enumerate(p)})",
+     ("tests/test_projective.py",)),
 ]
 
 
-def tests_pass(tree):
+def tests_of(mutant):
+    """The test files that cover a mutant."""
+    return mutant[4] if len(mutant) > 4 else KERNEL
+
+
+def tests_pass(tree, tests):
     """Whether the tests pass against the package copy under tree/src."""
     # -B: no bytecode, which a mutant of the same size and second could reuse
     run = subprocess.run([sys.executable, "-B", "-m", "pytest", "-x", "-q", "-p",
-                          "no:cacheprovider", *TESTS],
+                          "no:cacheprovider", *tests],
                          cwd=tree, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     return run.returncode == 0
 
 
-def copy_tree(tree):
-    """The package, the three test files and the pytest settings under tree,
-    which pytest then takes as its root: its pythonpath setting puts
-    tree/src, not the checkout's src, on the path."""
+def copy_tree(tree, tests):
+    """The package, the test files and the data files they read, and the
+    pytest settings under tree, which pytest then takes as its root: its
+    pythonpath setting puts tree/src, not the checkout's src, on the path."""
     shutil.copytree(ROOT / "src" / "csmloci", tree / "src" / "csmloci",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    (tree / "tests").mkdir()
-    for test in TESTS:
-        shutil.copy(ROOT / test, tree / test)
-    shutil.copy(ROOT / "pyproject.toml", tree / "pyproject.toml")
+    reads = [data for test in tests for data in READS.get(test, ())]
+    for name in {*tests, *reads, "pyproject.toml"}:
+        (tree / name).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy(ROOT / name, tree / name)
 
 
 def main(names):
@@ -106,18 +126,20 @@ def main(names):
         sys.exit(f"unknown mutant among {names}")
     with tempfile.TemporaryDirectory() as tmp:
         tree = pathlib.Path(tmp)
-        copy_tree(tree)
-        if not tests_pass(tree):
+        tests = sorted({test for mutant in chosen for test in tests_of(mutant)})
+        copy_tree(tree, tests)
+        if not tests_pass(tree, tests):
             sys.exit("the tests fail on the unmutated package")
         result = {"killed": [], "survived": []}
-        for name, file, snippet, replacement in chosen:
+        for mutant in chosen:
+            name, file, snippet, replacement = mutant[:4]
             path = tree / "src" / "csmloci" / file
             source = path.read_text()
             if source.count(snippet) != 1:
                 sys.exit(f"{name}: the snippet is not found exactly once in {file}")
             path.write_text(source.replace(snippet, replacement))
             try:
-                status = "survived" if tests_pass(tree) else "killed"
+                status = "survived" if tests_pass(tree, tests_of(mutant)) else "killed"
             finally:
                 path.write_text(source)
             result[status].append(name)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csmloci.cli import _parse, _respond, build_parser, run
+from csmloci.cli import _respond, build_parser, run
 from csmloci.emit import class_json_dict, sorted_terms
 from csmloci.oracles import parse_class_json
 from csmloci.orbits import alpha_vars, chern_vars
@@ -241,8 +241,8 @@ def test_cli_fuzz_exit_codes_and_replay(command, data):
     argv = data.draw(requests(command))
     # any request gives a result or a named error, never a traceback; an
     # accepted one writes the same bytes when replayed after a usage error,
-    # and again with no cached parse or response on a freshly built parser,
-    # so neither the caches nor the shared parser keep state between requests
+    # and again with no cached response on a freshly built parser, so
+    # neither the cache nor the shared parser keeps state between requests
     code, out, err = run_captured(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
@@ -254,7 +254,6 @@ def test_cli_fuzz_exit_codes_and_replay(command, data):
         assert run_captured(["class", "--family", "wedge", "--n", "oops"])[0] == 1
         replayed = run_captured(argv)
         _respond.cache_clear()
-        _parse.cache_clear()
         build_parser.cache_clear()       # a parser that has parsed nothing yet
         assert replayed == run_captured(argv) == (code, out, err)
 
@@ -272,11 +271,12 @@ def test_repeated_request_is_answered_from_the_response_cache(argv, code, err_ha
     assert _respond.cache_info()[:2] == (1, 1)       # (hits, misses)
 
 
-def test_response_cache_key_is_the_parsed_request():
+def test_response_cache_key_is_the_argument_list():
+    # two spellings of one request are two entries with the same bytes
     _respond.cache_clear()
     first = run_captured("projective --family sym --n 02 --r 1".split())
-    assert run_captured("projective --family sym --n 2 --r 1 --format text".split()) == first
-    assert _respond.cache_info()[:2] == (1, 1) and _respond.cache_info().currsize == 1
+    assert run_captured("projective --family sym --n 2 --r 1".split()) == first
+    assert _respond.cache_info()[:2] == (0, 2) and _respond.cache_info().currsize == 2
     for argv, code in (("verify --suite core --max-n 2", 0),
                        ("verify --suite cross --max-n 0", 1)):
         info = _respond.cache_info()
@@ -285,31 +285,29 @@ def test_response_cache_key_is_the_parsed_request():
 
 
 def test_each_distinct_argv_is_parsed_once():
-    _parse.cache_clear()
     _respond.cache_clear()
     argvs = ["projective --family sym --n 2 --r 1", "projective --family sym --n 02 --r 1",
              "verify --suite core --max-n 2"]
     first = [run_captured(argv.split()) for argv in argvs]
     assert [run_captured(argv.split()) for argv in argvs] == first
-    assert _parse.cache_info()[:2] == (3, 3)          # (hits, misses)
-    # the two spellings of one request share a response; verify re-ran
-    assert _respond.cache_info()[:2] == (3, 1)
+    # one miss, and so one parse, per distinct argv that is not a verify
+    assert _respond.cache_info()[:2] == (2, 2)        # (hits, misses)
 
 
-@pytest.mark.parametrize("argv, code, stream, text, parsed", [
+@pytest.mark.parametrize("argv, code, stream, text, kept", [
     ("class --family sym --n 3 --r 1 --kind ssm", 1, 2, "usage error: --trunc is required", 1),
-    ("class --family sym --n oops --r 1", 1, 2, "usage error: argument --n", 0),
+    ("class --family sym --n oops --r 1", 1, 2, "usage error: argument --n", 1),
     ("class --help", 0, 1, "usage: csmloci class", 0),
 ])
-def test_refused_requests_print_again_on_replay(argv, code, stream, text, parsed):
-    # a usage error raised by a command (after a parse that is kept), an
-    # argparse error and --help each print again on a replay; an argv that
-    # did not parse never enters the cache
-    _parse.cache_clear()
+def test_refused_requests_print_again_on_replay(argv, code, stream, text, kept):
+    # a usage error raised by a command and an argparse error are kept
+    # responses that carry their stderr text; --help raises out of the cache
+    # and is never kept.  Each prints again on a replay
+    _respond.cache_clear()
     for _ in range(2):
         got = run_captured(argv.split())
         assert got[0] == code and text in got[stream]
-    assert _parse.cache_info().currsize == parsed
+    assert _respond.cache_info().currsize == kept
 
 
 @st.composite

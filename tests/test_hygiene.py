@@ -133,7 +133,9 @@ def oracle_imports(tree):
 
 def test_oracles_stay_off_the_production_path():
     # oracles imports the production modules and never the other way round:
-    # no production module loads it or names anything the oracles define
+    # no production module loads it or names anything the oracles define,
+    # and the package namespace exports none of it
+    assert "oracles" not in _EXPORTS.values()
     defined = {node.name for node in ast.parse(ORACLES.read_text()).body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert defined

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csmloci.classes import add_schur
-from csmloci.interp import (csm_class, restriction_data, ssm_interp, ssm_interp_schur,
-                            verify_axioms, w_function, w_schur)
+from csmloci.interp import (_inverse_cv_rows, chern_schur, csm_class, restriction_data,
+                            ssm_interp, ssm_interp_schur, verify_axioms, w_function, w_schur)
 from csmloci.oracles import (_require_symmetric, csm_to_ssm, schur_dict_value, to_chern_basis,
                              total_chern, w_inner_value, w_value)
 from csmloci.orbits import Family, OrbitId, alpha_vars, ambient_dim, coranks, orbits
@@ -276,10 +276,21 @@ def test_ssm_at_top_degree_reuses_exact_w():
     assert w_schur.cache_info().currsize == len(small)
 
 
+def test_inverse_cv_past_top_degree_reads_exact_cv():
+    # from the top degree of c(V) on, the inverse of c(V) reads the exact
+    # c(V), so it adds no cut copy equal to it to the cache
+    for fam in (W, S):
+        for n in range(1, 6):
+            chern_schur.cache_clear()
+            _inverse_cv_rows.cache_clear()
+            chern_schur(fam, n)
+            _inverse_cv_rows(fam, n, ambient_dim(fam, n) + 3)
+            assert chern_schur.cache_info().currsize == 1, (fam, n)
+
+
 def test_class_keys_are_canonical_partitions():
     # classes are handed on without re-normalizing their keys, so every key
     # must be built canonical: a tuple of ints, weakly decreasing, no zeros
-    from csmloci.interp import chern_schur
     from csmloci.sieve import phi_schur
     for fam in (W, S):
         for n in range(1, 6):

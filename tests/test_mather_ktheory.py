@@ -205,8 +205,10 @@ def test_motivic_sieve_two_terms():
                     coeff_q = q_binomial(r + 2 * k, r) * E[2 * k]
                     phi = phi_wedge_k(n, r + 2 * k).value
                     if symbolic:
-                        coeff = coeff_q.map_vars(av)
-                        phi = CanonicalFraction(phi.num.map_vars(av), phi.den.map_vars(av))
+                        coeff, num, den = (
+                            p.substitute({v: Poly.variable(av, v) for v in p.vars}, av)
+                            for p in (coeff_q, phi.num, phi.den))
+                        phi = CanonicalFraction(num, den)
                     else:
                         coeff = coeff_q.substitute({"q": Poly.linear(av, 0, y=-1)}, av)
                     expect = expect + CanonicalFraction(coeff) * phi
