@@ -5,16 +5,20 @@ verify.  Output formats: text (default), json, latex.  Exit status 0 on
 success and after --help, 1 on a usage error (the offending parameter is
 named), 2 on a verification failure.
 
-Each command returns its response, (exit code, stdout text, stderr text), and
-`run` writes it.  A response is a function of the argument list alone, so
-`run` answers a repeated argument list from one cache of responses, keyed by
-the list as given, refusals included; `verify` re-runs on every call.
+Each command returns its response, (exit code, stdout text, stderr text),
+and `run` writes it.  A long class text or JSON document stays a tuple of
+the blocks emit joined it in, so a response holds its text once.  Classes come in Schur form
+and emit writes them in the basis asked for: the alpha basis from the
+monomial coefficients, never as a polynomial.  Every JSON document goes
+through emit.json_text.  A response is a function of the argument list
+alone, so `run` answers a repeated argument list from one cache of
+responses, keyed by the list as given, refusals included; `verify` re-runs
+on every call.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from functools import lru_cache
@@ -106,16 +110,28 @@ def _require_trunc(args, why=None):
 
 
 def _lines(*lines):
-    """The text that printing each line in turn writes."""
-    return "".join(f"{line}\n" for line in lines)
+    """The text that printing each line in turn writes.  A line is a string
+    or a list of pieces (emit.class_text, emit.json_text); the text is one
+    string, or the tuple of its pieces when a line has several, so that a
+    long text is never copied into one string."""
+    pieces, whole = [], True
+    for line in lines:
+        if isinstance(line, str):
+            pieces.append(line)
+        else:
+            pieces += line
+            whole &= len(line) == 1
+        pieces.append("\n")
+    return "".join(pieces) if whole else tuple(pieces)
 
 
-def _emit_class(cls, fmt):
+def _emit_class(cls, basis, fmt):
+    """The response that writes the Schur-form class cls in basis."""
     if fmt == "json":
-        return 0, _lines(json.dumps(emit.class_json_dict(cls), indent=2)), ""
+        return 0, _lines(emit.json_text(emit.class_json_dict(cls, basis))), ""
     latex = fmt == "latex"
     tag = "% warning" if latex else "warning"
-    return (0, _lines(emit.class_text(cls, latex=latex)),
+    return (0, _lines(emit.class_text(cls, basis, latex=latex)),
             _lines(*(f"{tag}: {w}" for w in cls.warnings)))
 
 
@@ -137,7 +153,7 @@ def _cmd_class(args):
         _require_trunc(args, "for csm via the sieve route")
         coeffs = csm_sieve_schur(orbit, closure=args.closure)
     cls = schur_class(args.kind, orbit, coeffs, trunc=args.trunc, closure=args.closure)
-    return _emit_class(cls.in_basis(args.basis), args.format)
+    return _emit_class(cls, args.basis, args.format)
 
 
 def _cmd_phi(args):
@@ -149,7 +165,7 @@ def _cmd_phi(args):
         from .catalog import compare_phi_wedge_3
         cls = replace(cls, warnings=compare_phi_wedge_3(orbit.r, cls.chern_poly(),
                                                         max_deg=args.trunc))
-    return _emit_class(cls.in_basis(args.basis), args.format)
+    return _emit_class(cls, args.basis, args.format)
 
 
 def _cmd_projective(args):
@@ -157,12 +173,12 @@ def _cmd_projective(args):
     orbit = OrbitId(args.family, args.n, args.r)
     pc = projectivize(orbit, kind=args.kind, closure=args.closure)
     if args.format == "json":
-        out = json.dumps({
+        out = emit.json_text({
             "family": str(orbit.family), "n": orbit.n, "r": orbit.r,
             "kind": pc.kind, "closure": pc.closure, "ambient": pc.ambient,
             "coeffs": [emit.coeff_str(c) for c in pc.coeffs],
             "warnings": [],
-        }, indent=2)
+        })
     else:
         out = emit.poly_text(pc.poly(), latex=args.format == "latex")
     return 0, _lines(out), ""
@@ -172,13 +188,13 @@ def _cmd_table(args):
     from .projective import euler_char_table
     tab = euler_char_table(args.family, args.n, closure=args.closures)
     if args.format == "json":
-        lines = [json.dumps({
+        lines = [emit.json_text({
             "family": str(as_family(args.family)), "n": args.n, "kind": "table",
             "closures": tab.closure, "coranks": tab.coranks,
             "columns": [f"chi(X_{i})" for i in range(len(tab.rows[0]))],
             "rows": tab.rows, "column_sums": tab.column_sums(),
             "warnings": [],
-        }, indent=2)]
+        })]
     elif args.format == "latex":
         cols = len(tab.rows[0])
         head = " & ".join([r"$X$"] + [rf"$\chi(X_{{{i}}})$" for i in range(cols)])
@@ -208,7 +224,7 @@ def _cmd_invariants(args):
         "warnings": [] if agree else ["closed formulas disagree with class-derived values"],
     }
     if args.format == "json":
-        out = json.dumps(doc, indent=2)
+        out = emit.json_text(doc)
     else:
         out = (f"{orbit}: codim {ci.codim}, degree {ci.degree}, chi {ci.euler_char}"
                f" (class-derived: {di.codim}, {di.degree}, {di.euler_char};"
@@ -221,12 +237,11 @@ def _cmd_mather(args):
     cls = chern_mather_wedge(args.n, args.r)
     coeffs = euler_obstruction_wedge(args.n, args.r)
     if args.format == "json":
-        doc = emit.class_json_dict(cls.in_basis(args.basis))
+        doc = emit.class_json_dict(cls, args.basis)
         doc["euler_obstruction"] = coeffs
-        return 0, _lines(json.dumps(doc, indent=2)), ""
+        return 0, _lines(emit.json_text(doc)), ""
     return 0, _lines(f"Euler obstruction multiplicities on suborbits: {coeffs}",
-                     emit.class_text(cls.in_basis(args.basis),
-                                     latex=args.format == "latex")), ""
+                     emit.class_text(cls, args.basis, latex=args.format == "latex")), ""
 
 
 def _cmd_ktheory(args):
@@ -241,11 +256,11 @@ def _cmd_ktheory(args):
             "family": "wedge", "n": args.n, "r": args.r, "kind": f"motivic-{mc.kind}",
             "q_convention": mc.q_convention,
             "vars": list(frac.vars),
-            "numerator": emit._json_terms(emit.sorted_terms(frac.num)),
-            "denominator": emit._json_terms(emit.sorted_terms(frac.den)),
+            "numerator": emit.term_list(emit.sorted_terms(frac.num)),
+            "denominator": emit.term_list(emit.sorted_terms(frac.den)),
             "warnings": list(mc.notes),
         }
-        return 0, _lines(json.dumps(doc, indent=2)), ""
+        return 0, _lines(emit.json_text(doc)), ""
     if args.format == "latex":
         out = (rf"\frac{{{emit.poly_text(frac.num, latex=True)}}}"
                rf"{{{emit.poly_text(frac.den, latex=True)}}}")
@@ -298,7 +313,10 @@ def run(argv=None):
         code, out, err = respond(argv)
     except SystemExit as ex:  # --help: argparse has printed the usage
         return ex.code
-    sys.stdout.write(out)
+    if isinstance(out, str):
+        sys.stdout.write(out)
+    else:  # the pieces of a long text
+        sys.stdout.writelines(out)
     sys.stderr.write(err)
     return code
 

@@ -4,14 +4,31 @@ Term order is deterministic everywhere: ascending total alpha-degree, then
 descending lexicographic exponents (for Chern monomials the degree is the
 weighted one, deg c_i = i).  Coefficients serialize as exact
 "numerator/denominator" strings.
+
+A class arrives in Schur form and is written in the basis asked for.  The
+alpha basis is written from the monomial coefficients d_mu of the Schur form
+(schur.monomial_coeffs), never as a polynomial: within each degree the
+orderings of every mu are sorted descending, and each d_mu is rendered once
+for all of its orderings.  Every sum of terms goes through one renderer,
+_signed_sum, which joins the terms a block at a time; class_text returns the
+blocks as a list of pieces, so a long class text is never copied into one
+string.  JSON documents are written by json_text, which gives the bytes of
+json.dumps(doc, indent=2) and writes a TermList straight from its
+(key, coefficient) pairs, without a dict per term.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from functools import partial
+from itertools import islice
 from operator import itemgetter, mul
 
+from .orbits import alpha_vars
+
 _GREEK = {"a": r"\alpha", "s": r"\sigma", "xi": r"\xi"}
+_BLOCK = 4096  # terms joined into one string at a time
 
 
 def _split_name(name):
@@ -41,13 +58,9 @@ def coeff_str(c):
     return f"{f.numerator}/{f.denominator}"
 
 
-def _json_terms(items):
-    """The JSON term list of (key, coefficient) pairs in display order."""
-    return [{"key": list(key), "coeff": coeff_str(c)} for key, c in items]
-
-
 def _coeff_prefix(c, latex):
-    """(sign, magnitude-string) with '' magnitude for +-1."""
+    """(sign, magnitude-string) of a term: sign "+ " or "- ", and a ''
+    magnitude for +-1."""
     neg = c < 0
     c = -c if neg else c
     if c == 1:
@@ -56,7 +69,7 @@ def _coeff_prefix(c, latex):
         s = rf"\tfrac{{{c.numerator}}}{{{c.denominator}}}" if latex else f"({c})"
     else:
         s = str(c)
-    return neg, s
+    return "- " if neg else "+ ", s
 
 
 def _symbols(vars_, latex):
@@ -74,24 +87,64 @@ def _symbols(vars_, latex):
     return out
 
 
-def _signed_sum(terms, latex):
-    """The text of a sum from its (coefficient, monomial text) pairs."""
-    chunks = []
-    for c, mono in terms:
-        neg, mag = _coeff_prefix(c, latex)
-        body = f"{mag}{mono}" or "1"
-        if not chunks:
-            chunks.append(f"-{body}" if neg else body)
-        else:
-            chunks.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(chunks) or "0"
+def _signed_sum(terms):
+    """The text of a sum from its (coefficient prefix, monomial text) pairs,
+    each prefix from _coeff_prefix, as a list of pieces: the terms joined a
+    block at a time, and the spaces between blocks.  A +-1 coefficient of the
+    constant monomial reads 1."""
+    terms = iter(terms)
+    pieces = []
+    while block := " ".join([f"{sign}{mag}{mono}" if mag or mono else f"{sign}1"
+                             for (sign, mag), mono in islice(terms, _BLOCK)]):
+        pieces += (" ", block)
+    if not pieces:
+        return ["0"]
+    first = pieces[1]  # its first term keeps only a "-" of its sign
+    pieces[1] = first[2:] if first[0] == "+" else f"-{first[2:]}"
+    return pieces[1:]
+
+
+def _poly_terms(poly, latex):
+    """(coefficient prefix, monomial text) of each term of a Poly, in
+    display order."""
+    symbols = _symbols(poly.vars, latex)
+    for exps, c in sorted_terms(poly):
+        yield (_coeff_prefix(c, latex),
+               "".join([sym if x == 1 else f"{pre}{x}{post}"
+                        for (sym, pre, post), x in zip(symbols, exps) if x]))
 
 
 def poly_text(poly, latex=False):
-    symbols = _symbols(poly.vars, latex)
-    return _signed_sum(((c, "".join([sym if x == 1 else f"{pre}{x}{post}"
-                                      for (sym, pre, post), x in zip(symbols, exps) if x]))
-                        for exps, c in sorted_terms(poly)), latex)
+    return "".join(_signed_sum(_poly_terms(poly, latex)))
+
+
+def _alpha_rows(d, n, render):
+    """(exponents, render(d_mu)) for every monomial of sum_mu d_mu m_mu in
+    a_1..a_n, in display order: the orderings of every mu of one degree,
+    sorted descending, degree by degree.  render runs once per mu."""
+    from .schur import _orderings
+    by_size = defaultdict(list)
+    for mu, c in d.items():
+        by_size[sum(mu)].append((mu, c))
+    for size in sorted(by_size):
+        rows = {}
+        for mu, c in by_size.pop(size):
+            rows.update(dict.fromkeys(_orderings(mu + (0,) * (n - len(mu))), render(c)))
+        for exps in sorted(rows, reverse=True):
+            yield exps, rows[exps]
+
+
+def _alpha_terms(coeffs, n, latex):
+    """_poly_terms of the alpha expansion of the Schur dict coeffs in n
+    variables, from its monomial coefficients: each power's text is made
+    once, and each d_mu's prefix once."""
+    from .schur import monomial_coeffs
+    d = monomial_coeffs(coeffs, n)
+    top = max((mu[0] for mu in d if mu), default=0)  # the largest exponent
+    powers = [["", sym] + [f"{pre}{x}{post}" for x in range(2, top + 1)]
+              for sym, pre, post in _symbols(alpha_vars(n), latex)]
+    for exps, prefix in _alpha_rows(d, n, partial(_coeff_prefix, latex=latex)):
+        yield prefix, "".join(map(list.__getitem__, powers, exps))
 
 
 def _partition_label(lam, latex):
@@ -108,29 +161,143 @@ def schur_sorted(coeffs):
     return sorted(coeffs.items(), key=lambda kv: (sum(kv[0]), len(kv[0]), kv[0]))
 
 
-def schur_text(coeffs, latex=False):
-    return _signed_sum(((c, _partition_label(lam, latex)) for lam, c in schur_sorted(coeffs)),
-                       latex)
+def class_text(cls, basis, latex=False):
+    """The text of the Schur-form class cls written in basis, as the list of
+    pieces of _signed_sum."""
+    if basis == "alpha":
+        terms = _alpha_terms(cls.payload, cls.n, latex)
+    elif basis == "schur":
+        terms = ((_coeff_prefix(c, latex), _partition_label(lam, latex))
+                 for lam, c in schur_sorted(cls.payload))
+    else:
+        terms = _poly_terms(cls.in_basis(basis).payload, latex)
+    return _signed_sum(terms)
 
 
-def class_text(cls, latex=False):
-    if cls.basis == "schur":
-        return schur_text(cls.payload, latex=latex)
-    return poly_text(cls.payload, latex=latex)
+class TermList:
+    """A JSON term list, written as json.dumps writes
+    [{"key": list(key), "coeff": text} for key, text in rows(*args)]
+    but without a dict per term; rows(*args) yields (key, coefficient
+    string) pairs afresh on each write."""
+
+    __slots__ = ("rows", "args")
+
+    def __init__(self, rows, *args):
+        self.rows, self.args = rows, args
+
+    def __iter__(self):
+        return self.rows(*self.args)
 
 
-def class_json_dict(cls):
-    """JSON document for a ClassExpr, matching the CLI wire format."""
-    items = schur_sorted(cls.payload) if cls.basis == "schur" else sorted_terms(cls.payload)
+def _coeff_rows(items):
+    """(key, coefficient string) of each (key, coefficient) pair."""
+    for key, c in items:
+        yield key, coeff_str(c)
+
+
+def term_list(items):
+    """The TermList of (key, coefficient) pairs already in display order."""
+    return TermList(_coeff_rows, items)
+
+
+def class_json_dict(cls, basis):
+    """JSON document for the Schur-form class cls written in basis,
+    matching the CLI wire format; json_text writes it."""
+    if basis == "alpha":
+        from .schur import monomial_coeffs
+        terms = TermList(_alpha_rows, monomial_coeffs(cls.payload, cls.n), cls.n, coeff_str)
+    elif basis == "schur":
+        terms = term_list(schur_sorted(cls.payload))
+    else:
+        terms = term_list(sorted_terms(cls.in_basis(basis).payload))
     return {
         "family": str(cls.family),
         "n": cls.n,
         "r": cls.r,
         "kind": cls.kind,
         "closure": cls.closure,
-        "basis": cls.basis,
+        "basis": basis,
         "trunc": cls.trunc,
-        "terms": _json_terms(items),
+        "terms": terms,
         "warnings": list(cls.warnings),
     }
 
+
+def json_text(doc):
+    """json.dumps(doc, indent=2), byte for byte, for a document of dicts with
+    string keys, lists, tuples, strings, ints, bools, None and TermLists, as
+    a list of pieces: each block of terms after the first starts a new
+    piece, so a long document is never copied into one string.  Strings are
+    escaped by json.encoder.encode_basestring_ascii."""
+    from json.encoder import encode_basestring_ascii
+    pieces, run = [], []
+
+    def cut():
+        pieces.append("".join(run))
+        run.clear()
+
+    _write_json(doc, "\n", run.append, cut, encode_basestring_ascii)
+    cut()
+    return pieces
+
+
+def _write_json(value, nl, write, cut, quote):
+    """Write value as json.dumps(indent=2) does at the depth whose line
+    break is nl; cut() ends the current piece."""
+    if isinstance(value, str):
+        write(quote(value))
+    elif value is None:
+        write("null")
+    elif value is True:
+        write("true")
+    elif value is False:
+        write("false")
+    elif isinstance(value, int):
+        write(int.__repr__(value))
+    elif isinstance(value, (list, tuple, dict)):
+        if not value:
+            write("{}" if isinstance(value, dict) else "[]")
+            return
+        inner = nl + "  "
+        if isinstance(value, dict):
+            lead = "{" + inner
+            for key, item in value.items():
+                write(f"{lead}{quote(key)}: ")
+                _write_json(item, inner, write, cut, quote)
+                lead = "," + inner
+            write(nl + "}")
+        else:
+            lead = "[" + inner
+            for item in value:
+                write(lead)
+                _write_json(item, inner, write, cut, quote)
+                lead = "," + inner
+            write(nl + "]")
+    elif isinstance(value, TermList):
+        _write_terms(value, nl, write, cut, quote)
+    else:
+        raise TypeError(f"{type(value).__name__} is not written as JSON here")
+
+
+def _write_terms(terms, nl, write, cut, quote):
+    """Write a TermList: each term is one f-string, and the terms are
+    joined a block at a time; each block after the first is a new piece."""
+    item = nl + "  "  # the line break before a term
+    field = item + "  "  # before each of its fields
+    entry = field + "  "  # before each entry of its key
+    head = f'{{{field}"key": [{entry}'
+    sep = "," + entry
+    mid = f'{field}],{field}"coeff": '
+    bare = f'{{{field}"key": [],{field}"coeff": '
+    tail = item + "}"
+    join = ("," + item).join
+    rows = iter(terms)
+    lead = "[" + item
+    while block := [f"{head}{sep.join(map(str, key))}{mid}{quote(text)}{tail}" if key
+                    else f"{bare}{quote(text)}{tail}" for key, text in islice(rows, _BLOCK)]:
+        if lead[0] == ",":
+            cut()
+        write(lead)
+        write(join(block))
+        lead = "," + item
+    write("[]" if lead[0] == "[" else nl + "]")

@@ -26,7 +26,7 @@ production classes against.  No production module imports this.
   arithmetic, equality, cancellation and substitution; it re-adds the
   motivic Segre sieve and checks that the K-theory fractions come out
   canonical.
-- parse_class_json inverts emit.class_json_dict, for round trips.
+- parse_class_json inverts the CLI's JSON class document, for round trips.
 """
 
 from __future__ import annotations
@@ -802,7 +802,8 @@ class CanonicalFraction(LaurentFraction):
 
 
 def parse_class_json(doc):
-    """Inverse of class_json_dict, for round-trip checks."""
+    """The class of a JSON class document as json.loads reads it (the text
+    of emit.json_text(emit.class_json_dict(...))), for round-trip checks."""
     basis = doc["basis"]
     if basis == "schur":
         payload = {tuple(t["key"]): Fraction(t["coeff"]) for t in doc["terms"]}

@@ -311,24 +311,24 @@ class Poly:
                     del out[ke]
             return Poly(target_vars, out, _clean=False)
 
-        powers = {name: {0: Poly.const(target_vars, 1)} for name in imgs}
-        result = Poly.zero(target_vars)
-        for e, c in self.terms.items():
-            term = Poly.const(target_vars, c)
-            for i, x in enumerate(e):
-                if not x:
-                    continue
-                name = self.vars[i]
-                cache = powers[name]
-                if x not in cache:
-                    p = cache[max(cache)]
-                    for _ in range(max(cache), x):
-                        p = p * imgs[name]
-                        cache[len(cache)] = p
-                    p = cache[x]
-                term = term * cache[x]
-            result = result + term
-        return result
+        # each term's image is c times a product of cached powers of images,
+        # added into one dict over the common denominator of the c
+        one = {(0,) * len(target_vars): 1}
+        powers = {name: [one] for name in imgs}  # name -> term dicts of img^0, img^1, ...
+        terms, den = _over_common_denominator(self.terms)
+        out = {}
+        for e, c in terms.items():
+            term = one
+            for name, x in zip(self.vars, e):
+                if x:
+                    cache = powers[name]
+                    while len(cache) <= x:
+                        cache.append(_mul_dict(cache[-1], imgs[name].terms))
+                    term = cache[x] if term is one else _mul_dict(term, cache[x])
+            for te, tc in term.items():
+                out[te] = out.get(te, 0) + c * tc
+        return Poly(target_vars, {te: Fraction(tc, den) for te, tc in out.items()}
+                    if den != 1 else out)
 
     def eval(self, point):
         """Exact value at a point given as {name: rational}."""

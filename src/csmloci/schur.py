@@ -8,9 +8,11 @@ Classes live in Schur form.  schur_to_chern converts them to the Chern basis
 by a unitriangular peel against the Schur expansion of each Chern monomial,
 built by vertical Pieri strips (Macdonald, Symmetric Functions, I.3, I.5);
 chern_to_schur converts back by the same strips.
-schur_dict_to_alpha writes the alpha output from the monomial basis: the
+monomial_coeffs gives the alpha form from the monomial basis: the
 coefficient of m_mu is a sum of Kostka numbers (I.6), each row of them read
-off by peeling horizontal strips.
+off by peeling horizontal strips; schur_dict_to_alpha writes each m_mu out
+as its orderings, and emit writes them in display order without that
+polynomial.
 
 The Grassmannian pushforward (pushforward_schur) computes the W-functions
 and Phi c(V), exact or cut at a degree; every factor it takes is a
@@ -68,22 +70,25 @@ def _kostka_row(lam, n):
     return MappingProxyType(dict(out))
 
 
-def schur_dict_to_alpha(coeffs, n):
-    """Expand {partition: coeff} into a polynomial in a_1..a_n.
-
-    The sum is symmetric, so it is sum_mu d_mu m_mu(a) over the partitions mu
-    with at most n parts, with d_mu = sum_lam c_lam K_{lam, mu}; each mu is
-    written out as its distinct orderings only at the end."""
+def monomial_coeffs(coeffs, n):
+    """{mu: d_mu}, the nonzero coefficients of the Schur dict coeffs in the
+    monomial basis m_mu of n variables: d_mu = sum_lam c_lam K_{lam, mu}
+    over the partitions mu with at most n parts (Macdonald, I.6)."""
     d = defaultdict(int)
     for lam, c in coeffs.items():
         if c == 0 or len(lam) > n:
             continue
         for mu, k in _kostka_row(lam, n).items():
             d[mu] += c * k
+    return {mu: _norm(c) for mu, c in d.items() if c}
+
+
+def schur_dict_to_alpha(coeffs, n):
+    """Expand {partition: coeff} into a polynomial in a_1..a_n: each m_mu of
+    monomial_coeffs is written out as the distinct orderings of mu."""
     terms = {}
-    for mu, c in d.items():
-        if c:
-            terms.update(dict.fromkeys(_orderings(mu + (0,) * (n - len(mu))), _norm(c)))
+    for mu, c in monomial_coeffs(coeffs, n).items():
+        terms.update(dict.fromkeys(_orderings(mu + (0,) * (n - len(mu))), c))
     return Poly(alpha_vars(n), terms, _clean=False)
 
 

@@ -87,6 +87,19 @@ MUTANTS = [
      "sorted(poly.terms.items(), key=itemgetter(0), reverse=True)",
      "sorted(poly.terms.items(), key=itemgetter(0))",
      ("tests/test_cli.py", "tests/test_golden.py")),
+    ("_write_terms: key entries one space short", "emit.py",
+     'entry = field + "  "', 'entry = field + " "',
+     ("tests/test_cli.py", "tests/test_golden.py")),
+    ("_alpha_rows: ascending within a degree", "emit.py",
+     "for exps in sorted(rows, reverse=True):", "for exps in sorted(rows):",
+     ("tests/test_cli.py", "tests/test_golden.py")),
+    ("_alpha_rows: sign of d_mu flipped for one-part mu", "emit.py",
+     "_orderings(mu + (0,) * (n - len(mu))), render(c))",
+     "_orderings(mu + (0,) * (n - len(mu))), render(-c if len(mu) == 1 else c))",
+     ("tests/test_cli.py", "tests/test_golden.py")),
+    ("_signed_sum: constant 1 lost", "emit.py",
+     'if mag or mono else f"{sign}1"', 'if mag or mono else sign',
+     ("tests/test_cli.py", "tests/test_golden.py")),
     ("aluffi_J: returns its input", "projective.py",
      "return Poly((\"t\",), {(i,): c for i, c in enumerate(coeffs)})",
      "return Poly((\"t\",), {(i,): c for i, c in enumerate(p)})",

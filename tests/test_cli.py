@@ -7,15 +7,18 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csmloci.cli import _respond, build_parser, run
-from csmloci.emit import class_json_dict, sorted_terms
+from csmloci.classes import ClassExpr
+from csmloci.emit import TermList, class_json_dict, class_text, coeff_str, json_text, poly_text, \
+    sorted_terms
 from csmloci.oracles import parse_class_json
-from csmloci.orbits import alpha_vars, chern_vars
+from csmloci.orbits import Family, alpha_vars, chern_vars
 from csmloci.poly import Poly
 from csmloci.schur import schur_dict_to_alpha, schur_to_chern
 
@@ -83,9 +86,9 @@ def test_json_round_trip(capsys):
                                     "--kind", "ssm", "--route", "sieve", "--trunc", "5",
                                     "--basis", "schur", "--format", "json"])
     assert code == 0
-    doc = json.loads(out)
-    cls = parse_class_json(doc)
-    assert class_json_dict(cls) == doc
+    # the printed document parses back to a class that prints the same bytes
+    cls = parse_class_json(json.loads(out))
+    assert "".join(json_text(class_json_dict(cls, cls.basis))) + "\n" == out
 
 
 @pytest.mark.parametrize("fam", ["wedge", "sym"])
@@ -330,6 +333,89 @@ def test_sorted_terms_is_degree_then_descending_exponents(poly):
                     key=lambda item: (sum(w * x for w, x in zip(weights, item[0])),
                                       tuple(-x for x in item[0])))
     assert sorted_terms(poly) == expect
+
+
+# strings with quotes, backslashes, control and non-ASCII characters
+JSON_STRINGS = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f ab1é€\u2028😀') | st.characters(),
+                       max_size=8)
+JSON_SCALARS = st.none() | st.booleans() | st.integers(-10 ** 30, 10 ** 30) | JSON_STRINGS
+
+
+@st.composite
+def term_lists(draw):
+    """(TermList, the list of {"key", "coeff"} dicts json.dumps is given)."""
+    pairs = draw(st.lists(st.tuples(st.lists(st.integers(-3, 30), max_size=4).map(tuple),
+                                    JSON_STRINGS), max_size=4))
+    return TermList(iter, pairs), [{"key": list(key), "coeff": text} for key, text in pairs]
+
+
+# (document for the writer, document for json.dumps): equal but for TermLists
+JSON_DOCS = st.recursive(
+    JSON_SCALARS.map(lambda v: (v, v)) | term_lists(),
+    lambda kids: (st.lists(kids, max_size=4).map(
+                      lambda xs: ([a for a, _ in xs], [b for _, b in xs]))
+                  | st.dictionaries(JSON_STRINGS, kids, max_size=4).map(
+                      lambda d: ({k: a for k, (a, _) in d.items()},
+                                 {k: b for k, (_, b) in d.items()}))),
+    max_leaves=16)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(JSON_DOCS)
+def test_json_writer_is_json_dumps_indent_2(pair):
+    doc, reference = pair
+    assert "".join(json_text(doc)) == json.dumps(reference, indent=2)
+
+
+COEFFS = (st.integers(-40, 40).filter(bool) | st.sampled_from([1, -1])
+          | st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6)))
+
+
+@st.composite
+def schur_dicts(draw):
+    # partitions of size <= 6, now and then longer than n (zero in n variables)
+    n = draw(st.integers(1, 5))
+    parts = st.lists(st.integers(1, 4), max_size=n + 1).map(
+        lambda xs: tuple(sorted(xs, reverse=True))).filter(lambda lam: sum(lam) <= 6)
+    return draw(st.dictionaries(parts, COEFFS, max_size=8)), n
+
+
+def alpha_poly_doc(cls, poly):
+    """The document json.dumps is given for cls in the alpha basis, its
+    terms read off the expanded polynomial poly."""
+    return dict(class_json_dict(cls, "schur"), basis="alpha", terms=[
+        {"key": list(key), "coeff": coeff_str(c)} for key, c in sorted_terms(poly)])
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(schur_dicts())
+@example(({}, 3))
+@example(({(): 1}, 2))
+@example(({(): -1}, 1))
+@example(({(): Fraction(-3, 2), (1,): 1}, 4))
+def test_alpha_writer_matches_the_alpha_poly(drawn):
+    # text, LaTeX and JSON written from the monomial coefficients equal those
+    # of the expanded polynomial, written term by term from sorted_terms
+    coeffs, n = drawn
+    cls = ClassExpr("csm", "schur", Family.SYM, n, 0, coeffs, 6)
+    poly = schur_dict_to_alpha(coeffs, n)
+    for latex in (False, True):
+        assert "".join(class_text(cls, "alpha", latex=latex)) == poly_text(poly, latex)
+    assert "".join(json_text(class_json_dict(cls, "alpha"))) == \
+        json.dumps(alpha_poly_doc(cls, poly), indent=2)
+
+
+def test_long_outputs_are_written_in_blocks():
+    # s_12 alone has 6,188 monomials in 6 variables: more than one block of
+    # terms, so the text and the JSON document come in several pieces
+    coeffs, n = {(12,): 1, (6, 3, 2, 1): -3, (): Fraction(1, 2)}, 6
+    cls = ClassExpr("csm", "schur", Family.SYM, n, 0, coeffs, 12)
+    poly = schur_dict_to_alpha(coeffs, n)
+    for latex in (False, True):
+        pieces = class_text(cls, "alpha", latex=latex)
+        assert len(pieces) > 1 and "".join(pieces) == poly_text(poly, latex)
+    pieces = json_text(class_json_dict(cls, "alpha"))
+    assert len(pieces) > 1 and "".join(pieces) == json.dumps(alpha_poly_doc(cls, poly), indent=2)
 
 
 OPTIMIZED_REPLAY = """

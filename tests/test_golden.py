@@ -52,3 +52,20 @@ def test_golden_outputs_with_warm_caches():
     for label in ("warm class caches", "response cache"):
         mismatches = {req: why for req in sorted(RECORDS) if (why := replay(req))}
         assert not mismatches, label
+
+
+def test_alpha_records_never_build_the_alpha_poly(monkeypatch):
+    # the CLI writes the alpha basis from the monomial coefficients, so every
+    # alpha-basis record prints its bytes with the Poly route made to raise
+    import csmloci.classes
+
+    def refuse(coeffs, n):
+        raise RuntimeError("the alpha Poly was built")
+
+    monkeypatch.setattr(csmloci.classes, "schur_dict_to_alpha", refuse)
+    alpha = sorted(req for req in RECORDS if "--basis alpha" in req)
+    assert len(alpha) == 31
+    _respond.cache_clear()
+    mismatches = {req: why for req in alpha if (why := replay(req))}
+    _respond.cache_clear()           # no response rendered under the patch is kept
+    assert not mismatches
