@@ -97,7 +97,8 @@ def build_parser():
     sp = sub.add_parser("verify", help="run an invariant suite")
     sp.add_argument("--suite", required=True,
                     choices=["core", "axioms", "cross", "conjectures"])
-    sp.add_argument("--max-n", dest="max_n", type=int, default=4)
+    sp.add_argument("--max-n", dest="max_n", type=int, default=4,
+                    help="largest n to check (default 4); the core suite ignores it")
     return p
 
 

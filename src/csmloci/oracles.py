@@ -21,6 +21,10 @@ production classes against.  No production module imports this.
   ssm routes share.
 - phi_reference_series clears every subset term of Phi to the Vandermonde
   and divides; phi_from_ssm inverts the sieve.  They check the Phi classes.
+- restrict substitutes the roots at a probe orbit's torus, and
+  verify_axioms_by_substitution checks the interpolation axioms on the
+  alpha polynomial with it, dividing by every tangent factor; they check
+  interp.verify_axioms, which restricts the Schur form by branching.
 - phi_wedge_k_value sums the K-theory Phi terms at a point; it checks phi_wedge_k.
 - CanonicalFraction is a LaurentFraction in canonical form with field
   arithmetic, equality, cancellation and substitution; it re-adds the
@@ -41,11 +45,13 @@ from operator import add as _add
 from types import MappingProxyType
 
 from .classes import ClassExpr, add_schur
+from .interp import AxiomCheck, AxiomReport, restriction_data, w_function
 from .laurent import LaurentFraction
-from .orbits import Family, OrbitId, alpha_vars, as_family, chern_vars, inside_weights
+from .orbits import (Family, OrbitId, alpha_vars, as_family, chern_vars, coranks,
+                     inside_weights)
 from .partitions import partition
 from .poly import ExactDivisionError, Poly, _grlex_key, _mul_dict, _norm, exact_int, product
-from .schur import _staircase_shift, alternant_schur_coeffs
+from .schur import NotSymmetricError, _staircase_shift, alternant_schur_coeffs
 from .sieve import ssm_schur
 
 
@@ -327,10 +333,6 @@ def euler_class(family, n):
     """e(V) = prod (a_i + a_j) over the weights."""
     av = alpha_vars(n)
     return product([weight_factor(av, 0, i, j) for i, j in weight_pairs(family, n)], av)
-
-
-class NotSymmetricError(ValueError):
-    """Input polynomial is not symmetric in the required variables."""
 
 
 @lru_cache(maxsize=None)
@@ -667,6 +669,44 @@ def phi_from_ssm(orbit, D):
                   for i in range(0, n - r + 1)]
         coeffs = [comb(r + i, r) for i in range(0, n - r + 1)]
     return add_schur(*pieces, coeffs=coeffs)
+
+
+def restrict(data, poly):
+    """poly in a_1..a_n restricted to the probe torus of data (a
+    RestrictionData) by substituting each root."""
+    return poly.substitute(data.substitution, data.vars)
+
+
+def verify_axioms_by_substitution(orbit, candidate=None):
+    """interp.verify_axioms by the alpha route: the candidate Poly (W_orbit
+    by default) is restricted to every probe by substitution, and axiom 2
+    divides the image by every tangent factor in turn."""
+    n, r = orbit.n, orbit.r
+    if candidate is None:
+        candidate = w_function(orbit).poly
+    checks = []
+    for m in coranks(Family.WEDGE, n):
+        probe = OrbitId(Family.WEDGE, n, m)
+        data = restriction_data(probe)
+        image = restrict(data, candidate)
+        entry = AxiomCheck(probe)
+        if m < r:
+            entry.vanishing = image.is_zero()
+        if m == r:
+            entry.axiom1 = (image == data.tangent_chern * data.normal_euler)
+        rem = image
+        ok2 = True
+        for f in data.tangent_factors:
+            try:
+                rem = rem.exact_divide(f)
+            except ExactDivisionError:
+                ok2 = False
+                break
+        entry.axiom2 = ok2
+        if m != r:
+            entry.axiom3 = image.total_degree() < data.bound_degree()
+        checks.append(entry)
+    return AxiomReport(orbit, checks)
 
 
 def phi_wedge_k_value(n, r, alphas, y):

@@ -263,9 +263,10 @@ class Poly:
             else:
                 target_vars = self.vars
         target_vars = tuple(target_vars)
-        missing = self.used_vars() - set(images)
-        if missing:
-            raise ValueError(f"unmapped variables in substitution: {sorted(missing)}")
+        if not images.keys() >= set(self.vars):
+            missing = self.used_vars() - images.keys()
+            if missing:
+                raise ValueError(f"unmapped variables in substitution: {sorted(missing)}")
 
         imgs = {}
         for name, img in images.items():

@@ -92,6 +92,25 @@ def schur_dict_to_alpha(coeffs, n):
     return Poly(alpha_vars(n), terms, _clean=False)
 
 
+class NotSymmetricError(ValueError):
+    """Input polynomial is not symmetric in the required variables."""
+
+
+def symmetric_schur_coeffs(poly, n):
+    """The Schur dict of a symmetric polynomial in a_1..a_n: for f
+    symmetric, Alt(f a^delta) / Vandermonde = f, so the bialternant
+    read-off of f a^delta (alternant_schur_coeffs) gives its Schur
+    coefficients.  Raises NotSymmetricError unless the dict gives poly back
+    (schur_dict_to_alpha)."""
+    av = alpha_vars(n)
+    if poly.vars == av:
+        shifted = poly * Poly(av, {_staircase_shift((), n): 1}, _clean=False)
+        coeffs = {lam: c for (lam, _), c in alternant_schur_coeffs(shifted, n).items()}
+        if schur_dict_to_alpha(coeffs, n) == poly:
+            return coeffs
+    raise NotSymmetricError(f"not a symmetric polynomial in {', '.join(av)}")
+
+
 # -- alternant (bialternant) extraction -------------------------------
 
 def alternant_schur_coeffs(poly, n_alt):

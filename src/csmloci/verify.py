@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from .classes import add_schur
-from .orbits import Family, OrbitId, alpha_vars, codim, coranks
+from .orbits import Family, OrbitId, alpha_vars, chern_vars, codim, coranks
 from .partitions import partition, staircase
 from .poly import Poly
 
@@ -103,7 +103,8 @@ def suite_core(max_n):
 
 def suite_axioms(max_n):
     """Interpolation axioms for every skew-symmetric orbit with n <= max_n."""
-    from .interp import verify_axioms, w_function
+    from .interp import verify_axioms, w_schur
+    from .schur import chern_to_schur
     lines, ok = [], True
     for n in range(2, max_n + 1):
         for r in coranks(Family.WEDGE, n):
@@ -113,9 +114,8 @@ def suite_axioms(max_n):
             lines.append(f"{'PASS' if rep.ok else 'FAIL'} axioms for {orbit}")
     if max_n >= 4:
         orbit = OrbitId(Family.WEDGE, 4, 2)
-        av = alpha_vars(4)
-        c1 = Poly(av, {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1, (0, 0, 1, 0): 1, (0, 0, 0, 1): 1})
-        bad = verify_axioms(orbit, w_function(orbit).poly + c1 ** 6)
+        c1_6 = chern_to_schur(Poly(chern_vars(4), {(6, 0, 0, 0): 1}), 4)
+        bad = verify_axioms(orbit, add_schur(w_schur(orbit), c1_6))
         caught = any(c.axiom3 is False for c in bad.checks)
         ok &= caught
         lines.append(f"{'PASS' if caught else 'FAIL'} degree-perturbed control fails axiom 3")

@@ -71,6 +71,16 @@ MUTANTS = [
     ("_kostka_row: long lam kept", "schur.py",
      "    if len(lam) > n:\n        return MappingProxyType({})",
      "    if len(lam) > n + 1:\n        return MappingProxyType({})"),
+    ("_pair_branching: sign of c(lam, mu) dropped", "interp.py",
+     "grown.append((mu + (part,), -sign if (first - part) & 1 else sign))",
+     "grown.append((mu + (part,), sign))"),
+    ("_pair_branching: even runs kept", "interp.py",
+     "if first <= cap and not (cap - first) & 1:", "if first <= cap:"),
+    ("verify_axioms: identity probe bound < to <=", "interp.py",
+     "max(map(sum, coeffs), default=-1) < comb(n, 2)",
+     "max(map(sum, coeffs), default=-1) <= comb(n, 2)"),
+    ("_probe: b-factor representative dropped", "interp.py",
+     "if h and m:\n        reps.append(", "if False:\n        reps.append("),
     ("_over_pairs: trial division by the last pair", "ktheory.py",
      "quo = num.exact_divide(factors[0]) if factors else num\n"
      "    except ExactDivisionError:\n"

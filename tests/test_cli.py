@@ -129,6 +129,13 @@ def test_help_exits_zero(capsys):
         assert not err
 
 
+def test_verify_core_ignores_max_n_and_says_so(capsys):
+    outs = {capture(capsys, ["verify", "--suite", "core", "--max-n", k])[1] for k in ("2", "4")}
+    assert len(outs) == 1
+    code, out, _ = capture(capsys, ["verify", "--help"])
+    assert code == 0 and "core suite ignores it" in " ".join(out.split())
+
+
 def test_phi_warnings_on_divergent_print(capsys):
     code, out, err = capture(capsys, ["phi", "--family", "wedge", "--n", "3", "--r", "3",
                                       "--trunc", "5"])

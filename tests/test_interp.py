@@ -9,14 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csmloci.classes import add_schur
-from csmloci.interp import (_inverse_cv_rows, chern_schur, csm_class, restriction_data,
-                            ssm_interp, ssm_interp_schur, verify_axioms, w_function, w_schur)
-from csmloci.oracles import (_require_symmetric, csm_to_ssm, schur_dict_value, to_chern_basis,
-                             total_chern, w_inner_value, w_value)
+from csmloci.interp import (_inverse_cv_rows, _restricted_schur, chern_schur, csm_class,
+                            restrict_schur, restriction_data, ssm_interp, ssm_interp_schur,
+                            verify_axioms, w_function, w_schur)
+from csmloci.oracles import (_require_symmetric, csm_to_ssm, restrict, schur_dict_value,
+                             to_chern_basis, total_chern, verify_axioms_by_substitution,
+                             w_inner_value, w_value)
 from csmloci.orbits import Family, OrbitId, alpha_vars, ambient_dim, coranks, orbits
 from csmloci.partitions import partition, staircase
 from csmloci.poly import Poly
-from csmloci.schur import schur_dict_to_alpha
+from csmloci.schur import NotSymmetricError, schur_dict_to_alpha
 from csmloci.sieve import ssm_schur, ssm_sieve
 
 W, S = Family.WEDGE, Family.SYM
@@ -441,3 +443,63 @@ def test_axioms_vanishing_outside_closure():
     report = verify_axioms(OrbitId(W, 4, 2))
     entry = [c for c in report.checks if c.probe.r == 0][0]
     assert entry.vanishing is True
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2), st.integers(0, 3), st.data())
+def test_branching_restriction_matches_substitution(h, m, data):
+    # s_lam(s_1, -s_1, ..., s_h, -s_h, b) by branching, one pair per step,
+    # against the substitution of its alpha polynomial
+    n = 2 * h + m
+    if n == 0:
+        return
+    lam = partition(sorted(data.draw(st.lists(st.integers(0, 5), max_size=n)), reverse=True))
+    probe = restriction_data(OrbitId(W, n, m))
+    expect = restrict(probe, schur_dict_to_alpha({lam: 1}, n))
+    assert dict(_restricted_schur(lam, h, m)) == expect.terms
+
+
+def test_axiom_routes_agree_for_n_le_5():
+    # the Schur-form verifier against the substitution route: every image
+    # term for term, and the whole report
+    for n in range(2, 6):
+        for r in coranks(W, n):
+            orbit = OrbitId(W, n, r)
+            poly = w_function(orbit).poly
+            for m in coranks(W, n):
+                probe = OrbitId(W, n, m)
+                assert restrict_schur(w_schur(orbit), probe) == \
+                    restrict(restriction_data(probe), poly), (orbit, probe)
+            report = verify_axioms(orbit)
+            assert report.ok
+            assert report == verify_axioms_by_substitution(orbit) == verify_axioms(orbit, poly)
+
+
+def test_axiom_routes_agree_on_perturbed_candidates():
+    av = alpha_vars(4)
+    c1 = Poly.linear(av, 0, a1=1, a2=1, a3=1, a4=1)
+    # c_1 vanishes at (4, 0) and has degree 1, so W_{4,0} + c_1 breaks only
+    # the divisibility by c(T) at (4, 2), through the b-factors 1 +- s_1 + a_j
+    orbit = OrbitId(W, 4, 0)
+    bad = w_function(orbit).poly + c1
+    for report in (verify_axioms(orbit, bad), verify_axioms_by_substitution(orbit, bad)):
+        failed = [(c.probe.r, name) for c in report.checks
+                  for name in ("axiom1", "axiom2", "axiom3", "vanishing")
+                  if getattr(c, name) is False]
+        assert failed == [(2, "axiom2")]
+    # c_1^6 vanishes at (4, 0) and keeps its degree C(4, 2) = 6 at the
+    # identity probe (4, 4), where it breaks the strict degree bound
+    orbit = OrbitId(W, 4, 2)
+    bad = w_function(orbit).poly + c1 ** 6
+    report = verify_axioms(orbit, bad)
+    assert report == verify_axioms_by_substitution(orbit, bad)
+    assert [c.axiom3 for c in report.checks] == [True, None, False]
+
+
+def test_axioms_refuse_an_asymmetric_candidate():
+    orbit = OrbitId(W, 3, 1)
+    poly = w_function(orbit).poly
+    with pytest.raises(NotSymmetricError):
+        verify_axioms(orbit, poly + Poly.variable(poly.vars, "a1"))
+    with pytest.raises(NotSymmetricError):
+        verify_axioms(orbit, Poly(alpha_vars(4), {(1, 1, 1, 1): 1}))

@@ -133,6 +133,14 @@ def test_substitute_unmapped_variable_raises():
         Poly.variable(AV2, "a2").substitute({"a1": Poly.variable(("t",), "t")})
 
 
+def test_substitute_needs_images_only_for_used_variables():
+    tv = ("t",)
+    a1 = Poly.variable(AV2, "a1")
+    assert a1.substitute({"a1": Poly.variable(tv, "t")}) == Poly.variable(tv, "t")
+    with pytest.raises(ValueError, match=r"unmapped variables in substitution: \['a2'\]"):
+        (a1 + Poly.variable(AV2, "a2")).substitute({"a1": Poly.variable(tv, "t")})
+
+
 def test_substitute_is_ring_morphism():
     rng = random.Random(7)
     tv = ("s1", "s2")
