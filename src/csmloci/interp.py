@@ -18,11 +18,11 @@ Phi c(V)) is one cached function, exact, or cut at D by a trailing cut
 (D,) that it passes on to every class it is built from.
 
 The ssm class through degree D is W_{n,r} / c(V); both routes divide by
-c(V) through over_cv, the one bound check.  One rule (_cut_at) picks the
-cut of both the class and the inverse of c(V): the exact class once D
-reaches the top degree of c(V).  Closure classes
-and the Chern-Mather class are sums of orbit classes over the orbits in the
-closure (closure_schur).
+c(V) through over_cv, the one bound check, by one long division in
+c_1..c_n (divide_by_cv).  One rule (_cut_at) picks the cut of both the
+class and c(V): the exact class once D reaches the top degree of c(V).
+Closure classes and the Chern-Mather class are sums of orbit classes over
+the orbits in the closure (closure_schur).
 
 The interpolation axioms (verify_axioms) are checked on the Schur form, by
 a route that shares nothing with the kernel.  At the probe Sigma_{n,m} the
@@ -162,50 +162,41 @@ def chern_schur(family, n, *cut):
 
 
 def divide_by_cv(coeffs, family, n, D):
-    """Schur coefficients of f through degree D, given those of f c(V_n)
-    through degree D: in c_1..c_n, times c(V_n)^{-1} through weighted
-    degree D (_inverse_cv_rows), and back.
+    """Schur coefficients of f through degree D, given those of h = f c(V_n)
+    through degree D: in c_1..c_n, long division by g = c(V_n) through
+    weighted degree D (_cv_rows), and back.  g has constant term 1, so
+    degree by degree f_d = h_d - sum_{k=1..d} g_k f_{d-k}.
 
     A Chern monomial c^kvec of weighted degree <= D has every exponent <= D,
     so it is packed into one int, kvec_i the digit of (D + 1)^(i - 1), and a
     product of two monomials through degree D is the sum of their keys."""
-    inverse = _inverse_cv_rows(family, n, D)
-    out = defaultdict(int)
+    g = _cv_rows(family, n, D)
+    f = []
     for d, row in enumerate(_packed_rows(schur_to_chern(coeffs, n), D)):
-        tail = tuple(chain.from_iterable(inverse[:D - d + 1]))
-        for key, c in row:
-            for key2, c2 in tail:
-                out[key + key2] += c * c2
-    terms = {}
-    for key, c in out.items():
-        if c:
-            kvec = []
-            for _ in range(n):
-                key, x = divmod(key, D + 1)
-                kvec.append(x)
-            terms[tuple(kvec)] = c
-    return chern_to_schur(Poly(chern_vars(n), terms, _clean=False), n)
-
-
-@lru_cache(maxsize=None)
-def _inverse_cv_rows(family, n, D):
-    """c(V_n)^{-1} in c_1..c_n through weighted degree D, read-only: row d
-    holds its (packed monomial, coeff) of weighted degree d (see
-    divide_by_cv), from c(V) with the cut of _cut_at, so that from the top
-    degree of c(V) on it reads the exact chern_schur(family, n).
-
-    c(V) has constant term 1, so degree by degree the inverse f of g = c(V)
-    is f_0 = 1, f_d = -sum_{k=1..d} g_k f_{d-k}."""
-    g = _packed_rows(schur_to_chern(chern_schur(family, n, *_cut_at(family, n, D)), n), D)
-    f = [((0, 1),)]
-    for d in range(1, D + 1):
-        fd = defaultdict(int)
+        fd = defaultdict(int, row)
         for k in range(1, d + 1):
             for key, c in g[k]:
                 for key2, c2 in f[d - k]:
                     fd[key + key2] -= c * c2
-        f.append(tuple((key, c) for key, c in fd.items() if c))
-    return tuple(f)
+        f.append([(key, c) for key, c in fd.items() if c])
+    terms = {}
+    for key, c in chain.from_iterable(f):
+        kvec = []
+        for _ in range(n):
+            key, x = divmod(key, D + 1)
+            kvec.append(x)
+        terms[tuple(kvec)] = c
+    return chern_to_schur(Poly(chern_vars(n), terms, _clean=False), n)
+
+
+@lru_cache(maxsize=None)
+def _cv_rows(family, n, D):
+    """c(V_n) in c_1..c_n through weighted degree D, read-only: row d holds
+    its (packed monomial, coeff) of weighted degree d (see divide_by_cv),
+    from c(V) with the cut of _cut_at, so that from the top degree of c(V)
+    on it reads the exact chern_schur(family, n)."""
+    cv = chern_schur(family, n, *_cut_at(family, n, D))
+    return tuple(map(tuple, _packed_rows(schur_to_chern(cv, n), D)))
 
 
 def _packed_rows(p, D):

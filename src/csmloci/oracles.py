@@ -17,8 +17,8 @@ production classes against.  No production module imports this.
 - schur_dict_value (alternant determinants), w_value and w_inner_value (the
   defining W sums) evaluate at rational points; they check the kernel.
 - csm_to_ssm divides by c(V) as a series in the roots; it checks the
-  interpolation ssm and with it interp.over_cv and divide_by_cv, which both
-  ssm routes share.
+  interpolation ssm and with it interp.over_cv and the long division in
+  c_1..c_n of divide_by_cv, which both ssm routes share.
 - phi_reference_series clears every subset term of Phi to the Vandermonde
   and divides; phi_from_ssm inverts the sieve.  They check the Phi classes.
 - restrict substitutes the roots at a probe orbit's torus, and

@@ -406,7 +406,7 @@ def schur_to_chern(coeffs, n):
             if nu not in work:
                 heapq.heappush(heap, (-sum(nu), tuple(-x for x in nu)))
             work[nu] = work.get(nu, 0) - c * k
-    return Poly(chern_vars(n), terms)
+    return Poly(chern_vars(n), terms, _clean=False)
 
 
 def chern_to_schur(p, n):

@@ -10,8 +10,8 @@ Phi_{n,r} through degree D is Phi c(V) cut at D (phi_cv_schur) divided by
 c(V) through interp.over_cv, as the interpolation route divides W.  The
 division (interp.divide_by_cv) goes to c_1..c_n, with each Chern monomial
 packed into one int so that multiplying two monomials is adding two ints,
-multiplies by the series c(V)^{-1} through weighted degree D (cached once
-per (family, n, D)), and comes back to Schur coefficients.
+long-divides by c(V) through weighted degree D (its rows cached once per
+(family, n, D)), and comes back to Schur coefficients.
 
 The orbit SSM classes are alternating linear combinations of Phi classes
 over the orbits in the closure: Euler-number coefficients in the

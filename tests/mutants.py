@@ -43,10 +43,12 @@ MUTANTS = [
     ("phi_cv_schur: open orbit widened to r <= 1", "sieve.py",
      "if r == 0:\n        return chern_schur(family, n, *cut)",
      "if r <= 1:\n        return chern_schur(family, n, *cut)"),
-    ("_inverse_cv_rows: recurrence sign", "interp.py",
+    ("divide_by_cv: recurrence sign", "interp.py",
      "fd[key + key2] -= c * c2", "fd[key + key2] += c * c2"),
-    ("divide_by_cv: inverse one row short", "interp.py",
-     "inverse[:D - d + 1]", "inverse[:D - d]"),
+    ("divide_by_cv: top divisor row skipped", "interp.py",
+     "for k in range(1, d + 1):", "for k in range(1, d):"),
+    ("divide_by_cv: numerator seed dropped", "interp.py",
+     "fd = defaultdict(int, row)", "fd = defaultdict(int)"),
     ("_sieve_sum: C(s, r + 1)", "sieve.py",
      "comb(s, r) * E[s - r]", "comb(s, r + 1) * E[s - r]"),
     ("_sieve_sum: no binomial", "sieve.py",
@@ -66,6 +68,11 @@ MUTANTS = [
     ("_strip_table: one box short per block", "schur.py",
      "adds = product(*(range(length + 1) for _, length in blocks))",
      "adds = product(*(range(length) for _, length in blocks))"),
+    ("schur_to_chern: peel sign", "schur.py",
+     "work[nu] = work.get(nu, 0) - c * k", "work[nu] = work.get(nu, 0) + c * k"),
+    ("monomial_coeffs: Kostka number dropped", "schur.py",
+     "d[mu] += c * k", "d[mu] += c",
+     ("tests/test_schur.py", "tests/test_cli.py", "tests/test_golden.py")),
     ("_kostka_row: strip without its top", "schur.py",
      "range(low, high + 1)", "range(low, high)"),
     ("_kostka_row: long lam kept", "schur.py",
@@ -110,6 +117,16 @@ MUTANTS = [
     ("_signed_sum: constant 1 lost", "emit.py",
      'if mag or mono else f"{sign}1"', 'if mag or mono else sign',
      ("tests/test_cli.py", "tests/test_golden.py")),
+    ("json_text: non-ASCII left unescaped", "emit.py",
+     "from json.encoder import encode_basestring_ascii",
+     "from json.encoder import encode_basestring as encode_basestring_ascii",
+     ("tests/test_cli.py", "tests/test_golden.py")),
+    ("_xi_coeffs_from_schur: #SSYT factor dropped", "projective.py",
+     "out[d] += c * count_ssyt(lam, n)", "out[d] += c",
+     ("tests/test_projective.py",)),
+    ("q_euler_numbers: sign of the recurrence", "ktheory.py",
+     "values.append(-acc)", "values.append(acc)",
+     ("tests/test_mather_ktheory.py",)),
     ("aluffi_J: returns its input", "projective.py",
      "return Poly((\"t\",), {(i,): c for i, c in enumerate(coeffs)})",
      "return Poly((\"t\",), {(i,): c for i, c in enumerate(p)})",

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csmloci.classes import add_schur
-from csmloci.interp import (_inverse_cv_rows, _restricted_schur, chern_schur, csm_class,
+from csmloci.interp import (_cv_rows, _restricted_schur, chern_schur, csm_class,
                             restrict_schur, restriction_data, ssm_interp, ssm_interp_schur,
                             verify_axioms, w_function, w_schur)
 from csmloci.oracles import (_require_symmetric, csm_to_ssm, restrict, schur_dict_value,
@@ -188,7 +188,7 @@ def test_divide_by_cv_inverts_the_product(fam, n, D, f):
 
 
 def test_cached_results_are_read_only():
-    from csmloci.interp import _inverse_cv_rows, chern_schur
+    from csmloci.interp import _cv_rows, chern_schur
     from csmloci.ktheory import (_phi_k_cleared, phi_wedge_k, q_binomial, q_euler_numbers,
                                  q_factorial)
     from csmloci.schur import _elementary_schur
@@ -204,9 +204,9 @@ def test_cached_results_are_read_only():
             cached[()] = 999
     with pytest.raises(TypeError):
         euler_numbers(4)[2] = 7
-    # the inverse of c(V): rows by weighted degree of (packed monomial, coeff)
-    inverse = _inverse_cv_rows(S, 3, 4)
-    for rows in (inverse, inverse[1]):
+    # c(V) in c_1..c_n: rows by weighted degree of (packed monomial, coeff)
+    cv = _cv_rows(S, 3, 4)
+    for rows in (cv, cv[1]):
         with pytest.raises(TypeError):
             rows[0] = (0, 999)
     mc = phi_wedge_k(2, 2)
@@ -279,14 +279,14 @@ def test_ssm_at_top_degree_reuses_exact_w():
 
 
 def test_inverse_cv_past_top_degree_reads_exact_cv():
-    # from the top degree of c(V) on, the inverse of c(V) reads the exact
-    # c(V), so it adds no cut copy equal to it to the cache
+    # from the top degree of c(V) on, the divisor's rows read the exact
+    # c(V), so they add no cut copy equal to it to the cache
     for fam in (W, S):
         for n in range(1, 6):
             chern_schur.cache_clear()
-            _inverse_cv_rows.cache_clear()
+            _cv_rows.cache_clear()
             chern_schur(fam, n)
-            _inverse_cv_rows(fam, n, ambient_dim(fam, n) + 3)
+            _cv_rows(fam, n, ambient_dim(fam, n) + 3)
             assert chern_schur.cache_info().currsize == 1, (fam, n)
 
 

@@ -7,7 +7,8 @@ from math import comb
 import pytest
 
 from csmloci.classes import add_schur
-from csmloci.interp import _inverse_cv_rows, chern_schur, ssm_interp, ssm_interp_schur, w_schur
+from csmloci.interp import (_cut_at, _cv_rows, chern_schur, divide_by_cv, ssm_interp,
+                            ssm_interp_schur, w_schur)
 from csmloci.oracles import phi_from_ssm, phi_reference_series, to_schur_basis
 from csmloci.orbits import Family, OrbitId, coranks, orbits
 from csmloci.poly import Poly
@@ -132,7 +133,7 @@ def cut_weighted(p, D):
 
 
 def unpack_rows(rows, n, D):
-    """The cached inverse's rows as one polynomial in c_1..c_n; each row
+    """Cached rows of c(V) as one polynomial in c_1..c_n; each row
     holds int coefficients of packed monomials of its weighted degree."""
     terms = {}
     for d, row in enumerate(rows):
@@ -144,18 +145,27 @@ def unpack_rows(rows, n, D):
 
 
 @pytest.mark.parametrize("fam", [W, S])
-def test_inverse_cv_is_two_sided(fam):
-    # c(V_n) in c_1..c_n times the cached inverse is 1 through weighted
-    # degree D, and the inverse at D is the cut of the inverse at D + 3
+def test_cv_rows_are_the_packed_cut_of_cv(fam):
+    # the divisor's rows are exact c(V_n) in c_1..c_n cut at weighted degree
+    # D, and the rows at D are a prefix of those at D + 3
     for n in range(1, 7):
         cv = schur_to_chern(chern_schur(fam, n), n)
         for D in range(13):
-            rows = _inverse_cv_rows(fam, n, D)
+            rows = _cv_rows(fam, n, D)
             assert len(rows) == D + 1
-            inverse = unpack_rows(rows, n, D)
-            assert cut_weighted(cv * inverse, D) == {(0,) * n: 1}, (n, D)
-            longer = unpack_rows(_inverse_cv_rows(fam, n, D + 3), n, D + 3)
-            assert dict(inverse.terms) == cut_weighted(longer, D)
+            assert dict(unpack_rows(rows, n, D).terms) == cut_weighted(cv, D), (n, D)
+            longer = unpack_rows(_cv_rows(fam, n, D + 3)[:D + 1], n, D + 3)
+            assert dict(longer.terms) == cut_weighted(cv, D), (n, D)
+
+
+@pytest.mark.parametrize("fam", [W, S])
+def test_divide_by_cv_of_cv_is_one(fam):
+    # c(V) / c(V) = 1 through every degree: the two-sided property, checked
+    # on the division itself, since over_cv never sends c(V) there
+    for n in range(1, 7):
+        for D in range(13):
+            cv = chern_schur(fam, n, *_cut_at(fam, n, D))
+            assert divide_by_cv(cv, fam, n, D) == {(): 1}, (n, D)
 
 
 # sha256 over the orbits of (family, n), in catalog order, of the sorted items
@@ -356,7 +366,7 @@ def test_negative_bound_is_refused_and_never_cached():
     # every entry to a truncated class names a negative bound, the open
     # orbits included (Sigma^sym(2,0) once gave {(): 1} at D = -1), and no
     # cache keeps an entry for it
-    cached = (phi_schur, ssm_interp_schur, w_schur, phi_cv_schur, chern_schur, _inverse_cv_rows)
+    cached = (phi_schur, ssm_interp_schur, w_schur, phi_cv_schur, chern_schur, _cv_rows)
     sizes = [call.cache_info().currsize for call in cached]
     calls = (phi_schur, phi_class, ssm_schur, ssm_sieve, ssm_interp_schur, ssm_interp)
     for orbit in (OrbitId(S, 2, 0), OrbitId(S, 3, 1), OrbitId(W, 2, 0), OrbitId(W, 3, 1)):
