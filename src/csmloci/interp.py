@@ -19,8 +19,10 @@ Phi c(V)) is one cached function, exact, or cut at D by a trailing cut
 
 The ssm class through degree D is W_{n,r} / c(V); both routes divide by
 c(V) through over_cv, the one bound check, by one long division in
-c_1..c_n (divide_by_cv).  One rule (_cut_at) picks the cut of both the
-class and c(V): the exact class once D reaches the top degree of c(V).
+c_1..c_n (divide_by_cv) over packed Chern monomials, which the schur
+module converts to and from on its partition index of n.  One rule
+(_cut_at) picks the cut of both the class and c(V): the exact class once D
+reaches the top degree of c(V).
 Closure classes and the Chern-Mather class are sums of orbit classes over
 the orbits in the closure (closure_schur).
 
@@ -44,15 +46,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import comb
-from operator import mul
 from types import MappingProxyType
 
 from .classes import add_schur, schur_class
-from .orbits import (Family, OrbitId, ambient_dim, chern_vars, coranks, inside_weights,
-                     suborbit_coranks)
+from .orbits import Family, OrbitId, ambient_dim, coranks, inside_weights, suborbit_coranks
 from .poly import ExactDivisionError, Poly, _norm, product
-from .schur import (_staircase_shift, chern_to_schur, chern_weighted_degree, pushforward_schur,
-                    schur_dict_to_alpha, schur_to_chern, symmetric_schur_coeffs)
+from .schur import (_staircase_shift, packed_chern_rows, packed_chern_to_schur,
+                    pushforward_schur, schur_dict_to_alpha, symmetric_schur_coeffs)
 
 
 # -- the W-functions ----------------------------------------------------
@@ -163,52 +163,31 @@ def chern_schur(family, n, *cut):
 
 def divide_by_cv(coeffs, family, n, D):
     """Schur coefficients of f through degree D, given those of h = f c(V_n)
-    through degree D: in c_1..c_n, long division by g = c(V_n) through
-    weighted degree D (_cv_rows), and back.  g has constant term 1, so
-    degree by degree f_d = h_d - sum_{k=1..d} g_k f_{d-k}.
-
-    A Chern monomial c^kvec of weighted degree <= D has every exponent <= D,
-    so it is packed into one int, kvec_i the digit of (D + 1)^(i - 1), and a
-    product of two monomials through degree D is the sum of their keys."""
+    through degree D: h in c_1..c_n as packed rows by weighted degree
+    (schur.packed_chern_rows), long division by g = c(V_n) through weighted
+    degree D (_cv_rows), and back (schur.packed_chern_to_schur).  g has
+    constant term 1, so degree by degree f_d = h_d - sum_{k=1..d} g_k f_{d-k},
+    and a product of two packed monomials is the sum of their keys."""
     g = _cv_rows(family, n, D)
     f = []
-    for d, row in enumerate(_packed_rows(schur_to_chern(coeffs, n), D)):
+    for d, row in enumerate(packed_chern_rows(coeffs, n, D)):
         fd = defaultdict(int, row)
         for k in range(1, d + 1):
             for key, c in g[k]:
                 for key2, c2 in f[d - k]:
                     fd[key + key2] -= c * c2
         f.append([(key, c) for key, c in fd.items() if c])
-    terms = {}
-    for key, c in chain.from_iterable(f):
-        kvec = []
-        for _ in range(n):
-            key, x = divmod(key, D + 1)
-            kvec.append(x)
-        terms[tuple(kvec)] = c
-    return chern_to_schur(Poly(chern_vars(n), terms, _clean=False), n)
+    return packed_chern_to_schur(chain.from_iterable(f), n, D)
 
 
 @lru_cache(maxsize=None)
 def _cv_rows(family, n, D):
     """c(V_n) in c_1..c_n through weighted degree D, read-only: row d holds
-    its (packed monomial, coeff) of weighted degree d (see divide_by_cv),
+    its (packed monomial, coeff) of weighted degree d (packed_chern_rows),
     from c(V) with the cut of _cut_at, so that from the top degree of c(V)
     on it reads the exact chern_schur(family, n)."""
     cv = chern_schur(family, n, *_cut_at(family, n, D))
-    return tuple(map(tuple, _packed_rows(schur_to_chern(cv, n), D)))
-
-
-def _packed_rows(p, D):
-    """[[(packed kvec, coeff)] of weighted degree d for d = 0..D] of a
-    polynomial in c_1..c_n, packed in base D + 1 (see divide_by_cv)."""
-    digits = [(D + 1) ** i for i in range(len(p.vars))]
-    rows = [[] for _ in range(D + 1)]
-    for kvec, c in p.terms.items():
-        d = chern_weighted_degree(kvec)
-        if d <= D:
-            rows[d].append((sum(map(mul, kvec, digits)), c))
-    return rows
+    return tuple(map(tuple, packed_chern_rows(cv, n, D)))
 
 
 @dataclass

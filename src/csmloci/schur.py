@@ -4,10 +4,17 @@ Conventions: s_lambda is the ordinary Schur polynomial in the Chern roots
 (s_11 = sum_{i<j} a_i a_j, s_2 = sum_{i<=j} a_i a_j), and c_k denotes the
 k-th elementary symmetric polynomial of the roots.
 
-Classes live in Schur form.  schur_to_chern converts them to the Chern basis
-by a unitriangular peel against the Schur expansion of each Chern monomial,
-built by vertical Pieri strips (Macdonald, Symmetric Functions, I.3, I.5);
-chern_to_schur converts back by the same strips.
+Classes live in Schur form.  Every conversion between Schur and Chern form
+works on one partition index per n (_partition_space): the partitions with
+at most n parts in (size, lex) order, where index i names both s_lam and
+the Chern monomial c^kvec with kvec_j = lam_j - lam_(j+1).  The Schur
+expansion of that monomial, its row, is built on demand by vertical Pieri
+strips (Macdonald, Symmetric Functions, I.3, I.5), and holds lam and lower
+indices only.  schur_to_chern peels rows off a dense list from the highest
+index down; chern_to_schur sums the rows of the monomials less their top
+factor e_k and multiplies each sum by e_k once.  packed_chern_rows and
+packed_chern_to_schur do the same for the division by c(V), with each Chern
+monomial packed into one int.
 monomial_coeffs gives the alpha form from the monomial basis: the
 coefficient of m_mu is a sum of Kostka numbers (I.6), each row of them read
 off by peeling horizontal strips; schur_dict_to_alpha writes each m_mu out
@@ -32,13 +39,13 @@ one delta-unshift (_unshift).
 
 from __future__ import annotations
 
-import heapq
+from array import array
 from bisect import bisect_left
 from collections import defaultdict
 from functools import lru_cache, partial
-from itertools import chain, groupby, product
+from itertools import accumulate, chain, compress, groupby, product
 from math import comb, inf
-from operator import add as _add
+from operator import add as _add, sub
 from types import MappingProxyType
 
 from .orbits import alpha_vars, chern_vars, inside_weights
@@ -164,12 +171,6 @@ def _strip_table(mu, m):
     for js, pieces in zip(adds, parts):
         table[sum(js)].append(tuple(chain.from_iterable(pieces)))
     return tuple(map(tuple, table))
-
-
-def _strips(mu, k, m):
-    """The k-box row of mu's strip table (see _strip_table)."""
-    table = _strip_table(mu, m)
-    return table[k] if k < len(table) else ()
 
 
 def _pieri_mul(state, i, fk, m, bound):
@@ -350,82 +351,200 @@ def _orderings(alpha):
         out.append(tuple(cur))
 
 
-# -- Chern <-> Schur by vertical strips -----------------------------------
+# -- Chern <-> Schur on one partition index per n -------------------------
 
 @lru_cache(maxsize=None)
-def _elementary_schur(kvec, n):
-    """Read-only Schur dict of c^kvec = prod_k e_k^kvec[k-1] in n variables:
-    each factor e_k adds the vertical k-strips (Pieri)."""
-    k, rest = _top_factor(kvec)
-    if not k:
-        return MappingProxyType({(): 1})
-    out = defaultdict(int)
-    _add_vertical_strips(out, _elementary_schur(rest, n), k, n)
-    return MappingProxyType(dict(out))
+def _partition_space(n):
+    """The _PartitionSpace of n variables, grown by the conversions below;
+    no caller outside them holds it, so emptying this cache drops it."""
+    return _PartitionSpace(n)
 
 
-def _top_factor(kvec):
-    """(k, rest) with c^kvec = c_k c^rest and k the largest index of a
-    factor, or (0, kvec) for the constant monomial."""
-    k = next((i for i in range(len(kvec), 0, -1) if kvec[i - 1]), 0)
-    return (k, kvec[:k - 1] + (kvec[k - 1] - 1,) + kvec[k:]) if k else (0, kvec)
+class _PartitionSpace:
+    """The partitions with at most n parts, indexed in (size, lex) order and
+    grown on demand to the largest size asked for, so that an index never
+    changes once assigned.
+
+    Index i of lam also names the Chern monomial c^kvec, kvec_j = lam_j -
+    lam_(j+1): its weighted degree is |lam|, and it is e_l c^rest, with
+    l = len(lam) its top factor and rest (rests[i]) lam less one box from
+    each part.  Its Schur expansion, row(i), is e_l times the row of rest,
+    one vertical strip per term (Pieri): s_lam plus partitions of the same
+    size below lam in dominance, hence of lower index (Macdonald, I.3,
+    I.5).  Rows are built on demand and kept compact, as (array of indices,
+    tuple of coefficients), and so are the strips (strips[k][i], the
+    vertical k-strips on partition i).  The packed Chern keys of the
+    division through degree D are kept per D (packing)."""
+
+    __slots__ = ("n", "parts", "index", "starts", "rests", "strips", "_rows", "_packings")
+
+    def __init__(self, n):
+        self.n = n
+        self.parts, self.index = [()], {(): 0}
+        self.starts = [0, 1]  # starts[d]: the first index of size d
+        self.rests = array("i", [0])
+        self.strips = tuple(_StripLists(self.parts, self.index, n, k) for k in range(n + 1))
+        self._rows, self._packings = [(array("i", [0]), (1,))], {}
+
+    def grow(self, top):
+        """Index every partition of size <= top."""
+        parts, index, rests = self.parts, self.index, self.rests
+        for d in range(len(self.starts) - 1, top + 1):
+            for lam in _partitions(d, self.n, d):
+                index[lam] = len(parts)
+                parts.append(lam)
+                rests.append(index[tuple(x - 1 for x in lam if x > 1)])
+            self.starts.append(len(parts))
+        self._rows += [None] * (len(parts) - len(self._rows))
+
+    def row(self, i):
+        """(indices, coefficients) of the Schur expansion of Chern monomial
+        i, built after those of its rests down to the first one built."""
+        todo, rows = [], self._rows
+        while rows[i] is None:
+            todo.append(i)
+            i = self.rests[i]
+        for i in reversed(todo):
+            lam = self.parts[i]
+            d = sum(lam)
+            low, high = self.starts[d], self.starts[d + 1]
+            acc, strips = [0] * (high - low), self.strips[len(lam)]
+            for j, c in zip(*rows[self.rests[i]]):
+                for nu in strips[j]:  # among the partitions of size d
+                    acc[nu - low] += c
+            rows[i] = (array("i", compress(range(low, high), acc)), tuple(filter(None, acc)))
+        return rows[i]
+
+    def packing(self, D):
+        """(keys, index by key) over the Chern monomials of weighted degree
+        <= D: kvec packed into one int, kvec_j the digit of (D + 1)^(j - 1)
+        (see packed_chern_rows), so the key of i is that of its rest plus
+        the digit of its top factor."""
+        packing = self._packings.get(D)
+        if packing is None:
+            self.grow(D)
+            digits = [(D + 1) ** j for j in range(self.n)]
+            keys = [0]
+            for i in range(1, self.starts[D + 1]):
+                keys.append(keys[self.rests[i]] + digits[len(self.parts[i]) - 1])
+            packing = self._packings[D] = (keys, dict(zip(keys, range(len(keys)))))
+        return packing
 
 
-def _add_vertical_strips(out, coeffs, k, n):
-    """Add e_k times the Schur dict coeffs into out: each s_mu gives the
-    s_nu of its vertical k-strips (Pieri)."""
-    for mu, c in coeffs.items():
+class _StripLists(dict):
+    """{i: array of the indices of the vertical k-strips on partition i} of
+    a _PartitionSpace, each built from _strip_table when first asked for."""
+
+    __slots__ = ("parts", "index", "n", "k")
+
+    def __init__(self, parts, index, n, k):
+        super().__init__()
+        self.parts, self.index, self.n, self.k = parts, index, n, k
+
+    def __missing__(self, i):
+        table = _strip_table(self.parts[i], self.n)
+        out = self[i] = array("i", map(self.index.__getitem__, table[self.k]))
+        return out
+
+
+def _partitions(d, n, cap):
+    """The partitions of d with at most n parts, each <= cap, in lex order."""
+    if d == 0:
+        yield ()
+    elif n:
+        for first in range(-(-d // n), min(d, cap) + 1):
+            for rest in _partitions(d - first, n - 1, first):
+                yield (first,) + rest
+
+
+def _peel(space, coeffs):
+    """[(i, c)] with coeffs = sum c (Chern monomial i), by descending index:
+    a unitriangular peel over a dense list, since row(i) is s_lam plus lower
+    indices, so the highest index left comes off with its coefficient.
+    Partitions longer than n vanish."""
+    kept = [(lam, c) for lam, c in coeffs.items() if c and len(lam) <= space.n]
+    if not kept:
+        return []
+    space.grow(max(sum(lam) for lam, _ in kept))
+    index = space.index
+    work = [0] * (1 + max(index[lam] for lam, _ in kept))
+    for lam, c in kept:
+        work[index[lam]] = c
+    out = []
+    for i in range(len(work) - 1, -1, -1):
+        c = work[i]
         if c:
-            for nu in _strips(mu, k, n):
-                out[nu] += c
+            out.append((i, _norm(c)))
+            for j, k in zip(*space.row(i)):
+                work[j] -= c * k
+    return out
+
+
+def _expand(space, terms):
+    """The Schur dict of sum c (Chern monomial i) over terms (i, c).  Each
+    monomial is e_k c^rest with e_k its top factor: the rows of the rests
+    are summed per k, and each sum is multiplied by e_k once, by strips, so
+    no monomial of the top degrees needs a row of its own."""
+    parts, rests = space.parts, space.rests
+    size = space.starts[1 + max((sum(parts[i]) for i, _ in terms), default=0)]
+    by_top = [[0] * size for _ in range(space.n + 1)]
+    for i, c in terms:
+        acc = by_top[len(parts[i])]
+        for j, k in zip(*space.row(rests[i])):
+            acc[j] += c * k
+    out = by_top[0]
+    for k in range(1, space.n + 1):
+        strips = space.strips[k]
+        for j, c in enumerate(by_top[k]):
+            if c:
+                for nu in strips[j]:
+                    out[nu] += c
+    return {parts[j]: _norm(c) for j, c in enumerate(out) if c}
 
 
 def schur_to_chern(coeffs, n):
-    """A Schur dict rewritten in c_1..c_n (partitions longer than n vanish).
-
-    Unitriangular peel: c^kvec with kvec_i = lam_i - lam_{i+1} is s_lam plus
-    Schur polynomials of partitions of the same size below lam in dominance,
-    hence below it in lex order, so the largest lam by (size, lex) of what
-    is left is peeled off with its coefficient.
-    """
-    work = {lam: c for lam, c in coeffs.items() if c and len(lam) <= n}
-    heap = [(-sum(lam), tuple(-x for x in lam)) for lam in work]
-    heapq.heapify(heap)
+    """A Schur dict rewritten in c_1..c_n (partitions longer than n vanish),
+    by the peel (_peel): the monomial of lam has kvec_i = lam_i - lam_(i+1)."""
+    space = _partition_space(n)
     terms = {}
-    while heap:
-        lam = tuple(-x for x in heapq.heappop(heap)[1])
-        c = work.pop(lam, 0)
-        if not c:
-            continue
-        padded = lam + (0,) * (n + 1 - len(lam))
-        kvec = tuple(padded[i] - padded[i + 1] for i in range(n))
-        terms[kvec] = _norm(c)
-        for nu, k in _elementary_schur(kvec, n).items():
-            if nu == lam:
-                continue
-            if nu not in work:
-                heapq.heappush(heap, (-sum(nu), tuple(-x for x in nu)))
-            work[nu] = work.get(nu, 0) - c * k
+    for i, c in _peel(space, coeffs):
+        lam = space.parts[i] + (0,) * (n + 1 - len(space.parts[i]))
+        terms[tuple(map(sub, lam, lam[1:]))] = c
     return Poly(chern_vars(n), terms, _clean=False)
 
 
 def chern_to_schur(p, n):
-    """Schur coefficients {partition: coeff} of a polynomial in c_1..c_n.
-
-    Each monomial is e_k c^rest with e_k its factor of largest index
-    (_top_factor).  The Schur expansions of the rests are summed per k, and
-    each sum is multiplied by e_k once, so no monomial of the top degrees
-    needs an expansion of its own."""
-    by_top = [defaultdict(int) for _ in range(n + 1)]
+    """Schur coefficients {partition: coeff} of a polynomial in c_1..c_n:
+    c^kvec is indexed by lam_i = kvec_i + ... + kvec_n (_expand)."""
+    space = _partition_space(n)
+    terms = []
     for kvec, c in p.terms.items():
-        k, rest = _top_factor(kvec)
-        acc = by_top[k]
-        for lam, m in _elementary_schur(rest, n).items():
-            acc[lam] += c * m
-    out = by_top[0]
-    for k in range(1, n + 1):
-        _add_vertical_strips(out, by_top[k], k, n)
-    return {lam: _norm(c) for lam, c in out.items() if c}
+        lam = tuple(accumulate(reversed(kvec)))[::-1]
+        terms.append((lam[:n - lam.count(0)], c))
+    space.grow(max((sum(lam) for lam, _ in terms), default=0))
+    return _expand(space, [(space.index[lam], c) for lam, c in terms])
+
+
+def packed_chern_rows(coeffs, n, D):
+    """The Schur dict coeffs through degree D in c_1..c_n, as rows: row d
+    lists (packed monomial, coeff) of weighted degree d, d = 0..D.  A
+    monomial c^kvec of weighted degree <= D has every exponent <= D, so it
+    packs into one int, kvec_i the digit of (D + 1)^(i - 1), and a product
+    of two monomials through degree D is the sum of their keys."""
+    space = _partition_space(n)
+    keys = space.packing(D)[0]
+    rows = [[] for _ in range(D + 1)]
+    for i, c in _peel(space, {lam: c for lam, c in coeffs.items() if sum(lam) <= D}):
+        rows[sum(space.parts[i])].append((keys[i], c))
+    return rows
+
+
+def packed_chern_to_schur(terms, n, D):
+    """The Schur dict of sum c (packed monomial key) over terms (key, c), the
+    keys packed through degree D (see packed_chern_rows)."""
+    space = _partition_space(n)
+    index = space.packing(D)[1]
+    return _expand(space, [(index[key], c) for key, c in terms])
 
 
 def chern_weighted_degree(exps):

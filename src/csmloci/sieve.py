@@ -8,10 +8,11 @@ them: Phi c(V) is a Gysin pushforward from a Grassmann bundle
 (schur.pushforward_schur) with inner c(V) on J and nothing inverted.  So
 Phi_{n,r} through degree D is Phi c(V) cut at D (phi_cv_schur) divided by
 c(V) through interp.over_cv, as the interpolation route divides W.  The
-division (interp.divide_by_cv) goes to c_1..c_n, with each Chern monomial
-packed into one int so that multiplying two monomials is adding two ints,
-long-divides by c(V) through weighted degree D (its rows cached once per
-(family, n, D)), and comes back to Schur coefficients.
+division (interp.divide_by_cv) goes to c_1..c_n on the partition index of
+n (schur.packed_chern_rows), with each Chern monomial packed into one int so
+that multiplying two monomials is adding two ints, long-divides by c(V)
+through weighted degree D (its packed rows cached once per (family, n, D)),
+and comes back to Schur coefficients on the same index.
 
 The orbit SSM classes are alternating linear combinations of Phi classes
 over the orbits in the closure: Euler-number coefficients in the

@@ -68,8 +68,22 @@ MUTANTS = [
     ("_strip_table: one box short per block", "schur.py",
      "adds = product(*(range(length + 1) for _, length in blocks))",
      "adds = product(*(range(length) for _, length in blocks))"),
-    ("schur_to_chern: peel sign", "schur.py",
-     "work[nu] = work.get(nu, 0) - c * k", "work[nu] = work.get(nu, 0) + c * k"),
+    ("_peel: peel sign", "schur.py",
+     "work[j] -= c * k", "work[j] += c * k"),
+    ("_PartitionSpace.grow: rest index one below", "schur.py",
+     "rests.append(index[tuple(x - 1 for x in lam if x > 1)])",
+     "rests.append(max(index[tuple(x - 1 for x in lam if x > 1)] - 1, 0))"),
+    ("_PartitionSpace.grow: stops one degree short", "schur.py",
+     "for d in range(len(self.starts) - 1, top + 1):",
+     "for d in range(len(self.starts) - 1, top):"),
+    ("_StripLists: strips of k - 1 boxes", "schur.py",
+     "map(self.index.__getitem__, table[self.k])",
+     "map(self.index.__getitem__, table[self.k - 1])"),
+    ("_partitions: descending lex order", "schur.py",
+     "for first in range(-(-d // n), min(d, cap) + 1):",
+     "for first in reversed(range(-(-d // n), min(d, cap) + 1)):"),
+    ("_PartitionSpace.packing: top digit one place low", "schur.py",
+     "digits[len(self.parts[i]) - 1]", "digits[max(len(self.parts[i]) - 2, 0)]"),
     ("monomial_coeffs: Kostka number dropped", "schur.py",
      "d[mu] += c * k", "d[mu] += c",
      ("tests/test_schur.py", "tests/test_cli.py", "tests/test_golden.py")),

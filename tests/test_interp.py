@@ -191,7 +191,7 @@ def test_cached_results_are_read_only():
     from csmloci.interp import _cv_rows, chern_schur
     from csmloci.ktheory import (_phi_k_cleared, phi_wedge_k, q_binomial, q_euler_numbers,
                                  q_factorial)
-    from csmloci.schur import _elementary_schur
+    from csmloci.schur import chern_to_schur, packed_chern_rows, schur_to_chern
     from csmloci.sieve import euler_numbers, phi_cv_schur, phi_schur
     orbit = OrbitId(S, 3, 1)
     before = csm_class(orbit).payload
@@ -199,7 +199,7 @@ def test_cached_results_are_read_only():
                    phi_schur(orbit, 4), phi_schur(OrbitId(S, 3, 0), 4),
                    ssm_interp_schur(orbit, 4), ssm_interp_schur(OrbitId(S, 3, 0), 4),
                    phi_cv_schur(orbit), phi_cv_schur(OrbitId(S, 3, 0)),
-                   chern_schur(S, 3), _elementary_schur((1, 2, 0), 3)):
+                   chern_schur(S, 3)):
         with pytest.raises(TypeError):
             cached[()] = 999
     with pytest.raises(TypeError):
@@ -209,6 +209,17 @@ def test_cached_results_are_read_only():
     for rows in (cv, cv[1]):
         with pytest.raises(TypeError):
             rows[0] = (0, 999)
+    # the conversions hand out fresh results, never the rows of their
+    # cached partition space: changing one changes no later result
+    f = {(2, 1): 1, (3,): 2, (1, 1, 1): -1}
+    chern, rows = schur_to_chern(f, 3), packed_chern_rows(f, 3, 4)
+    back = chern_to_schur(chern, 3)
+    chern.terms[(0, 0, 1)] = 999
+    rows[3].append((0, 999))
+    back[()] = 999
+    assert schur_to_chern(f, 3) == Poly(chern.vars, {(3, 0, 0): 2, (1, 1, 0): -3})
+    assert packed_chern_rows(f, 3, 4) == [[], [], [], [(3, 2), (6, -3)], []]
+    assert chern_to_schur(schur_to_chern(f, 3), 3) == f
     mc = phi_wedge_k(2, 2)
     with pytest.raises(AttributeError):
         mc.kind = "bogus"

@@ -17,7 +17,7 @@ from csmloci.interp import csm_class, w_schur
 from csmloci.orbits import Family, OrbitId, alpha_vars, chern_vars, orbits
 from csmloci.partitions import conjugate, count_ssyt, partition, staircase
 from csmloci.poly import Poly
-from csmloci.schur import (_kostka_row, _strips, alternant_schur_coeffs, chern_to_schur,
+from csmloci.schur import (_kostka_row, _strip_table, alternant_schur_coeffs, chern_to_schur,
                            pushforward_schur, schur_dict_to_alpha, schur_to_chern)
 
 
@@ -175,7 +175,8 @@ def test_pieri_strips(case):
     # parts is zero in m variables and has none
     m, mu, k = case
     expect = Poly.zero(alpha_vars(m))
-    for nu in _strips(mu, k, m):
+    table = _strip_table(mu, m)
+    for nu in table[k] if k < len(table) else ():
         expect = expect + schur_poly(nu, m)
     assert schur_poly(mu, m) * schur_poly((1,) * k, m) == expect
 
@@ -207,6 +208,34 @@ def test_strip_conversions_match_alpha_route(case):
     assert chern_to_schur(got, n) == {lam: c for lam, c in coeffs.items() if len(lam) <= n}
     assert chern_to_schur(chern, n) == to_schur_basis(chern_to_alpha(chern, n), n)
     assert schur_to_chern(chern_to_schur(chern, n), n) == chern
+
+
+@st.composite
+def space_cases(draw):
+    # Schur dicts up to size 10, past the sizes the other tests reach, so the
+    # partition space grows by several degrees in one call
+    n = draw(st.integers(1, 5))
+    lams = draw(st.lists(st.sampled_from(partitions_upto(10, max_len=n)), unique=True,
+                         max_size=5))
+    return n, {lam: draw(st.integers(-9, 9).filter(bool)) for lam in lams}
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(space_cases())
+def test_conversions_on_the_partition_space_match_alpha_route(case):
+    # the peel over the partition space agrees with the Chern-roots oracle,
+    # and chern_to_schur inverts it
+    n, coeffs = case
+    chern = schur_to_chern(coeffs, n)
+    assert chern == to_chern_basis(schur_dict_to_alpha(coeffs, n), n)
+    assert chern_to_schur(chern, n) == coeffs
+
+
+def test_conversions_of_a_long_first_row():
+    # a row is built after the rows of its rests, one box off each part at a
+    # time: (3000,) in one variable is c_1^3000, 3000 rests deep
+    assert schur_to_chern({(3000,): 2}, 1) == Poly(chern_vars(1), {(3000,): 2})
+    assert chern_to_schur(Poly(chern_vars(1), {(3001,): -1}), 1) == {(3001,): -1}
 
 
 def assert_same_terms(got, expect):

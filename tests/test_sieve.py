@@ -168,6 +168,31 @@ def test_divide_by_cv_of_cv_is_one(fam):
             assert divide_by_cv(cv, fam, n, D) == {(): 1}, (n, D)
 
 
+def test_results_do_not_depend_on_growth_order():
+    # the partition space grows on demand to the largest degree asked for:
+    # divisions and conversions at D = 5 give the same dicts, key order
+    # included, whether it was grown to D = 12 first or not
+    from csmloci.schur import _partition_space, chern_to_schur
+
+    def run(D):
+        out = []
+        for fam in (W, S):
+            for n in (3, 4, 5):
+                for orbit in orbits(fam, n):
+                    h = phi_cv_schur(orbit, *_cut_at(fam, n, D))
+                    chern = schur_to_chern(h, n)
+                    out += [list(divide_by_cv(h, fam, n, D).items()),
+                            list(chern.terms.items()), list(chern_to_schur(chern, n).items())]
+        return out
+
+    results = []
+    for order in ((12, 5), (5, 12)):
+        _partition_space.cache_clear()
+        _cv_rows.cache_clear()
+        results.append(dict(sorted((D, run(D)) for D in order)))
+    assert results[0] == results[1]
+
+
 # sha256 over the orbits of (family, n), in catalog order, of the sorted items
 # of phi_schur at D = 12 (n <= 5) or D = 6 (n = 6), recorded before Phi was
 # computed by division
