@@ -4,15 +4,17 @@ Conventions: s_lambda is the ordinary Schur polynomial in the Chern roots
 (s_11 = sum_{i<j} a_i a_j, s_2 = sum_{i<=j} a_i a_j), and c_k denotes the
 k-th elementary symmetric polynomial of the roots.
 
-Classes live in Schur form.  Every conversion between Schur and Chern form
-works on one partition index per n (_partition_space): the partitions with
-at most n parts in (size, lex) order, where index i names both s_lam and
-the Chern monomial c^kvec with kvec_j = lam_j - lam_(j+1).  The Schur
-expansion of that monomial, its row, is built on demand by vertical Pieri
-strips (Macdonald, Symmetric Functions, I.3, I.5), and holds lam and lower
-indices only.  schur_to_chern peels rows off a dense list from the highest
-index down; chern_to_schur sums the rows of the monomials less their top
-factor e_k and multiplies each sum by e_k once.  packed_chern_rows and
+Classes live in Schur form.  The Grassmannian pushforward and every
+conversion between Schur and Chern form work on one partition index per n
+(_partition_space): the partitions with at most n parts in (size, lex)
+order, where index i names both s_lam and the Chern monomial c^kvec with
+kvec_j = lam_j - lam_(j+1).  The vertical Pieri strips on i (Macdonald,
+Symmetric Functions, I.3, I.5) are one table of indices per partition,
+built once.  The Schur expansion of the monomial, its row, is built on
+demand by those strips, and holds lam and lower indices only.
+schur_to_chern peels rows off a dense list from the highest index down;
+chern_to_schur sums the rows of the monomials less their top factor e_k and
+multiplies each sum by e_k once.  packed_chern_rows and
 packed_chern_to_schur do the same for the division by c(V), with each Chern
 monomial packed into one int.
 monomial_coeffs gives the alpha form from the monomial basis: the
@@ -25,9 +27,9 @@ The Grassmannian pushforward (pushforward_schur) computes the W-functions
 and Phi c(V), exact or cut at a degree; every factor it takes is a
 polynomial, and both ssm routes divide a cut class by c(V) afterwards
 (interp.divide_by_cv).  Its state holds, for each I-exponent, the Schur
-polynomials in a_J that multiply that monomial in a_I; a cross factor
-enters by vertical Pieri strips (e_k) read from one cached table per
-partition (_strip_table), a truncated product is cut by the degree its
+polynomials in a_J that multiply that monomial in a_I, each named by its
+index in the partition space of a_J; a cross factor enters by the vertical
+strips (e_k) of that space, a truncated product is cut by the degree its
 factors still to come must add, and the Schur coefficients are read off
 once per sorted I-exponent by the bialternant identity.
 alternant_schur_coeffs reads them off a full polynomial in the roots, for
@@ -148,36 +150,13 @@ def _power_terms(c, q, upto):
     return [(t, comb(q, t)) for t in range(min(q, upto) + 1)]
 
 
-@lru_cache(maxsize=None)
-def _strip_table(mu, m):
-    """The vertical Pieri strips on mu in m variables by size: entry k lists
-    the partitions nu with at most m parts such that nu/mu is a vertical
-    strip of k boxes (no two in a row), k = 0..m, so e_k s_mu is the sum of
-    these s_nu (Pieri).  A mu with more than m parts is zero in m variables
-    and gets the empty table.
-
-    With mu padded to m parts, a vertical strip adds one box to a prefix of
-    each block of equal parts, so it is a composition of k bounded by the
-    block lengths.
-    """
-    if len(mu) > m:
-        return ()
-    table = [[] for _ in range(m + 1)]
-    # block (v, length) with its first j parts raised, zeros dropped
-    blocks = [(v, len(list(run))) for v, run in groupby(mu + (0,) * (m - len(mu)))]
-    adds = product(*(range(length + 1) for _, length in blocks))
-    parts = product(*([(v + 1,) * j + (v,) * (length - j) if v else (1,) * j
-                       for j in range(length + 1)] for v, length in blocks))
-    for js, pieces in zip(adds, parts):
-        table[sum(js)].append(tuple(chain.from_iterable(pieces)))
-    return tuple(map(tuple, table))
-
-
-def _pieri_mul(state, i, fk, m, bound):
+def _pieri_mul(state, i, fk, space, bound):
     """state times sum_k fk[k](a_i) e_k(a_J), where fk[k] lists (t, coeff)
-    of a polynomial in a_i by ascending t.  Only alpha_i <= alpha_{i-1} is
-    made: alpha_{i-1} is final by now."""
+    of a polynomial in a_i by ascending t, and the rows of state are keyed
+    by index into space.  Only alpha_i <= alpha_{i-1} is made: alpha_{i-1}
+    is final by now."""
     width = 1 + max((t for terms in fk for t, _ in terms), default=0)
+    sizes, strips = space.sizes, space.strips
     out = {}
     for alpha, row in state.items():
         free = bound - sum(alpha)
@@ -185,13 +164,13 @@ def _pieri_mul(state, i, fk, m, bound):
         cap = alpha[i - 1] - ai if i else inf
         dests = [None] * width  # t -> the out row of head + (ai + t,) + tail
         for mu, c in row.items():
-            room = free - sum(mu)
-            table = _strip_table(mu, m)
+            room = free - sizes[mu]
+            table = strips(mu)
             for k, terms in enumerate(fk):
                 if k > room:
                     break
                 top = room - k if room - k < cap else cap
-                strips = table[k]
+                nus = table[k]
                 for t, b in terms:
                     if t > top:
                         break
@@ -203,7 +182,7 @@ def _pieri_mul(state, i, fk, m, bound):
                             dest = out[a2] = defaultdict(int)
                         dests[t] = dest
                     cb = c * b
-                    for nu in strips:
+                    for nu in nus:
                         dest[nu] += cb
     return _nonzero(out)
 
@@ -227,15 +206,17 @@ def pushforward_schur(family, n, r, inner, cross, max_deg=None):
     So P is symmetric in a_I, and a polynomial.
 
     The state {alpha: {mu: coeff}} stands for sum coeff a_I^alpha s_mu(a_J):
-    a row of Schur coefficients in a_J for each I-exponent.  A partition mu
-    with more than m parts is zero in a_J, so such inner terms are dropped
-    on entry.  Over J a cross factor is sum_k s^k (c + a_i)^(m - k) e_k(a_J),
-    so it enters by vertical Pieri strips: a pass builds each shifted
-    exponent once per (alpha, t) and adds into its row, and takes the strips
-    of mu for every k from one table (_strip_table), looked up once per
-    (alpha, mu).  The sum over I is Alt_n(sum coeff a_I^(alpha + lam +
-    delta_r) a_J^(mu + delta_m)) over the Vandermonde, whose Schur
-    coefficients the bialternant identity reads off.  A term of degree d
+    a row of Schur coefficients in a_J for each I-exponent, with mu named
+    by its index in _partition_space(m).  A partition with more than m parts
+    is zero in a_J, so such inner terms are dropped on entry, and the rest
+    are mapped to their indices once.  Over J a cross factor is
+    sum_k s^k (c + a_i)^(m - k) e_k(a_J), so it enters by vertical Pieri
+    strips: a pass builds each shifted exponent once per (alpha, t) and adds
+    into its row, and takes the strips of mu for every k from its one table
+    (strips), looked up once per (alpha, mu).  The sum over I is
+    Alt_n(sum coeff a_I^(alpha + lam + delta_r) a_J^(mu + delta_m)) over the
+    Vandermonde, whose Schur coefficients the bialternant identity reads
+    off.  A term of degree d
     gives partitions of size d + |lam| - r m, so with max_deg set, products
     are cut at degree max_deg + r m - |lam|.
 
@@ -258,11 +239,11 @@ def pushforward_schur(family, n, r, inner, cross, max_deg=None):
     The read-off still sees every ordering of alpha, since the shift by
     lam + delta_r depends on the order, but sorts them once per alpha: the
     distinct orderings plus the shift, sorted, give {head: signed count}
-    (see _sorted_heads).  Each (mu, head) is then merged with the strictly
-    decreasing tail mu + delta_m: a shared entry kills the term, the sign is
-    the parity of the pairs of a head entry below a tail entry, and terms
-    are summed per merged exponent tuple, which minus delta_n is the
-    partition.
+    (see _sorted_heads).  Each (mu, head), mu mapped back to its partition
+    once, is then merged with the strictly decreasing tail mu + delta_m: a
+    shared entry kills the term, the sign is the parity of the pairs of a
+    head entry below a tail entry, and terms are summed per merged exponent
+    tuple, which minus delta_n is the partition.
     """
     lam, coeff = inside_weights(family, r)
     m = n - r
@@ -273,12 +254,15 @@ def pushforward_schur(family, n, r, inner, cross, max_deg=None):
         passes.append((0 if c else m, fk))
     passes.sort(key=lambda pss: pss[0])  # the degree-exact factors last
     ahead = r * sum(degree for degree, _ in passes)
-    row = {mu: coeff * c for mu, c in inner.items() if len(mu) <= m and sum(mu) <= bound - ahead}
+    kept = [(mu, c) for mu, c in inner.items() if len(mu) <= m and sum(mu) <= bound - ahead]
+    space = _partition_space(m)
+    space.grow(max((sum(mu) for mu, _ in kept), default=0))
+    row = {space.index[mu]: coeff * c for mu, c in kept}
     state = {(0,) * r: row} if row else {}
     for i in range(r):
         for degree, fk in passes:
             ahead -= degree
-            state = _pieri_mul(state, i, fk, m, bound - ahead)
+            state = _pieri_mul(state, i, fk, space, bound - ahead)
         state = {alpha: row for alpha, row in state.items() if max(alpha[i:]) == alpha[i]}
 
     shift = _staircase_shift(lam, r)
@@ -292,7 +276,7 @@ def pushforward_schur(family, n, r, inner, cross, max_deg=None):
                 acc[head] += c * k
     by_merged = defaultdict(int)
     for mu, acc in by_mu.items():
-        tail = _staircase_shift(mu, m)
+        tail = _staircase_shift(space.parts[mu], m)
         disjoint = set(tail).isdisjoint
         below = partial(bisect_left, tail[::-1])  # how many tail entries lie below h
         for head, c in acc.items():
@@ -351,12 +335,13 @@ def _orderings(alpha):
         out.append(tuple(cur))
 
 
-# -- Chern <-> Schur on one partition index per n -------------------------
+# -- one partition index per n: Pieri strips, Chern <-> Schur -----------
 
 @lru_cache(maxsize=None)
 def _partition_space(n):
-    """The _PartitionSpace of n variables, grown by the conversions below;
-    no caller outside them holds it, so emptying this cache drops it."""
+    """The _PartitionSpace of n variables, grown by the kernel (n = m) and
+    the conversions below; no caller outside them holds it, so emptying this
+    cache drops it and every strip table and row built on it."""
     return _PartitionSpace(n)
 
 
@@ -365,26 +350,27 @@ class _PartitionSpace:
     grown on demand to the largest size asked for, so that an index never
     changes once assigned.
 
-    Index i of lam also names the Chern monomial c^kvec, kvec_j = lam_j -
-    lam_(j+1): its weighted degree is |lam|, and it is e_l c^rest, with
-    l = len(lam) its top factor and rest (rests[i]) lam less one box from
-    each part.  Its Schur expansion, row(i), is e_l times the row of rest,
-    one vertical strip per term (Pieri): s_lam plus partitions of the same
-    size below lam in dominance, hence of lower index (Macdonald, I.3,
-    I.5).  Rows are built on demand and kept compact, as (array of indices,
-    tuple of coefficients), and so are the strips (strips[k][i], the
-    vertical k-strips on partition i).  The packed Chern keys of the
-    division through degree D are kept per D (packing)."""
+    Index i of lam (size sizes[i]) also names the Chern monomial c^kvec,
+    kvec_j = lam_j - lam_(j+1): its weighted degree is |lam|, and it is
+    e_l c^rest, with l = len(lam) its top factor and rest (rests[i]) lam
+    less one box from each part.  Its Schur expansion, row(i), is e_l times
+    the row of rest, one vertical strip per term (Pieri): s_lam plus
+    partitions of the same size below lam in dominance, hence of lower index
+    (Macdonald, I.3, I.5).  Rows are built on demand and kept compact, as
+    (array of indices, tuple of coefficients), and so are the vertical
+    strips on i for every k (strips(i)), which the kernel reads too.  The
+    packed Chern keys of the division through degree D are kept per D
+    (packing)."""
 
-    __slots__ = ("n", "parts", "index", "starts", "rests", "strips", "_rows", "_packings")
+    __slots__ = ("n", "parts", "index", "sizes", "starts", "rests", "_strips", "_rows",
+                 "_packings")
 
     def __init__(self, n):
         self.n = n
         self.parts, self.index = [()], {(): 0}
-        self.starts = [0, 1]  # starts[d]: the first index of size d
+        self.sizes, self.starts = array("i", [0]), [0, 1]  # starts[d]: first index of size d
         self.rests = array("i", [0])
-        self.strips = tuple(_StripLists(self.parts, self.index, n, k) for k in range(n + 1))
-        self._rows, self._packings = [(array("i", [0]), (1,))], {}
+        self._strips, self._rows, self._packings = [None], [(array("i", [0]), (1,))], {}
 
     def grow(self, top):
         """Index every partition of size <= top."""
@@ -394,23 +380,48 @@ class _PartitionSpace:
                 index[lam] = len(parts)
                 parts.append(lam)
                 rests.append(index[tuple(x - 1 for x in lam if x > 1)])
+            self.sizes.extend([d] * (len(parts) - self.starts[-1]))
             self.starts.append(len(parts))
+        self._strips += [None] * (len(parts) - len(self._strips))
         self._rows += [None] * (len(parts) - len(self._rows))
+
+    def strips(self, i):
+        """The vertical strips on partition i by size: entry k holds the
+        indices of the nu with at most n parts such that nu/lam is a vertical
+        strip of k boxes (no two in a row), k = 0..n, so e_k s_lam is the sum
+        of these s_nu (Pieri).  With lam padded to n parts, a vertical strip
+        adds one box to a prefix of each block of equal parts, so it is a
+        composition of k bounded by the block lengths."""
+        table = self._strips[i]
+        if table is None:
+            top = self.sizes[i] + self.n  # no strip adds more than n boxes
+            if top > len(self.starts) - 2:
+                self.grow(top)
+            lam, index = self.parts[i], self.index
+            table = [array("i") for _ in range(self.n + 1)]
+            # block (v, length) with its first j parts raised, zeros dropped
+            blocks = [(v, len(list(run))) for v, run in groupby(lam + (0,) * (self.n - len(lam)))]
+            adds = product(*(range(length + 1) for _, length in blocks))
+            parts = product(*([(v + 1,) * j + (v,) * (length - j) if v else (1,) * j
+                               for j in range(length + 1)] for v, length in blocks))
+            for js, pieces in zip(adds, parts):
+                table[sum(js)].append(index[tuple(chain.from_iterable(pieces))])
+            table = self._strips[i] = tuple(table)
+        return table
 
     def row(self, i):
         """(indices, coefficients) of the Schur expansion of Chern monomial
         i, built after those of its rests down to the first one built."""
-        todo, rows = [], self._rows
+        todo, rows, strips = [], self._rows, self.strips
         while rows[i] is None:
             todo.append(i)
             i = self.rests[i]
         for i in reversed(todo):
-            lam = self.parts[i]
-            d = sum(lam)
+            d, k = self.sizes[i], len(self.parts[i])
             low, high = self.starts[d], self.starts[d + 1]
-            acc, strips = [0] * (high - low), self.strips[len(lam)]
+            acc = [0] * (high - low)
             for j, c in zip(*rows[self.rests[i]]):
-                for nu in strips[j]:  # among the partitions of size d
+                for nu in strips(j)[k]:  # among the partitions of size d
                     acc[nu - low] += c
             rows[i] = (array("i", compress(range(low, high), acc)), tuple(filter(None, acc)))
         return rows[i]
@@ -429,22 +440,6 @@ class _PartitionSpace:
                 keys.append(keys[self.rests[i]] + digits[len(self.parts[i]) - 1])
             packing = self._packings[D] = (keys, dict(zip(keys, range(len(keys)))))
         return packing
-
-
-class _StripLists(dict):
-    """{i: array of the indices of the vertical k-strips on partition i} of
-    a _PartitionSpace, each built from _strip_table when first asked for."""
-
-    __slots__ = ("parts", "index", "n", "k")
-
-    def __init__(self, parts, index, n, k):
-        super().__init__()
-        self.parts, self.index, self.n, self.k = parts, index, n, k
-
-    def __missing__(self, i):
-        table = _strip_table(self.parts[i], self.n)
-        out = self[i] = array("i", map(self.index.__getitem__, table[self.k]))
-        return out
 
 
 def _partitions(d, n, cap):
@@ -486,7 +481,7 @@ def _expand(space, terms):
     are summed per k, and each sum is multiplied by e_k once, by strips, so
     no monomial of the top degrees needs a row of its own."""
     parts, rests = space.parts, space.rests
-    size = space.starts[1 + max((sum(parts[i]) for i, _ in terms), default=0)]
+    size = space.starts[1 + max((space.sizes[i] for i, _ in terms), default=0)]
     by_top = [[0] * size for _ in range(space.n + 1)]
     for i, c in terms:
         acc = by_top[len(parts[i])]
@@ -494,10 +489,9 @@ def _expand(space, terms):
             acc[j] += c * k
     out = by_top[0]
     for k in range(1, space.n + 1):
-        strips = space.strips[k]
         for j, c in enumerate(by_top[k]):
             if c:
-                for nu in strips[j]:
+                for nu in space.strips(j)[k]:
                     out[nu] += c
     return {parts[j]: _norm(c) for j, c in enumerate(out) if c}
 
@@ -535,7 +529,7 @@ def packed_chern_rows(coeffs, n, D):
     keys = space.packing(D)[0]
     rows = [[] for _ in range(D + 1)]
     for i, c in _peel(space, {lam: c for lam, c in coeffs.items() if sum(lam) <= D}):
-        rows[sum(space.parts[i])].append((keys[i], c))
+        rows[space.sizes[i]].append((keys[i], c))
     return rows
 
 

@@ -4,8 +4,10 @@ Each mutant below replaces one exact snippet of one file of src/csmloci.  The
 script applies each mutant alone to a temporary copy of the package, runs the
 test files that cover it against it with -x (by default the kernel's,
 tests/test_schur.py, tests/test_sieve.py and tests/test_interp.py), and
-prints {"killed": [...], "survived": [...]} as JSON: a mutant is killed when
-its tests fail.  The unmutated copy must pass every test file used first.
+prints {"killed": [...], "survived": [...], "timed_out": [...]} as JSON: a
+mutant is killed when its tests fail.  The unmutated copy must pass every
+test file used first, and each mutant's run is stopped after TIMEOUT_FACTOR
+times the time that took; a mutant stopped so is timed out, not killed.
 
     python tests/mutants.py [NAME ...]    # every mutant, or those named
 
@@ -20,11 +22,14 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 KERNEL = ("tests/test_schur.py", "tests/test_sieve.py", "tests/test_interp.py")
 GOLDEN = "perfbench/expected/queries.json"
 READS = {"tests/test_cli.py": (GOLDEN,), "tests/test_golden.py": (GOLDEN,)}  # data files
+LAURENT = ("tests/test_laurent.py", "tests/test_mather_ktheory.py")
+TIMEOUT_FACTOR = 5  # a mutant's tests may run this many times the unmutated run
 
 # (name, file under src/csmloci, exact snippet, replacement[, test files]);
 # the test files default to KERNEL
@@ -63,11 +68,18 @@ MUTANTS = [
     ("_sort_sign: no sign", "schur.py",
      "return tuple(sorted(v, reverse=True)), -1 if odd else 1",
      "return tuple(sorted(v, reverse=True)), 1"),
-    ("_strip_table: long mu kept", "schur.py",
-     "    if len(mu) > m:\n        return ()", "    if len(mu) > m + 1:\n        return ()"),
-    ("_strip_table: one box short per block", "schur.py",
+    ("pushforward_schur: long mu kept on entry", "schur.py",
+     "if len(mu) <= m and sum(mu) <= bound - ahead]",
+     "if len(mu) <= m + 1 and sum(mu) <= bound - ahead]"),
+    ("_pieri_mul: room one degree too many", "schur.py",
+     "room = free - sizes[mu]", "room = free - sizes[mu] + 1"),
+    ("_PartitionSpace.strips: one box short per block", "schur.py",
      "adds = product(*(range(length + 1) for _, length in blocks))",
      "adds = product(*(range(length) for _, length in blocks))"),
+    ("_PartitionSpace.strips: strips of k - 1 boxes", "schur.py",
+     "table[sum(js)].append(", "table[sum(js) - 1].append("),
+    ("_PartitionSpace.strips: grows one degree short", "schur.py",
+     "if top > len(self.starts) - 2:", "if top > len(self.starts) - 1:"),
     ("_peel: peel sign", "schur.py",
      "work[j] -= c * k", "work[j] += c * k"),
     ("_PartitionSpace.grow: rest index one below", "schur.py",
@@ -76,9 +88,6 @@ MUTANTS = [
     ("_PartitionSpace.grow: stops one degree short", "schur.py",
      "for d in range(len(self.starts) - 1, top + 1):",
      "for d in range(len(self.starts) - 1, top):"),
-    ("_StripLists: strips of k - 1 boxes", "schur.py",
-     "map(self.index.__getitem__, table[self.k])",
-     "map(self.index.__getitem__, table[self.k - 1])"),
     ("_partitions: descending lex order", "schur.py",
      "for first in range(-(-d // n), min(d, cap) + 1):",
      "for first in reversed(range(-(-d // n), min(d, cap) + 1)):"),
@@ -141,6 +150,30 @@ MUTANTS = [
     ("q_euler_numbers: sign of the recurrence", "ktheory.py",
      "values.append(-acc)", "values.append(acc)",
      ("tests/test_mather_ktheory.py",)),
+    ("_phi_k_numerator: inside factor a_i a_j + 1", "ktheory.py",
+     "a[i] * a[j] - 1 for i in I for j in I", "a[i] * a[j] + 1 for i in I for j in I",
+     ("tests/test_mather_ktheory.py",)),
+    ("_phi_k_numerator: cross factor a_i a_j + 1", "ktheory.py",
+     "(a[i] * a[j] - 1, a[i] + y * a[j])", "(a[i] * a[j] + 1, a[i] + y * a[j])",
+     ("tests/test_mather_ktheory.py",)),
+    ("_phi_k_numerator: cross factor a_i - y a_j", "ktheory.py",
+     "(a[i] * a[j] - 1, a[i] + y * a[j])", "(a[i] * a[j] - 1, a[i] - y * a[j])",
+     ("tests/test_mather_ktheory.py",)),
+    ("_phi_k_numerator: J factor a_i a_j - y", "ktheory.py",
+     "a[i] * a[j] + y for i in J", "a[i] * a[j] - y for i in J",
+     ("tests/test_mather_ktheory.py",)),
+    ("LaurentFraction: default denominator -1", "laurent.py",
+     "den = Poly.const(num.vars, 1)", "den = Poly.const(num.vars, -1)", LAURENT),
+    ("LaurentFraction: mixed variables accepted", "laurent.py",
+     "if num.vars != den.vars:", "if False:", LAURENT),
+    ("LaurentFraction: zero denominator accepted", "laurent.py",
+     "if den.is_zero():", "if False:", LAURENT),
+    ("LaurentFraction: numerator kept writable", "laurent.py",
+     'object.__setattr__(self, "num", num.read_only())',
+     'object.__setattr__(self, "num", num)', LAURENT),
+    ("LaurentFraction.eval: times the denominator", "laurent.py",
+     "return Fraction(self.num.eval(point)) / d", "return Fraction(self.num.eval(point)) * d",
+     LAURENT),
     ("aluffi_J: returns its input", "projective.py",
      "return Poly((\"t\",), {(i,): c for i, c in enumerate(coeffs)})",
      "return Poly((\"t\",), {(i,): c for i, c in enumerate(p)})",
@@ -153,12 +186,16 @@ def tests_of(mutant):
     return mutant[4] if len(mutant) > 4 else KERNEL
 
 
-def tests_pass(tree, tests):
-    """Whether the tests pass against the package copy under tree/src."""
+def tests_pass(tree, tests, timeout=None):
+    """Whether the tests pass against the package copy under tree/src, or
+    None when they are stopped after timeout seconds."""
     # -B: no bytecode, which a mutant of the same size and second could reuse
-    run = subprocess.run([sys.executable, "-B", "-m", "pytest", "-x", "-q", "-p",
-                          "no:cacheprovider", *tests],
-                         cwd=tree, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        run = subprocess.run([sys.executable, "-B", "-m", "pytest", "-x", "-q", "-p",
+                              "no:cacheprovider", *tests], cwd=tree, timeout=timeout,
+                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    except subprocess.TimeoutExpired:
+        return None
     return run.returncode == 0
 
 
@@ -182,9 +219,11 @@ def main(names):
         tree = pathlib.Path(tmp)
         tests = sorted({test for mutant in chosen for test in tests_of(mutant)})
         copy_tree(tree, tests)
+        start = time.monotonic()
         if not tests_pass(tree, tests):
             sys.exit("the tests fail on the unmutated package")
-        result = {"killed": [], "survived": []}
+        timeout = TIMEOUT_FACTOR * (time.monotonic() - start)
+        result = {"killed": [], "survived": [], "timed_out": []}
         for mutant in chosen:
             name, file, snippet, replacement = mutant[:4]
             path = tree / "src" / "csmloci" / file
@@ -193,9 +232,10 @@ def main(names):
                 sys.exit(f"{name}: the snippet is not found exactly once in {file}")
             path.write_text(source.replace(snippet, replacement))
             try:
-                status = "survived" if tests_pass(tree, tests_of(mutant)) else "killed"
+                passed = tests_pass(tree, tests_of(mutant), timeout)
             finally:
                 path.write_text(source)
+            status = {True: "survived", False: "killed", None: "timed_out"}[passed]
             result[status].append(name)
             print(f"{name}: {status}", file=sys.stderr)
     print(json.dumps(result, indent=2))
