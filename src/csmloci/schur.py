@@ -33,10 +33,12 @@ strips (e_k) of that space, a truncated product is cut by the degree its
 factors still to come must add, and the Schur coefficients are read off
 once per sorted I-exponent by the bialternant identity.
 alternant_schur_coeffs reads them off a full polynomial in the roots, for
-K theory.  Both read-offs take each
-exponent tuple through one sort-and-sign step (_sort_sign: a^v alternates to
-the sign of the sort times a^(sorted v), or to zero on a repeated entry) and
-one delta-unshift (_unshift).
+K theory.  Both read-offs write each strictly decreasing exponent tuple as
+the bitmask of its entries: one sort-and-sign step (_alternant_mask) takes
+an exponent tuple v to the mask and sign with a^v = sign a^(sorted v) under
+alternation, or to None on a repeated entry, where a^v alternates to zero;
+each mask kept is decoded once, as the partition sorted v - delta
+(_mask_partition).
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import defaultdict
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate, chain, compress, groupby, product
 from math import comb, inf
 from operator import add as _add, sub
@@ -109,10 +111,10 @@ def symmetric_schur_coeffs(poly, n):
     """The Schur dict of a symmetric polynomial in a_1..a_n: for f
     symmetric, Alt(f a^delta) / Vandermonde = f, so the bialternant
     read-off of f a^delta (alternant_schur_coeffs) gives its Schur
-    coefficients.  Raises NotSymmetricError unless the dict gives poly back
-    (schur_dict_to_alpha)."""
+    coefficients.  Raises NotSymmetricError for a negative exponent, and
+    unless the dict gives poly back (schur_dict_to_alpha)."""
     av = alpha_vars(n)
-    if poly.vars == av:
+    if poly.vars == av and min(chain.from_iterable(poly.terms), default=0) >= 0:
         shifted = poly * Poly(av, {_staircase_shift((), n): 1}, _clean=False)
         coeffs = {lam: c for (lam, _), c in alternant_schur_coeffs(shifted, n).items()}
         if schur_dict_to_alpha(coeffs, n) == poly:
@@ -128,16 +130,20 @@ def alternant_schur_coeffs(poly, n_alt):
     Alt is the full signed symmetrization over S_{n_alt} and the Vandermonde
     is prod_{i<j}(a_i - a_j).  By the bialternant identity each monomial
     a^e (e with distinct entries) contributes +-s_{sort(e) - delta}; monomials
-    with a repeated exponent cancel.  Trailing variables are passive: the
-    result maps (partition, passive exponent tuple) -> coefficient.  Extracted
-    per monomial, so truncated input yields truncated output.
+    with a repeated exponent cancel.  Each head e[:n_alt] goes through the
+    mask step (_alternant_mask), and terms are summed per (mask, passive
+    exponents) before each mask is decoded once.  Trailing variables are
+    passive: the result maps (partition, passive exponent tuple) ->
+    coefficient.  Extracted per monomial, so truncated input yields
+    truncated output.
     """
     out = defaultdict(int)
     for e, c in poly.terms.items():
-        if read := _sort_sign(e[:n_alt]):
-            head, sign = read
-            out[head, e[n_alt:]] += sign * c
-    return {(_unshift(head), tail): _norm(c) for (head, tail), c in out.items() if c}
+        if read := _alternant_mask(e[:n_alt]):
+            mask, sign = read
+            out[mask, e[n_alt:]] += sign * c
+    return {(_mask_partition(mask, n_alt), tail): _norm(c)
+            for (mask, tail), c in out.items() if c}
 
 
 # -- Grassmannian pushforward -------------------------------------------
@@ -238,12 +244,15 @@ def pushforward_schur(family, n, r, inner, cross, max_deg=None):
 
     The read-off still sees every ordering of alpha, since the shift by
     lam + delta_r depends on the order, but sorts them once per alpha: the
-    distinct orderings plus the shift, sorted, give {head: signed count}
-    (see _sorted_heads).  Each (mu, head), mu mapped back to its partition
-    once, is then merged with the strictly decreasing tail mu + delta_m: a
-    shared entry kills the term, the sign is the parity of the pairs of a
-    head entry below a tail entry, and terms are summed per merged exponent
-    tuple, which minus delta_n is the partition.
+    distinct orderings plus the shift give {head mask: signed count}
+    (_head_masks), each head a set of r entries written as bits.  Each mu
+    is then taken once: its tail mu + delta_m is the mask tmask, and the
+    parity mask above has bit v set when an odd number of tail entries lie
+    above v.  A head sharing an entry with the tail is killed (head &
+    tmask); otherwise the merged tuple is head | tmask, and its sign is the
+    parity of the pairs of a head entry below a tail entry, the parity of
+    head & above.  Terms are summed per merged mask, and each is decoded
+    once, minus delta_n, to its partition (_mask_partition).
     """
     lam, coeff = inside_weights(family, r)
     m = n - r
@@ -269,22 +278,21 @@ def pushforward_schur(family, n, r, inner, cross, max_deg=None):
     by_mu = defaultdict(lambda: defaultdict(int))
     while state:  # each row is freed once read
         alpha, row = state.popitem()
-        heads = _sorted_heads(alpha, shift)
+        heads = _head_masks(alpha, shift).items()
         for mu, c in row.items():
             acc = by_mu[mu]
             for head, k in heads:
                 acc[head] += c * k
     by_merged = defaultdict(int)
     for mu, acc in by_mu.items():
-        tail = _staircase_shift(space.parts[mu], m)
-        disjoint = set(tail).isdisjoint
-        below = partial(bisect_left, tail[::-1])  # how many tail entries lie below h
+        tmask = above = 0
+        for t in _staircase_shift(space.parts[mu], m):
+            tmask |= 1 << t
+            above ^= (1 << t) - 1  # bit v: an odd number of tail entries above v
         for head, c in acc.items():
-            if c and disjoint(head):
-                # the sign: the parity of the tail entries above each head entry
-                odd = (r * m - sum(map(below, head))) & 1
-                by_merged[tuple(sorted(head + tail, reverse=True))] += -c if odd else c
-    return {_unshift(merged): _norm(c) for merged, c in by_merged.items() if c}
+            if c and not head & tmask:
+                by_merged[head | tmask] += -c if (head & above).bit_count() & 1 else c
+    return {_mask_partition(merged, n): _norm(c) for merged, c in by_merged.items() if c}
 
 
 def _staircase_shift(part, k):
@@ -292,30 +300,41 @@ def _staircase_shift(part, k):
     return tuple(x + k - 1 - i for i, x in enumerate(part + (0,) * (k - len(part))))
 
 
-def _unshift(head):
-    """The partition head - delta_k of a strictly decreasing k-tuple head."""
-    k = len(head)
-    part = tuple(x - (k - 1 - i) for i, x in enumerate(head))
-    return part[:k - part.count(0)]
+def _alternant_mask(v):
+    """(mask, sign) for the exponent vector v, an iterable of nonnegative
+    ints, or None when an entry of v repeats: a^v alternates to sign * a^(descending sort
+    of v), or to 0, and mask has bit x set for each entry x.  One pass: the
+    sign is the parity of the pairs of an entry below a later one."""
+    mask = inversions = 0
+    for x in v:
+        bit = 1 << x
+        if mask & bit:
+            return None
+        inversions += (mask & (bit - 1)).bit_count()
+        mask |= bit
+    return mask, -1 if inversions & 1 else 1
 
 
-def _sort_sign(v):
-    """(descending sort of v, sign of the sorting permutation), or None when
-    an entry of v repeats: a^v alternates to sign * a^(sorted v), or to 0."""
-    if len(set(v)) < len(v):
-        return None
-    odd = sum(x < y for k, x in enumerate(v) for y in v[k + 1:]) & 1
-    return tuple(sorted(v, reverse=True)), -1 if odd else 1
+def _mask_partition(mask, k):
+    """The partition v - delta_k of the strictly decreasing k-tuple v whose
+    entries are the set bits of mask."""
+    part = []
+    while mask + 1 != 1 << k:  # else the k entries left are k - 1, ..., 0: zero parts
+        top = mask.bit_length() - 1
+        k -= 1
+        part.append(top - k)
+        mask ^= 1 << top
+    return tuple(part)
 
 
-def _sorted_heads(alpha, shift):
-    """[(head, count)]: the descending sort of each distinct ordering of alpha
-    plus shift that has no repeated entry, with its signs summed."""
+def _head_masks(alpha, shift):
+    """{head mask: count}: each distinct ordering of alpha plus shift with
+    no repeated entry, by its mask (_alternant_mask), the signs summed."""
     out = defaultdict(int)
     for o in _orderings(alpha):
-        if read := _sort_sign(tuple(map(_add, o, shift))):
+        if read := _alternant_mask(map(_add, o, shift)):
             out[read[0]] += read[1]
-    return [(head, k) for head, k in out.items() if k]
+    return {head: k for head, k in out.items() if k}
 
 
 def _orderings(alpha):

@@ -58,16 +58,17 @@ MUTANTS = [
      "comb(s, r) * E[s - r]", "comb(s, r + 1) * E[s - r]"),
     ("_sieve_sum: no binomial", "sieve.py",
      "comb(s, r) * E[s - r]", "E[s - r]"),
-    ("pushforward_schur: read-off sign without r m", "schur.py",
-     "odd = (r * m - sum(map(below, head))) & 1", "odd = sum(map(below, head)) & 1"),
+    ("pushforward_schur: parity mask one bit short", "schur.py",
+     "above ^= (1 << t) - 1", "above ^= ((1 << t) - 1) >> 1"),
     ("pushforward_schur: look-ahead one degree too far", "schur.py",
      "ahead = r * sum(degree for degree, _ in passes)",
      "ahead = r * sum(degree for degree, _ in passes) + 1"),
     ("pushforward_schur: no kill on a shared entry", "schur.py",
-     "if c and disjoint(head):", "if c:"),
-    ("_sort_sign: no sign", "schur.py",
-     "return tuple(sorted(v, reverse=True)), -1 if odd else 1",
-     "return tuple(sorted(v, reverse=True)), 1"),
+     "if c and not head & tmask:", "if c:"),
+    ("_alternant_mask: no sign", "schur.py",
+     "return mask, -1 if inversions & 1 else 1", "return mask, 1"),
+    ("_mask_partition: delta off by one", "schur.py",
+     "part.append(top - k)", "part.append(top - k + 1)"),
     ("pushforward_schur: long mu kept on entry", "schur.py",
      "if len(mu) <= m and sum(mu) <= bound - ahead]",
      "if len(mu) <= m + 1 and sum(mu) <= bound - ahead]"),

@@ -514,3 +514,5 @@ def test_axioms_refuse_an_asymmetric_candidate():
         verify_axioms(orbit, poly + Poly.variable(poly.vars, "a1"))
     with pytest.raises(NotSymmetricError):
         verify_axioms(orbit, Poly(alpha_vars(4), {(1, 1, 1, 1): 1}))
+    with pytest.raises(NotSymmetricError):  # symmetric, but a Laurent polynomial
+        verify_axioms(orbit, Poly(alpha_vars(3), {(-1, 0, 0): 1, (0, -1, 0): 1, (0, 0, -1): 1}))

@@ -1,5 +1,6 @@
 """Partitions, Schur polynomials and basis conversions."""
 
+import collections
 import hashlib
 import itertools
 import random
@@ -17,7 +18,8 @@ from csmloci.interp import csm_class, w_schur
 from csmloci.orbits import Family, OrbitId, alpha_vars, chern_vars, orbits
 from csmloci.partitions import conjugate, count_ssyt, partition, staircase
 from csmloci.poly import Poly
-from csmloci.schur import (_kostka_row, _partition_space, alternant_schur_coeffs,
+from csmloci.schur import (_alternant_mask, _head_masks, _kostka_row, _mask_partition,
+                           _partition_space, _staircase_shift, alternant_schur_coeffs,
                            chern_to_schur, pushforward_schur, schur_dict_to_alpha,
                            schur_to_chern)
 
@@ -320,6 +322,43 @@ def test_alternant_schur_coeffs_is_alt_over_vandermonde(case):
     for tail, value in alt.items():
         coeffs = {lam: c for (lam, t), c in got.items() if t == tail}
         assert schur_dict_value(coeffs, x) == value / vandermonde
+
+
+def brute_alternant(v):
+    """(sorted v, sign of the sort) for a^v under alternation, or None on a
+    repeated entry: the sign counts the pairs out of descending order."""
+    if len(set(v)) < len(v):
+        return None
+    sign = (-1) ** sum(x < y for x, y in itertools.combinations(v, 2))
+    return tuple(sorted(v, reverse=True)), sign
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(st.integers(0, 12), max_size=8)
+       | st.lists(st.integers(0, 12), max_size=8, unique=True))
+def test_alternant_mask_is_sort_and_sign(v):
+    got, want = _alternant_mask(v), brute_alternant(v)
+    assert (got is None) == (want is None)
+    if want:
+        mask, sign = got
+        head, want_sign = want
+        assert sign == want_sign
+        assert mask == sum(1 << x for x in v)
+        part = [x - (len(v) - 1 - i) for i, x in enumerate(head)]
+        assert _mask_partition(mask, len(v)) == partition(part)
+
+
+def test_head_masks_sum_over_the_orderings():
+    for r in range(5):
+        for alpha in itertools.product(range(3), repeat=r):
+            for lam in partitions_upto(3, r):
+                shift = _staircase_shift(lam, r)
+                want = collections.Counter()
+                for o in set(itertools.permutations(alpha)):
+                    if read := brute_alternant([x + y for x, y in zip(o, shift)]):
+                        head, sign = read
+                        want[sum(1 << x for x in head)] += sign
+                assert _head_masks(alpha, shift) == {k: c for k, c in want.items() if c}
 
 
 def test_cached_expansions_are_read_only():
