@@ -417,8 +417,11 @@ def chern_to_alpha(p, n=None):
 
 
 def _require_symmetric(p, n):
-    """Raise NotSymmetricError unless each monomial's S_n-orbit is present in
-    full, every member with the coefficient of its dominant rearrangement."""
+    """Raise NotSymmetricError unless p is a polynomial, with no negative
+    exponent, and each monomial's S_n-orbit is present in full, every member
+    with the coefficient of its dominant rearrangement."""
+    if min(itertools.chain.from_iterable(p.terms), default=0) < 0:
+        raise NotSymmetricError("not a polynomial: an exponent is negative")
     orbit_terms = {}
     for e, c in p.terms.items():
         dom = tuple(sorted(e, reverse=True))

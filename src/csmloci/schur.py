@@ -4,13 +4,17 @@ Conventions: s_lambda is the ordinary Schur polynomial in the Chern roots
 (s_11 = sum_{i<j} a_i a_j, s_2 = sum_{i<=j} a_i a_j), and c_k denotes the
 k-th elementary symmetric polynomial of the roots.
 
-Classes live in Schur form.  The Grassmannian pushforward and every
-conversion between Schur and Chern form work on one partition index per n
+Classes live in Schur form.  A partition lam with at most n parts is also
+an int, its tail mask: bit x is set for each entry x of lam + delta_n
+(_tail_mask).  The vertical Pieri strips (Macdonald, Symmetric Functions,
+I.3) are bit arithmetic on that mask (_vertical_strips).  The Grassmannian
+pushforward keys its rows by these masks, with their strips in one table
+per n, each entry built on its first lookup (_mask_strips).  Every
+conversion between Schur and Chern form works on one partition index per n
 (_partition_space): the partitions with at most n parts in (size, lex)
 order, where index i names both s_lam and the Chern monomial c^kvec with
-kvec_j = lam_j - lam_(j+1).  The vertical Pieri strips on i (Macdonald,
-Symmetric Functions, I.3, I.5) are one table of indices per partition,
-built once.  The Schur expansion of the monomial, its row, is built on
+kvec_j = lam_j - lam_(j+1), and the strips on i are those of its mask, as
+indices (I.5).  The Schur expansion of the monomial, its row, is built on
 demand by those strips, and holds lam and lower indices only.
 schur_to_chern peels rows off a dense list from the highest index down;
 chern_to_schur sums the rows of the monomials less their top factor e_k and
@@ -28,10 +32,10 @@ and Phi c(V), exact or cut at a degree; every factor it takes is a
 polynomial, and both ssm routes divide a cut class by c(V) afterwards
 (interp.divide_by_cv).  Its state holds, for each I-exponent, the Schur
 polynomials in a_J that multiply that monomial in a_I, each named by its
-index in the partition space of a_J; a cross factor enters by the vertical
-strips (e_k) of that space, a truncated product is cut by the degree its
-factors still to come must add, and the Schur coefficients are read off
-once per sorted I-exponent by the bialternant identity.
+tail mask; a cross factor enters by the vertical strips (e_k) of the mask
+table, a truncated product is cut by the degree its factors still to come
+must add, and the Schur coefficients are read off once per sorted
+I-exponent by the bialternant identity.
 alternant_schur_coeffs reads them off a full polynomial in the roots, for
 K theory.  Both read-offs write each strictly decreasing exponent tuple as
 the bitmask of its entries: one sort-and-sign step (_alternant_mask) takes
@@ -47,7 +51,7 @@ from array import array
 from bisect import bisect_left
 from collections import defaultdict
 from functools import lru_cache
-from itertools import accumulate, chain, compress, groupby, product
+from itertools import accumulate, chain, compress, product
 from math import comb, inf
 from operator import add as _add, sub
 from types import MappingProxyType
@@ -156,13 +160,12 @@ def _power_terms(c, q, upto):
     return [(t, comb(q, t)) for t in range(min(q, upto) + 1)]
 
 
-def _pieri_mul(state, i, fk, space, bound):
+def _pieri_mul(state, i, fk, masks, bound):
     """state times sum_k fk[k](a_i) e_k(a_J), where fk[k] lists (t, coeff)
     of a polynomial in a_i by ascending t, and the rows of state are keyed
-    by index into space.  Only alpha_i <= alpha_{i-1} is made: alpha_{i-1}
-    is final by now."""
+    by tail mask, with (size, strips) of each in masks (_mask_strips).  Only
+    alpha_i <= alpha_{i-1} is made: alpha_{i-1} is final by now."""
     width = 1 + max((t for terms in fk for t, _ in terms), default=0)
-    sizes, strips = space.sizes, space.strips
     out = {}
     for alpha, row in state.items():
         free = bound - sum(alpha)
@@ -170,8 +173,8 @@ def _pieri_mul(state, i, fk, space, bound):
         cap = alpha[i - 1] - ai if i else inf
         dests = [None] * width  # t -> the out row of head + (ai + t,) + tail
         for mu, c in row.items():
-            room = free - sizes[mu]
-            table = strips(mu)
+            size, table = masks[mu]
+            room = free - size
             for k, terms in enumerate(fk):
                 if k > room:
                     break
@@ -213,13 +216,14 @@ def pushforward_schur(family, n, r, inner, cross, max_deg=None):
 
     The state {alpha: {mu: coeff}} stands for sum coeff a_I^alpha s_mu(a_J):
     a row of Schur coefficients in a_J for each I-exponent, with mu named
-    by its index in _partition_space(m).  A partition with more than m parts
-    is zero in a_J, so such inner terms are dropped on entry, and the rest
-    are mapped to their indices once.  Over J a cross factor is
-    sum_k s^k (c + a_i)^(m - k) e_k(a_J), so it enters by vertical Pieri
-    strips: a pass builds each shifted exponent once per (alpha, t) and adds
-    into its row, and takes the strips of mu for every k from its one table
-    (strips), looked up once per (alpha, mu).  The sum over I is
+    by its tail mask, the set bits of mu + delta_m (_tail_mask).  A
+    partition with more than m parts is zero in a_J, so such inner terms are
+    dropped on entry, and the rest are mapped to their masks once.  Over J
+    a cross factor is sum_k s^k (c + a_i)^(m - k) e_k(a_J), so it enters by
+    vertical Pieri strips: a pass builds each shifted exponent once per
+    (alpha, t) and adds into its row, and takes the size of mu and its
+    strips for every k from the mask table (_mask_strips), looked up once
+    per (alpha, mu).  The sum over I is
     Alt_n(sum coeff a_I^(alpha + lam + delta_r) a_J^(mu + delta_m)) over the
     Vandermonde, whose Schur coefficients the bialternant identity reads
     off.  A term of degree d
@@ -245,14 +249,14 @@ def pushforward_schur(family, n, r, inner, cross, max_deg=None):
     The read-off still sees every ordering of alpha, since the shift by
     lam + delta_r depends on the order, but sorts them once per alpha: the
     distinct orderings plus the shift give {head mask: signed count}
-    (_head_masks), each head a set of r entries written as bits.  Each mu
-    is then taken once: its tail mu + delta_m is the mask tmask, and the
-    parity mask above has bit v set when an odd number of tail entries lie
-    above v.  A head sharing an entry with the tail is killed (head &
-    tmask); otherwise the merged tuple is head | tmask, and its sign is the
-    parity of the pairs of a head entry below a tail entry, the parity of
-    head & above.  Terms are summed per merged mask, and each is decoded
-    once, minus delta_n, to its partition (_mask_partition).
+    (_head_masks), each head a set of r entries written as bits.  A row's
+    key mu is its tail's mask, and the parity mask above, kept once per mu,
+    has bit v set when an odd number of tail entries lie above v.  A head
+    sharing an entry with the tail is killed (head & mu); otherwise the
+    merged tuple is head | mu, and its sign is the parity of the pairs of a
+    head entry below a tail entry, the parity of head & above.  Each term
+    (alpha, mu, head) is added into its merged mask at once, and each merged
+    mask is decoded once, minus delta_n, to its partition (_mask_partition).
     """
     lam, coeff = inside_weights(family, r)
     m = n - r
@@ -263,41 +267,98 @@ def pushforward_schur(family, n, r, inner, cross, max_deg=None):
         passes.append((0 if c else m, fk))
     passes.sort(key=lambda pss: pss[0])  # the degree-exact factors last
     ahead = r * sum(degree for degree, _ in passes)
-    kept = [(mu, c) for mu, c in inner.items() if len(mu) <= m and sum(mu) <= bound - ahead]
-    space = _partition_space(m)
-    space.grow(max((sum(mu) for mu, _ in kept), default=0))
-    row = {space.index[mu]: coeff * c for mu, c in kept}
+    row = {_tail_mask(mu, m): coeff * c for mu, c in inner.items()
+           if len(mu) <= m and sum(mu) <= bound - ahead}
     state = {(0,) * r: row} if row else {}
+    masks = _mask_strips(m)
     for i in range(r):
         for degree, fk in passes:
             ahead -= degree
-            state = _pieri_mul(state, i, fk, space, bound - ahead)
+            state = _pieri_mul(state, i, fk, masks, bound - ahead)
         state = {alpha: row for alpha, row in state.items() if max(alpha[i:]) == alpha[i]}
 
     shift = _staircase_shift(lam, r)
-    by_mu = defaultdict(lambda: defaultdict(int))
+    aboves = {}
+    by_merged = defaultdict(int)
     while state:  # each row is freed once read
         alpha, row = state.popitem()
         heads = _head_masks(alpha, shift).items()
         for mu, c in row.items():
-            acc = by_mu[mu]
+            above = aboves.get(mu)
+            if above is None:
+                above, rest = 0, mu
+                while rest:
+                    t = rest.bit_length() - 1
+                    above ^= (1 << t) - 1  # bit v: an odd number of tail entries above v
+                    rest ^= 1 << t
+                aboves[mu] = above
             for head, k in heads:
-                acc[head] += c * k
-    by_merged = defaultdict(int)
-    for mu, acc in by_mu.items():
-        tmask = above = 0
-        for t in _staircase_shift(space.parts[mu], m):
-            tmask |= 1 << t
-            above ^= (1 << t) - 1  # bit v: an odd number of tail entries above v
-        for head, c in acc.items():
-            if c and not head & tmask:
-                by_merged[head | tmask] += -c if (head & above).bit_count() & 1 else c
+                if not head & mu:
+                    by_merged[head | mu] += -c * k if (head & above).bit_count() & 1 else c * k
     return {_mask_partition(merged, n): _norm(c) for merged, c in by_merged.items() if c}
 
 
 def _staircase_shift(part, k):
     """part padded to k entries, plus delta_k = (k - 1, ..., 1, 0)."""
     return tuple(x + k - 1 - i for i, x in enumerate(part + (0,) * (k - len(part))))
+
+
+def _tail_mask(part, k):
+    """The mask with bit x set for each entry x of part + delta_k, part a
+    partition with at most k parts."""
+    mask = (1 << (k - len(part))) - 1  # the zero parts
+    for x in part:
+        k -= 1
+        mask |= 1 << (x + k)
+    return mask
+
+
+def _vertical_strips(v, m):
+    """(size, strips) of the partition mu with at most m parts whose tail
+    mask is v (_tail_mask(mu, m)): size is |mu|, the sum of the bit
+    positions of v less m (m - 1) / 2, and strips[k], k = 0..m, lists the
+    masks of the nu with nu / mu a vertical strip of k boxes, so e_k s_mu is
+    the sum of these s_nu (Pieri, Macdonald I.3, on the exponents
+    mu + delta_m).
+
+    A run of consecutive set bits of v is a block of equal parts of mu, the
+    bottom run, from bit 0, its zero parts.  A vertical strip raises the top
+    j bits of each run by one, which adds ((1 << j) - 1) << (top - j) to v,
+    with top one past the run's highest bit; k is the sum of the j."""
+    size, strips, rest = -comb(m, 2), [[v]], v
+    while rest:
+        run = rest & ~(rest + (rest & -rest))  # the lowest run of set bits
+        rest ^= run
+        top, length = run.bit_length(), run.bit_count()
+        size += length * (2 * top - length - 1) // 2
+        grown = [[] for _ in range(len(strips) + length)]
+        for j in range(length + 1):
+            raised = ((1 << j) - 1) << (top - j)
+            for k, nus in enumerate(strips):
+                grown[k + j].extend(nu + raised for nu in nus)
+        strips = grown
+    return size, strips
+
+
+@lru_cache(maxsize=None)
+def _mask_strips(m):
+    """The kernel's {tail mask: (size, strips)} in m variables
+    (_vertical_strips, the strips as tuples), each entry built on its first
+    lookup; emptying this cache drops the tables."""
+    return _MaskStrips(m)
+
+
+class _MaskStrips(dict):
+    __slots__ = ("m",)
+
+    def __init__(self, m):
+        super().__init__()
+        self.m = m
+
+    def __missing__(self, v):
+        size, strips = _vertical_strips(v, self.m)
+        entry = self[v] = (size, tuple(map(tuple, strips)))
+        return entry
 
 
 def _alternant_mask(v):
@@ -358,16 +419,17 @@ def _orderings(alpha):
 
 @lru_cache(maxsize=None)
 def _partition_space(n):
-    """The _PartitionSpace of n variables, grown by the kernel (n = m) and
-    the conversions below; no caller outside them holds it, so emptying this
-    cache drops it and every strip table and row built on it."""
+    """The _PartitionSpace of n variables, grown by the conversions below;
+    no caller outside them holds it, so emptying this cache drops it and
+    every strip table and row built on it."""
     return _PartitionSpace(n)
 
 
 class _PartitionSpace:
     """The partitions with at most n parts, indexed in (size, lex) order and
     grown on demand to the largest size asked for, so that an index never
-    changes once assigned.
+    changes once assigned: parts[i] is partition i, and index maps the tail
+    mask of each partition (_tail_mask) to its index.
 
     Index i of lam (size sizes[i]) also names the Chern monomial c^kvec,
     kvec_j = lam_j - lam_(j+1): its weighted degree is |lam|, and it is
@@ -377,28 +439,27 @@ class _PartitionSpace:
     partitions of the same size below lam in dominance, hence of lower index
     (Macdonald, I.3, I.5).  Rows are built on demand and kept compact, as
     (array of indices, tuple of coefficients), and so are the vertical
-    strips on i for every k (strips(i)), which the kernel reads too.  The
-    packed Chern keys of the division through degree D are kept per D
-    (packing)."""
+    strips on i for every k (strips(i)), read off its tail mask.  The packed
+    Chern keys of the division through degree D are kept per D (packing)."""
 
     __slots__ = ("n", "parts", "index", "sizes", "starts", "rests", "_strips", "_rows",
                  "_packings")
 
     def __init__(self, n):
         self.n = n
-        self.parts, self.index = [()], {(): 0}
+        self.parts, self.index = [()], {(1 << n) - 1: 0}
         self.sizes, self.starts = array("i", [0]), [0, 1]  # starts[d]: first index of size d
         self.rests = array("i", [0])
         self._strips, self._rows, self._packings = [None], [(array("i", [0]), (1,))], {}
 
     def grow(self, top):
         """Index every partition of size <= top."""
-        parts, index, rests = self.parts, self.index, self.rests
+        n, parts, index, rests = self.n, self.parts, self.index, self.rests
         for d in range(len(self.starts) - 1, top + 1):
-            for lam in _partitions(d, self.n, d):
-                index[lam] = len(parts)
+            for lam in _partitions(d, n, d):
+                index[_tail_mask(lam, n)] = len(parts)
                 parts.append(lam)
-                rests.append(index[tuple(x - 1 for x in lam if x > 1)])
+                rests.append(index[_tail_mask(tuple(x - 1 for x in lam if x > 1), n)])
             self.sizes.extend([d] * (len(parts) - self.starts[-1]))
             self.starts.append(len(parts))
         self._strips += [None] * (len(parts) - len(self._strips))
@@ -408,24 +469,16 @@ class _PartitionSpace:
         """The vertical strips on partition i by size: entry k holds the
         indices of the nu with at most n parts such that nu/lam is a vertical
         strip of k boxes (no two in a row), k = 0..n, so e_k s_lam is the sum
-        of these s_nu (Pieri).  With lam padded to n parts, a vertical strip
-        adds one box to a prefix of each block of equal parts, so it is a
-        composition of k bounded by the block lengths."""
+        of these s_nu (Pieri): the strips of its tail mask
+        (_vertical_strips), each mask mapped to its index."""
         table = self._strips[i]
         if table is None:
             top = self.sizes[i] + self.n  # no strip adds more than n boxes
             if top > len(self.starts) - 2:
                 self.grow(top)
-            lam, index = self.parts[i], self.index
-            table = [array("i") for _ in range(self.n + 1)]
-            # block (v, length) with its first j parts raised, zeros dropped
-            blocks = [(v, len(list(run))) for v, run in groupby(lam + (0,) * (self.n - len(lam)))]
-            adds = product(*(range(length + 1) for _, length in blocks))
-            parts = product(*([(v + 1,) * j + (v,) * (length - j) if v else (1,) * j
-                               for j in range(length + 1)] for v, length in blocks))
-            for js, pieces in zip(adds, parts):
-                table[sum(js)].append(index[tuple(chain.from_iterable(pieces))])
-            table = self._strips[i] = tuple(table)
+            at = self.index.__getitem__
+            strips = _vertical_strips(_tail_mask(self.parts[i], self.n), self.n)[1]
+            table = self._strips[i] = tuple(array("i", map(at, nus)) for nus in strips)
         return table
 
     def row(self, i):
@@ -480,10 +533,10 @@ def _peel(space, coeffs):
     if not kept:
         return []
     space.grow(max(sum(lam) for lam, _ in kept))
-    index = space.index
-    work = [0] * (1 + max(index[lam] for lam, _ in kept))
-    for lam, c in kept:
-        work[index[lam]] = c
+    indexed = [(space.index[_tail_mask(lam, space.n)], c) for lam, c in kept]
+    work = [0] * (1 + max(i for i, _ in indexed))
+    for i, c in indexed:
+        work[i] = c
     out = []
     for i in range(len(work) - 1, -1, -1):
         c = work[i]
@@ -535,7 +588,7 @@ def chern_to_schur(p, n):
         lam = tuple(accumulate(reversed(kvec)))[::-1]
         terms.append((lam[:n - lam.count(0)], c))
     space.grow(max((sum(lam) for lam, _ in terms), default=0))
-    return _expand(space, [(space.index[lam], c) for lam, c in terms])
+    return _expand(space, [(space.index[_tail_mask(lam, n)], c) for lam, c in terms])
 
 
 def packed_chern_rows(coeffs, n, D):

@@ -64,28 +64,38 @@ MUTANTS = [
      "ahead = r * sum(degree for degree, _ in passes)",
      "ahead = r * sum(degree for degree, _ in passes) + 1"),
     ("pushforward_schur: no kill on a shared entry", "schur.py",
-     "if c and not head & tmask:", "if c:"),
+     "if not head & mu:", "if True:"),
     ("_alternant_mask: no sign", "schur.py",
      "return mask, -1 if inversions & 1 else 1", "return mask, 1"),
     ("_mask_partition: delta off by one", "schur.py",
      "part.append(top - k)", "part.append(top - k + 1)"),
     ("pushforward_schur: long mu kept on entry", "schur.py",
-     "if len(mu) <= m and sum(mu) <= bound - ahead]",
-     "if len(mu) <= m + 1 and sum(mu) <= bound - ahead]"),
+     "if len(mu) <= m and sum(mu) <= bound - ahead}",
+     "if len(mu) <= m + 1 and sum(mu) <= bound - ahead}"),
     ("_pieri_mul: room one degree too many", "schur.py",
-     "room = free - sizes[mu]", "room = free - sizes[mu] + 1"),
-    ("_PartitionSpace.strips: one box short per block", "schur.py",
-     "adds = product(*(range(length + 1) for _, length in blocks))",
-     "adds = product(*(range(length) for _, length in blocks))"),
+     "room = free - size", "room = free - size + 1"),
+    ("_vertical_strips: run length one short", "schur.py",
+     "top, length = run.bit_length(), run.bit_count()",
+     "top, length = run.bit_length(), run.bit_count() - 1"),
+    ("_vertical_strips: one box short per run", "schur.py",
+     "for j in range(length + 1):", "for j in range(length):"),
+    ("_vertical_strips: raised segment one bit low", "schur.py",
+     "raised = ((1 << j) - 1) << (top - j)", "raised = ((1 << j) - 1) << (top - j - 1)"),
+    ("_vertical_strips: size off by one", "schur.py",
+     "size, strips, rest = -comb(m, 2), [[v]], v",
+     "size, strips, rest = 1 - comb(m, 2), [[v]], v"),
+    ("_PartitionSpace.strips: mask of the partition before", "schur.py",
+     "_vertical_strips(_tail_mask(self.parts[i], self.n), self.n)",
+     "_vertical_strips(_tail_mask(self.parts[i - 1], self.n), self.n)"),
     ("_PartitionSpace.strips: strips of k - 1 boxes", "schur.py",
-     "table[sum(js)].append(", "table[sum(js) - 1].append("),
+     "for nus in strips)", "for nus in ((),) + strips[:-1])"),
     ("_PartitionSpace.strips: grows one degree short", "schur.py",
      "if top > len(self.starts) - 2:", "if top > len(self.starts) - 1:"),
     ("_peel: peel sign", "schur.py",
      "work[j] -= c * k", "work[j] += c * k"),
     ("_PartitionSpace.grow: rest index one below", "schur.py",
-     "rests.append(index[tuple(x - 1 for x in lam if x > 1)])",
-     "rests.append(max(index[tuple(x - 1 for x in lam if x > 1)] - 1, 0))"),
+     "rests.append(index[_tail_mask(tuple(x - 1 for x in lam if x > 1), n)])",
+     "rests.append(max(index[_tail_mask(tuple(x - 1 for x in lam if x > 1), n)] - 1, 0))"),
     ("_PartitionSpace.grow: stops one degree short", "schur.py",
      "for d in range(len(self.starts) - 1, top + 1):",
      "for d in range(len(self.starts) - 1, top):"),
