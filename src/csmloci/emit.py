@@ -12,9 +12,9 @@ orderings of every mu are sorted descending, and each d_mu is rendered once
 for all of its orderings.  Every sum of terms goes through one renderer,
 _signed_sum, which joins the terms a block at a time; class_text returns the
 blocks as a list of pieces, so a long class text is never copied into one
-string.  JSON documents are written by json_text, which gives the bytes of
-json.dumps(doc, indent=2) and writes a TermList straight from its
-(key, coefficient) pairs, without a dict per term.
+string.  json_text gives the bytes of json.dumps(doc, indent=2): json's own
+encoder writes the document, and json_text writes only its TermLists,
+straight from their (key, coefficient) pairs, without a dict per term.
 """
 
 from __future__ import annotations
@@ -224,64 +224,44 @@ def class_json_dict(cls, basis):
 
 
 def json_text(doc):
-    """json.dumps(doc, indent=2), byte for byte, for a document of dicts with
-    string keys, lists, tuples, strings, ints, bools, None and TermLists, as
-    a list of pieces: each block of terms after the first starts a new
-    piece, so a long document is never copied into one string.  Strings are
-    escaped by json.encoder.encode_basestring_ascii."""
+    """json.dumps(doc, indent=2), byte for byte, for a document of JSON
+    values and TermLists, as a list of pieces.  json's own encoder writes
+    the document, and hold stands each TermList in for one placeholder,
+    which the encoder yields as its very next chunk; the term blocks go in
+    its place, indented as the current line.  Each block of terms after the
+    first starts a new piece, so a long document is never copied into one
+    string."""
+    from json import JSONEncoder
     from json.encoder import encode_basestring_ascii
-    pieces, run = [], []
+    held = []
 
-    def cut():
-        pieces.append("".join(run))
-        run.clear()
+    def hold(value):
+        if not isinstance(value, TermList):
+            raise TypeError(f"{type(value).__name__} is not written as JSON here")
+        held.append(value)
+        return None
 
-    _write_json(doc, "\n", run.append, cut, encode_basestring_ascii)
-    cut()
+    pieces, run, nl = [], [], "\n"
+    for chunk in JSONEncoder(indent=2, default=hold).iterencode(doc):
+        if held:
+            for block in _term_blocks(held.pop(), nl, encode_basestring_ascii):
+                if block[0] == ",":
+                    pieces.append("".join(run))
+                    run.clear()
+                run.append(block)
+            continue
+        if "\n" in chunk:  # a new line: its indentation is the depth
+            line = chunk.rpartition("\n")[2]
+            nl = "\n" + line[:len(line) - len(line.lstrip())]
+        run.append(chunk)
+    pieces.append("".join(run))
     return pieces
 
 
-def _write_json(value, nl, write, cut, quote):
-    """Write value as json.dumps(indent=2) does at the depth whose line
-    break is nl; cut() ends the current piece."""
-    if isinstance(value, str):
-        write(quote(value))
-    elif value is None:
-        write("null")
-    elif value is True:
-        write("true")
-    elif value is False:
-        write("false")
-    elif isinstance(value, int):
-        write(int.__repr__(value))
-    elif isinstance(value, (list, tuple, dict)):
-        if not value:
-            write("{}" if isinstance(value, dict) else "[]")
-            return
-        inner = nl + "  "
-        if isinstance(value, dict):
-            lead = "{" + inner
-            for key, item in value.items():
-                write(f"{lead}{quote(key)}: ")
-                _write_json(item, inner, write, cut, quote)
-                lead = "," + inner
-            write(nl + "}")
-        else:
-            lead = "[" + inner
-            for item in value:
-                write(lead)
-                _write_json(item, inner, write, cut, quote)
-                lead = "," + inner
-            write(nl + "]")
-    elif isinstance(value, TermList):
-        _write_terms(value, nl, write, cut, quote)
-    else:
-        raise TypeError(f"{type(value).__name__} is not written as JSON here")
-
-
-def _write_terms(terms, nl, write, cut, quote):
-    """Write a TermList: each term is one f-string, and the terms are
-    joined a block at a time; each block after the first is a new piece."""
+def _term_blocks(terms, nl, quote):
+    """The text of a TermList at the depth whose line break is nl, a block
+    of terms at a time: each term is one f-string, each block after the
+    first starts with its "," and the list's closing comes last."""
     item = nl + "  "  # the line break before a term
     field = item + "  "  # before each of its fields
     entry = field + "  "  # before each entry of its key
@@ -295,9 +275,6 @@ def _write_terms(terms, nl, write, cut, quote):
     lead = "[" + item
     while block := [f"{head}{sep.join(map(str, key))}{mid}{quote(text)}{tail}" if key
                     else f"{bare}{quote(text)}{tail}" for key, text in islice(rows, _BLOCK)]:
-        if lead[0] == ",":
-            cut()
-        write(lead)
-        write(join(block))
+        yield lead + join(block)
         lead = "," + item
-    write("[]" if lead[0] == "[" else nl + "]")
+    yield "[]" if lead[0] == "[" else nl + "]"

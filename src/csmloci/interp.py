@@ -344,7 +344,7 @@ def restrict_schur(coeffs, probe):
 @lru_cache(maxsize=None)
 def _probe(n, m):
     """(vars, tangent factor representatives, c(T)e(N), degree bound) at
-    the probe Sigma_{n,m}, c(T)e(N) read-only.
+    the probe Sigma_{n,m}, the polynomials read-only.
 
     The image of a symmetric polynomial at the probe is invariant under
     permutations of the b = a_{n-m+1}..a_n, permutations of the pairs and
@@ -357,8 +357,8 @@ def _probe(n, m):
     reps = [Poly.linear(data.vars, 1, s1=1, s2=1)] if h >= 2 else []
     if h and m:
         reps.append(Poly.linear(data.vars, 1, s1=1, **{b1: 1}))
-    return (data.vars, tuple(reps), (data.tangent_chern * data.normal_euler).read_only(),
-            data.bound_degree())
+    return (data.vars, tuple(rep.read_only() for rep in reps),
+            (data.tangent_chern * data.normal_euler).read_only(), data.bound_degree())
 
 
 @dataclass

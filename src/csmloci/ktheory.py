@@ -201,11 +201,11 @@ def _motivic_segre_sieve(n, r, q_convention):
     for k in range(0, (n - r) // 2 + 1):
         coeff_q = q_binomial(r + 2 * k, r) * E[2 * k]
         cleared = _phi_k_cleared(n, r + 2 * k)
-        if symbolic:
-            coeff, cleared = (p.substitute({v: Poly.variable(av, v) for v in p.vars}, av)
-                              for p in (coeff_q, cleared))
-        else:
-            coeff = coeff_q.substitute({"q": Poly.linear(av, 0, y=-1)}, av)
+        if symbolic:  # q becomes the last variable
+            coeff = Poly(av, {(0,) * (n + 1) + e: c for e, c in coeff_q.terms.items()})
+            cleared = Poly(av, {e + (0,): c for e, c in cleared.terms.items()})
+        else:  # q -> -y: q^k becomes (-1)^k y^k
+            coeff = Poly(av, {(0,) * n + e: (-1) ** e[0] * c for e, c in coeff_q.terms.items()})
         num = num + coeff * cleared
     conv = "q=-y" if not symbolic else "q symbolic"
     return MotivicClass(orbit, _over_pairs(num, n), kind="segre", q_convention=conv,

@@ -252,8 +252,7 @@ class Poly:
 
         `images` maps variable names to Polys over a common variable set
         (or to int/Fraction constants).  Every variable actually appearing
-        in self must be mapped.  Single-term images are an exponent remap, so
-        renaming or embedding into a larger ring is a substitution too.
+        in self must be mapped, and self must have no negative exponent.
         """
         if target_vars is None:
             for img in images.values():
@@ -276,42 +275,6 @@ class Poly:
                 raise ValueError("substitution images live on different variable sets")
             imgs[name] = img
 
-        # Fast path when every image is a single term: pure exponent remap.
-        if all(len(p.terms) <= 1 for p in imgs.values()):
-            nt = len(target_vars)
-            remap = {}
-            for name, p in imgs.items():
-                idx = self.vars.index(name)
-                if p.terms:
-                    (ie, ic), = p.terms.items()
-                else:
-                    ie, ic = None, 0
-                remap[idx] = (ie, ic)
-            out = {}
-            for e, c in self.terms.items():
-                ne = [0] * nt
-                coeff = c
-                dead = False
-                for i, x in enumerate(e):
-                    if not x:
-                        continue
-                    ie, ic = remap[i]
-                    if ie is None:
-                        dead = True
-                        break
-                    coeff = coeff * (ic ** x if ic != 1 else 1)
-                    for j, y in enumerate(ie):
-                        ne[j] += y * x
-                if dead or coeff == 0:
-                    continue
-                ke = tuple(ne)
-                s = out.get(ke, 0) + coeff
-                if s:
-                    out[ke] = _norm(s)
-                elif ke in out:
-                    del out[ke]
-            return Poly(target_vars, out, _clean=False)
-
         # each term's image is c times a product of cached powers of images,
         # added into one dict over the common denominator of the c
         one = {(0,) * len(target_vars): 1}
@@ -322,6 +285,8 @@ class Poly:
             term = one
             for name, x in zip(self.vars, e):
                 if x:
+                    if x < 0:
+                        raise ValueError(f"substitution into a negative power of {name}")
                     cache = powers[name]
                     while len(cache) <= x:
                         cache.append(_mul_dict(cache[-1], imgs[name].terms))

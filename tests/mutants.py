@@ -138,8 +138,12 @@ MUTANTS = [
      "sorted(poly.terms.items(), key=itemgetter(0), reverse=True)",
      "sorted(poly.terms.items(), key=itemgetter(0))",
      ("tests/test_cli.py", "tests/test_golden.py")),
-    ("_write_terms: key entries one space short", "emit.py",
+    ("_term_blocks: key entries one space short", "emit.py",
      'entry = field + "  "', 'entry = field + " "',
+     ("tests/test_cli.py", "tests/test_golden.py")),
+    ("json_text: term list indented one space deep", "emit.py",
+     'nl = "\\n" + line[:len(line) - len(line.lstrip())]',
+     'nl = "\\n " + line[:len(line) - len(line.lstrip())]',
      ("tests/test_cli.py", "tests/test_golden.py")),
     ("_alpha_rows: ascending within a degree", "emit.py",
      "for exps in sorted(rows, reverse=True):", "for exps in sorted(rows):",
@@ -158,6 +162,10 @@ MUTANTS = [
     ("_xi_coeffs_from_schur: #SSYT factor dropped", "projective.py",
      "out[d] += c * count_ssyt(lam, n)", "out[d] += c",
      ("tests/test_projective.py",)),
+    ("_motivic_segre_sieve: q -> -y without the sign", "ktheory.py",
+     "(-1) ** e[0] * c for e, c in coeff_q.terms.items()",
+     "c for e, c in coeff_q.terms.items()",
+     ("tests/test_mather_ktheory.py",)),
     ("q_euler_numbers: sign of the recurrence", "ktheory.py",
      "values.append(-acc)", "values.append(acc)",
      ("tests/test_mather_ktheory.py",)),

@@ -188,7 +188,7 @@ def test_divide_by_cv_inverts_the_product(fam, n, D, f):
 
 
 def test_cached_results_are_read_only():
-    from csmloci.interp import _cv_rows, chern_schur
+    from csmloci.interp import _cv_rows, _probe, chern_schur
     from csmloci.ktheory import (_phi_k_cleared, phi_wedge_k, q_binomial, q_euler_numbers,
                                  q_factorial)
     from csmloci.schur import chern_to_schur, packed_chern_rows, schur_to_chern
@@ -258,6 +258,16 @@ def test_cached_results_are_read_only():
         assert (poly.vars, dict(poly.terms)) == was
     assert dict(phi_wedge_k(2, 2).value.num.terms) == num
     assert q_binomial(4, 2).terms[(2,)] == 2 and q_factorial(3).terms[(1,)] == 2
+    # the axiom verifier's probe: its tangent-factor representatives and c(T)e(N)
+    _, reps, tangent_normal, _ = _probe(5, 1)
+    for poly in reps + (tangent_normal,):
+        was = dict(poly.terms)
+        with pytest.raises(TypeError):
+            poly.terms[next(iter(was))] = 999
+        with pytest.raises(AttributeError):
+            poly.terms = {}
+        assert dict(poly.terms) == was
+    assert verify_axioms(OrbitId(W, 5, 1)).ok
 
 
 def test_cut_w_is_cut_of_exact_w():

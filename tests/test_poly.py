@@ -151,6 +151,13 @@ def test_substitute_is_ring_morphism():
         assert (p * q).substitute(img, tv) == p.substitute(img, tv) * q.substitute(img, tv)
 
 
+def test_substitute_refuses_negative_powers():
+    # a power of an image is a product, so a Laurent monomial has none
+    swap = {"a1": Poly.variable(AV2, "a2"), "a2": Poly.variable(AV2, "a1")}
+    with pytest.raises(ValueError, match="negative power of a1"):
+        Poly(AV2, {(-1, 1): 1}).substitute(swap)
+
+
 def test_ring_laws_random():
     rng = random.Random(13)
     for _ in range(25):
