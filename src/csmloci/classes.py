@@ -1,15 +1,9 @@
-"""Tagged characteristic-class values with basis conversions.
+"""Characteristic-class values in Schur form.
 
-A ClassExpr is a symmetric class together with its basis (alpha monomials,
-Chern classes c_i, or Schur coefficients), the orbit it belongs to, and an
-optional truncation degree (None means the payload is an exact polynomial).
-
-The classes are computed in Schur form, and schur_class is the one place a
-class is cut at its truncation degree: it drops the Schur terms above it,
-so nothing downstream cuts again.  A class converts only out of the Schur
-form: to the Chern basis by vertical Pieri strips (schur.schur_to_chern),
-without expanding into the Chern roots, and to the alpha basis, an output
-format expanded from the Schur form.
+A ClassExpr is a symmetric class as its Schur coefficients, with its orbit
+and its truncation degree; emit writes it in the basis a request asks for.
+schur_class is the one place a class is cut at its truncation degree: it
+drops the Schur terms above it, so nothing downstream cuts again.
 """
 
 from __future__ import annotations
@@ -18,9 +12,7 @@ from dataclasses import dataclass, field
 
 from .orbits import Family
 from .poly import _norm
-from .schur import schur_dict_to_alpha, schur_to_chern
-
-ALPHA, CHERN, SCHUR = "alpha", "chern", "schur"
+from .schur import schur_to_chern
 
 
 def add_schur(*dicts, coeffs=None):
@@ -42,15 +34,10 @@ def add_schur(*dicts, coeffs=None):
 
 @dataclass
 class ClassExpr:
-    """A class value in a declared basis.
-
-    kind is a free-form label (csm, ssm, phi, w, mather); basis is one of
-    alpha, chern, schur.  For basis schur the payload is {partition: coeff},
-    otherwise a Poly.  trunc None means exact.
-    """
+    """A class value in Schur form: payload is {partition: coeff}, kind a
+    free-form label (csm, ssm, phi, w, mather), and trunc None when exact."""
 
     kind: str
-    basis: str
     family: Family
     n: int
     r: int = None
@@ -59,43 +46,20 @@ class ClassExpr:
     closure: bool = False
     warnings: list = field(default_factory=list)
 
-    # -- conversions ----------------------------------------------------
-
-    def schur_coeffs(self):
-        if self.basis != SCHUR:
-            raise ValueError(f"a {self.basis} payload is output only; convert from "
-                             "the Schur basis")
-        return dict(self.payload)
-
-    def alpha_poly(self):
-        return schur_dict_to_alpha(self.schur_coeffs(), self.n)
-
     def chern_poly(self):
-        return schur_to_chern(self.schur_coeffs(), self.n)
-
-    def in_basis(self, basis):
-        if basis == self.basis:
-            return self
-        convert = {ALPHA: ClassExpr.alpha_poly, CHERN: ClassExpr.chern_poly,
-                   SCHUR: ClassExpr.schur_coeffs}.get(basis)
-        if convert is None:
-            raise ValueError(f"unknown basis {basis!r}")
-        return ClassExpr(self.kind, basis, self.family, self.n, self.r, convert(self),
-                         self.trunc, self.closure, list(self.warnings))
-
-    # -- structure ------------------------------------------------------
+        """The Chern-basis Poly, by vertical Pieri strips (schur.schur_to_chern)."""
+        return schur_to_chern(self.payload, self.n)
 
     def lowest_term(self):
         """(degree, {partition: coeff}) of the minimal-degree Schur slice."""
-        d = self.schur_coeffs()
-        if not d:
+        if not self.payload:
             return None, {}
-        lo = min(sum(lam) for lam in d)
-        return lo, {lam: c for lam, c in d.items() if sum(lam) == lo}
+        lo = min(map(sum, self.payload))
+        return lo, {lam: c for lam, c in self.payload.items() if sum(lam) == lo}
 
 
 def schur_class(kind, orbit, coeffs, trunc=None, closure=False):
     """The class with these Schur coefficients, less the terms above trunc.
     The keys are taken as given: every Schur dict is built canonical."""
     coeffs = {lam: c for lam, c in coeffs.items() if c and (trunc is None or sum(lam) <= trunc)}
-    return ClassExpr(kind, SCHUR, orbit.family, orbit.n, orbit.r, coeffs, trunc, closure)
+    return ClassExpr(kind, orbit.family, orbit.n, orbit.r, coeffs, trunc, closure)

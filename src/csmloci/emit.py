@@ -170,7 +170,7 @@ def class_text(cls, basis, latex=False):
         terms = ((_coeff_prefix(c, latex), _partition_label(lam, latex))
                  for lam, c in schur_sorted(cls.payload))
     else:
-        terms = _poly_terms(cls.in_basis(basis).payload, latex)
+        terms = _poly_terms(cls.chern_poly(), latex)
     return _signed_sum(terms)
 
 
@@ -209,7 +209,7 @@ def class_json_dict(cls, basis):
     elif basis == "schur":
         terms = term_list(schur_sorted(cls.payload))
     else:
-        terms = term_list(sorted_terms(cls.in_basis(basis).payload))
+        terms = term_list(sorted_terms(cls.chern_poly()))
     return {
         "family": str(cls.family),
         "n": cls.n,

@@ -50,6 +50,7 @@ from types import MappingProxyType
 
 from .classes import add_schur, schur_class
 from .orbits import Family, OrbitId, ambient_dim, coranks, inside_weights, suborbit_coranks
+from .partitions import partition
 from .poly import ExactDivisionError, Poly, _norm, product
 from .schur import (_staircase_shift, packed_chern_rows, packed_chern_to_schur,
                     pushforward_schur, schur_dict_to_alpha, symmetric_schur_coeffs)
@@ -396,7 +397,8 @@ def _divides(f, poly):
 def verify_axioms(orbit, candidate=None):
     """Check the interpolation axioms for a candidate csm class: W_orbit by
     default, else a Schur dict or a symmetric Poly in a_1..a_n (read into
-    Schur form once, schur.symmetric_schur_coeffs).
+    Schur form once, schur.symmetric_schur_coeffs); each key is read by
+    partitions.partition, and keys of one partition add up.
 
     For every orbit Omega of the same representation: equality with
     c(T)e(N) at Omega = Sigma, exact divisibility of the restriction by
@@ -412,7 +414,8 @@ def verify_axioms(orbit, candidate=None):
         candidate = w_schur(orbit)
     elif isinstance(candidate, Poly):
         candidate = symmetric_schur_coeffs(candidate, n)
-    coeffs = {lam: c for lam, c in candidate.items() if c and len(lam) <= n}
+    coeffs = add_schur(*({partition(lam): c} for lam, c in candidate.items()))
+    coeffs = {lam: c for lam, c in coeffs.items() if len(lam) <= n}
     checks = []
     for m in coranks(Family.WEDGE, n):
         entry = AxiomCheck(OrbitId(Family.WEDGE, n, m))

@@ -51,7 +51,7 @@ from .orbits import (Family, OrbitId, alpha_vars, as_family, chern_vars, coranks
                      inside_weights)
 from .partitions import partition
 from .poly import ExactDivisionError, Poly, _grlex_key, _mul_dict, _norm, exact_int, product
-from .schur import NotSymmetricError, _staircase_shift, alternant_schur_coeffs
+from .schur import NotSymmetricError, _staircase_shift, alternant_schur_coeffs, schur_dict_to_alpha
 from .sieve import ssm_schur
 
 
@@ -521,9 +521,9 @@ def csm_to_ssm(csm, D):
     at D."""
     family, n = csm.family, csm.n
     cv = TruncSeries(total_chern(family, n, bound=D), D)
-    num = TruncSeries(truncate(csm.alpha_poly(), D), D)
+    num = TruncSeries(truncate(schur_dict_to_alpha(csm.payload, n), D), D)
     coeffs = to_schur_basis(cv.divide_into(num), n)
-    return ClassExpr("ssm", "schur", family, n, csm.r, coeffs, D, csm.closure)
+    return ClassExpr("ssm", family, n, csm.r, coeffs, D, csm.closure)
 
 
 def _pair_blocks(k):
@@ -846,7 +846,9 @@ class CanonicalFraction(LaurentFraction):
 
 def parse_class_json(doc):
     """The class of a JSON class document as json.loads reads it (the text
-    of emit.json_text(emit.class_json_dict(...))), for round-trip checks."""
+    of emit.json_text(emit.class_json_dict(...))), for round-trip checks.
+    Its payload is the Schur dict of a schur document, else the Poly the
+    document writes, in c_1..c_n or a_1..a_n."""
     basis = doc["basis"]
     if basis == "schur":
         payload = {tuple(t["key"]): Fraction(t["coeff"]) for t in doc["terms"]}
@@ -854,6 +856,6 @@ def parse_class_json(doc):
         n = doc["n"]
         vars_ = chern_vars(n) if basis == "chern" else alpha_vars(n)
         payload = Poly(vars_, {tuple(t["key"]): Fraction(t["coeff"]) for t in doc["terms"]})
-    return ClassExpr(doc["kind"], basis, as_family(doc["family"]), doc["n"], doc["r"],
+    return ClassExpr(doc["kind"], as_family(doc["family"]), doc["n"], doc["r"],
                      payload, doc["trunc"], doc.get("closure", False),
                      list(doc.get("warnings", [])))

@@ -120,6 +120,8 @@ MUTANTS = [
     ("verify_axioms: identity probe bound < to <=", "interp.py",
      "max(map(sum, coeffs), default=-1) < comb(n, 2)",
      "max(map(sum, coeffs), default=-1) <= comb(n, 2)"),
+    ("verify_axioms: keys taken as given", "interp.py",
+     "{partition(lam): c}", "{lam: c}", ("tests/test_interp.py",)),
     ("_probe: b-factor representative dropped", "interp.py",
      "if h and m:\n        reps.append(", "if False:\n        reps.append("),
     ("_over_pairs: trial division by the last pair", "ktheory.py",
@@ -134,6 +136,10 @@ MUTANTS = [
     ("run: verify answered from the cache", "cli.py",
      "respond = _respond.__wrapped__ if argv[:1] == (\"verify\",) else _respond",
      "respond = _respond", ("tests/test_cli.py",)),
+    ("run: last piece dropped", "cli.py",
+     "sys.stdout.writelines(out)", "sys.stdout.writelines(out[:-1])", ("tests/test_cli.py",)),
+    ("_partition_label: comma from 11 on", "emit.py",
+     "all(p <= 9 for p in lam)", "all(p <= 10 for p in lam)", ("tests/test_cli.py",)),
     ("sorted_terms: ascending exponents", "emit.py",
      "sorted(poly.terms.items(), key=itemgetter(0), reverse=True)",
      "sorted(poly.terms.items(), key=itemgetter(0))",

@@ -17,8 +17,9 @@ from csmloci.cli import _respond, build_parser, run
 from csmloci.classes import ClassExpr
 from csmloci.emit import TermList, class_json_dict, class_text, coeff_str, json_text, poly_text, \
     sorted_terms
+from csmloci.interp import csm_class
 from csmloci.oracles import parse_class_json
-from csmloci.orbits import Family, alpha_vars, chern_vars
+from csmloci.orbits import Family, OrbitId, alpha_vars, chern_vars
 from csmloci.poly import Poly
 from csmloci.schur import schur_dict_to_alpha, schur_to_chern
 
@@ -43,6 +44,14 @@ def test_class_latex(capsys):
                                     "--basis", "chern", "--format", "latex"])
     assert code == 0
     assert out.strip() == "1 + 2c_{1} + c_{1}^{2} + c_{2}"
+
+
+def test_schur_labels_with_a_part_of_ten_or_more(capsys):
+    # the parts of a label are comma-separated once one is >= 10
+    argv = "class --family sym --n 2 --r 1 --kind ssm --trunc 12 --basis schur".split()
+    assert capture(capsys, argv)[1].endswith("+ 2048s11 + 2048s10,1 - 4096s12 - 4096s11,1\n")
+    assert capture(capsys, argv + ["--format", "latex"])[1].endswith(
+        "+ 2048s_{10,1} - 4096s_{12} - 4096s_{11,1}\n")
 
 
 def test_table_json_matches_table1(capsys):
@@ -88,7 +97,7 @@ def test_json_round_trip(capsys):
     assert code == 0
     # the printed document parses back to a class that prints the same bytes
     cls = parse_class_json(json.loads(out))
-    assert "".join(json_text(class_json_dict(cls, cls.basis))) + "\n" == out
+    assert "".join(json_text(class_json_dict(cls, "schur"))) + "\n" == out
 
 
 @pytest.mark.parametrize("fam", ["wedge", "sym"])
@@ -404,7 +413,7 @@ def test_alpha_writer_matches_the_alpha_poly(drawn):
     # text, LaTeX and JSON written from the monomial coefficients equal those
     # of the expanded polynomial, written term by term from sorted_terms
     coeffs, n = drawn
-    cls = ClassExpr("csm", "schur", Family.SYM, n, 0, coeffs, 6)
+    cls = ClassExpr("csm", Family.SYM, n, 0, coeffs, 6)
     poly = schur_dict_to_alpha(coeffs, n)
     for latex in (False, True):
         assert "".join(class_text(cls, "alpha", latex=latex)) == poly_text(poly, latex)
@@ -416,13 +425,25 @@ def test_long_outputs_are_written_in_blocks():
     # s_12 alone has 6,188 monomials in 6 variables: more than one block of
     # terms, so the text and the JSON document come in several pieces
     coeffs, n = {(12,): 1, (6, 3, 2, 1): -3, (): Fraction(1, 2)}, 6
-    cls = ClassExpr("csm", "schur", Family.SYM, n, 0, coeffs, 12)
+    cls = ClassExpr("csm", Family.SYM, n, 0, coeffs, 12)
     poly = schur_dict_to_alpha(coeffs, n)
     for latex in (False, True):
         pieces = class_text(cls, "alpha", latex=latex)
         assert len(pieces) > 1 and "".join(pieces) == poly_text(poly, latex)
     pieces = json_text(class_json_dict(cls, "alpha"))
     assert len(pieces) > 1 and "".join(pieces) == json.dumps(alpha_poly_doc(cls, poly), indent=2)
+
+
+def test_a_response_of_several_pieces_is_printed_whole(capsys):
+    # the alpha text of W_{6,0} is several blocks of terms, so its response
+    # is a tuple of pieces; run prints them all, and again from the cache
+    argv = "class --family wedge --n 6 --r 0 --basis alpha".split()
+    want = "".join(class_text(csm_class(OrbitId(Family.WEDGE, 6, 0)), "alpha")) + "\n"
+    _respond.cache_clear()
+    assert capture(capsys, argv) == (0, want, "")
+    assert isinstance(_respond(tuple(argv))[1], tuple)
+    assert capture(capsys, argv) == (0, want, "")
+    assert _respond.cache_info()[:2] == (2, 1)       # (hits, misses)
 
 
 OPTIMIZED_REPLAY = """

@@ -57,12 +57,12 @@ def test_golden_outputs_with_warm_caches():
 def test_alpha_records_never_build_the_alpha_poly(monkeypatch):
     # the CLI writes the alpha basis from the monomial coefficients, so every
     # alpha-basis record prints its bytes with the Poly route made to raise
-    import csmloci.classes
+    import csmloci.schur
 
     def refuse(coeffs, n):
         raise RuntimeError("the alpha Poly was built")
 
-    monkeypatch.setattr(csmloci.classes, "schur_dict_to_alpha", refuse)
+    monkeypatch.setattr(csmloci.schur, "schur_dict_to_alpha", refuse)
     alpha = sorted(req for req in RECORDS if "--basis alpha" in req)
     assert len(alpha) == 31
     _respond.cache_clear()

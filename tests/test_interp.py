@@ -526,3 +526,16 @@ def test_axioms_refuse_an_asymmetric_candidate():
         verify_axioms(orbit, Poly(alpha_vars(4), {(1, 1, 1, 1): 1}))
     with pytest.raises(NotSymmetricError):  # symmetric, but a Laurent polynomial
         verify_axioms(orbit, Poly(alpha_vars(3), {(-1, 0, 0): 1, (0, -1, 0): 1, (0, 0, -1): 1}))
+
+
+def test_axioms_read_dict_keys_as_partitions():
+    # a key padded with a zero names the same s_lam, and two keys of one
+    # partition add up: W_{4,r} keyed either way passes
+    for r in (0, 2, 4):
+        orbit = OrbitId(W, 4, r)
+        w = w_schur(orbit)
+        padded = {lam + (0,): c for lam, c in w.items()}
+        split = {**{lam: c - 1 for lam, c in w.items()}, **{lam + (0,): 1 for lam in w}}
+        assert verify_axioms(orbit, padded).ok and verify_axioms(orbit, split).ok
+    with pytest.raises(ValueError, match="not weakly decreasing"):
+        verify_axioms(OrbitId(W, 4, 2), {(1, 2): 1})

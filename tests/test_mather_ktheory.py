@@ -15,6 +15,7 @@ from csmloci.mather import chern_mather_wedge, euler_obstruction_wedge
 from csmloci.oracles import CanonicalFraction, phi_wedge_k_value, total_chern
 from csmloci.orbits import Family, OrbitId, coranks
 from csmloci.poly import Poly, product
+from csmloci.schur import schur_dict_to_alpha
 from csmloci.sieve import euler_numbers
 
 W = Family.WEDGE
@@ -51,7 +52,7 @@ def test_mather_4_2_combination():
 @pytest.mark.parametrize("n", [2, 4])
 def test_mather_smooth_closure_is_total_chern(n):
     # Eu of the full space is 1, so cM is the sum of all orbit csm classes
-    assert chern_mather_wedge(n, 0).alpha_poly() == total_chern(W, n)
+    assert schur_dict_to_alpha(chern_mather_wedge(n, 0).payload, n) == total_chern(W, n)
 
 
 def test_q_factorial_and_binomial():

@@ -14,7 +14,7 @@ from csmloci.oracles import (NotSymmetricError, TruncSeries, _schur_terms,
                              branching_schur_dict_to_alpha, chern_to_alpha,
                              euler_class, schur_dict_value, schur_poly, to_chern_basis,
                              to_schur_basis, weight_pairs)
-from csmloci.interp import csm_class, w_schur
+from csmloci.interp import w_schur
 from csmloci.orbits import Family, OrbitId, alpha_vars, chern_vars, orbits
 from csmloci.partitions import conjugate, count_ssyt, partition, staircase
 from csmloci.poly import Poly
@@ -374,17 +374,6 @@ def test_cached_expansions_are_read_only():
         with pytest.raises(TypeError):
             cached[(1, 1, 1)] = 999
     assert dict(_kostka_row((2, 1), 3)) == {(2, 1): 1, (1, 1, 1): 2}
-
-
-def test_class_converts_only_out_of_the_schur_basis():
-    # classes are computed in Schur form; a Chern or alpha payload is output
-    cls = csm_class(OrbitId(Family.SYM, 2, 1))
-    chern, alpha = cls.in_basis("chern"), cls.in_basis("alpha")
-    assert chern.payload == schur_to_chern(cls.payload, 2)
-    assert alpha.payload == schur_dict_to_alpha(cls.payload, 2)
-    for out, basis in ((chern, "schur"), (chern, "alpha"), (alpha, "schur"), (alpha, "chern")):
-        with pytest.raises(ValueError, match="output only"):
-            out.in_basis(basis)
 
 
 POINT = (Fraction(1, 2), Fraction(-3), Fraction(2), Fraction(5, 3), Fraction(-1, 7))
