@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 # command pays only for the layers it uses.
 _EXPORTS = {name: module for module, names in (
     ("classes", "ClassExpr"),
-    ("interp", "csm_class restriction_data ssm_interp verify_axioms w_function"),
+    ("interp", "csm_class ssm_interp verify_axioms w_function"),
     ("ktheory", "motivic_segre_sieve phi_wedge_k q_binomial q_euler_numbers q_factorial"),
     ("laurent", "LaurentFraction"),
     ("mather", "chern_mather_wedge euler_obstruction_wedge"),

@@ -27,14 +27,17 @@ Closure classes and the Chern-Mather class are sums of orbit classes over
 the orbits in the closure (closure_schur).
 
 The interpolation axioms (verify_axioms) are checked on the Schur form, by
-a route that shares nothing with the kernel.  At the probe Sigma_{n,m} the
-roots go to (s_1, -s_1, ..., s_h, -s_h, b_1..b_m), h = (n - m)/2, and each
-s_lam is restricted by branching, one pair per step:
+a route that shares nothing with the kernel.  One rule (_probe) builds the
+probe Sigma_{n,m} from the weights of V: the roots go to (s_1, -s_1, ...,
+s_h, -s_h, b_1..b_m), h = (n - m)/2, each weight to the sum of its two
+roots, a normal weight when both are b's and else a tangent factor 1 + w
+unless w = 0; c(T)e(N) is the product of the factors and the degree bound
+their number.  Each s_lam is restricted by branching, one pair per step:
 s_lam(x, -x, rest) = sum_mu x^|lam/mu| c(lam, mu) s_mu(rest), with
 c(lam, mu) = 0 or +-1 (_pair_branching), cached per (lam, h, m).  The probe
 m = n restricts by the identity and is read off the Schur dict.  Axiom 2
-takes one trial division per class of tangent factors (_probe): the image
-of a symmetric class is invariant under a group that permutes each class
+takes one trial division per class of tangent factors: the image of a
+symmetric class is invariant under a group that permutes each class
 transitively.
 """
 
@@ -44,12 +47,13 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, combinations
 from math import comb
 from types import MappingProxyType
 
 from .classes import add_schur, schur_class
-from .orbits import Family, OrbitId, ambient_dim, coranks, inside_weights, suborbit_coranks
+from .orbits import (Family, OrbitId, alpha_vars, ambient_dim, coranks, inside_weights,
+                     suborbit_coranks)
 from .partitions import partition
 from .poly import ExactDivisionError, Poly, _norm, product
 from .schur import (_staircase_shift, packed_chern_rows, packed_chern_to_schur,
@@ -226,67 +230,41 @@ def ssm_interp(orbit, D, closure=False):
     return schur_class("ssm", orbit, coeffs, trunc=D, closure=closure)
 
 
-# -- restriction data and the interpolation axioms ---------------------
+# -- the probes and the interpolation axioms ----------------------------
 
-@dataclass
-class RestrictionData:
-    """Restriction to an orbit's stabilizer torus (skew-symmetric family).
+@lru_cache(maxsize=None)
+def _probe(n, m):
+    """(vars, roots, tangent factors, representatives, c(T)e(N), degree
+    bound) at the probe Sigma_{n,m} of the wedge family, all read-only.
 
-    substitution sends a_1..a_n to (s_1, -s_1, ..., s_h, -s_h,
-    a_{n-m+1}, ..., a_n); tangent_factors multiply to c(T_Sigma) and
-    normal_factors to e(N_Sigma).
-    """
+    The roots map a_1..a_n to (s_1, -s_1, ..., s_h, -s_h, b_1..b_m) over
+    vars = (s_1..s_h, b_1..b_m), h = (n - m)/2, where b_j keeps the name
+    a_(n-m+j).  Each weight a_i + a_j of V goes to the sum w of its roots: a
+    normal weight when both are b's, else the tangent factor 1 + w unless
+    w = 0.  c(T)e(N) is the product of the factors, of degree their number.
 
-    orbit: OrbitId
-    vars: tuple
-    substitution: dict
-    tangent_factors: list
-    normal_factors: list
-
-    @property
-    def tangent_chern(self):
-        return product(self.tangent_factors, self.vars)
-
-    @property
-    def normal_euler(self):
-        return product(self.normal_factors, self.vars)
-
-    def bound_degree(self):
-        """deg c(T)e(N) = binom(n,2) - (n-m)/2."""
-        n, m = self.orbit.n, self.orbit.r
-        return comb(n, 2) - (n - m) // 2
-
-
-def restriction_data(orbit):
-    if orbit.family is not Family.WEDGE:
-        raise ValueError("restriction data is only available for the wedge family")
-    n, m = orbit.n, orbit.r
+    The image of a symmetric polynomial at the probe is invariant under
+    permutations of the b, permutations of the pairs and each s_i -> -s_i.
+    These act transitively on each class of tangent factors, 1 +- s_i +- s_j
+    and 1 +- s_i + b_j, and distinct linear factors each divide exactly when
+    their product does, so the first factor of each class stands for c(T)
+    in axiom 2 (as in ktheory._over_pairs)."""
+    OrbitId(Family.WEDGE, n, m)  # refuses an (n, m) that names no wedge orbit
     h = (n - m) // 2
-    rvars = tuple(f"s{i}" for i in range(1, h + 1)) + tuple(
-        f"a{i}" for i in range(n - m + 1, n + 1))
-    sub = {}
-    for i in range(1, n - m + 1):
-        name = f"s{(i + 1) // 2}"
-        img = Poly.variable(rvars, name)
-        sub[f"a{i}"] = img if i % 2 == 1 else img.scale(-1)
-    for i in range(n - m + 1, n + 1):
-        sub[f"a{i}"] = Poly.variable(rvars, f"a{i}")
-
-    tangent = []
-    for i in range(1, h + 1):
-        for j in range(i + 1, h + 1):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    tangent.append(Poly.linear(rvars, 1, **{f"s{i}": si, f"s{j}": sj}))
-    for i in range(1, h + 1):
-        for j in range(n - m + 1, n + 1):
-            for si in (1, -1):
-                tangent.append(Poly.linear(rvars, 1, **{f"s{i}": si, f"a{j}": 1}))
-    normal = []
-    for i in range(n - m + 1, n + 1):
-        for j in range(i + 1, n + 1):
-            normal.append(Poly.linear(rvars, 0, **{f"a{i}": 1, f"a{j}": 1}))
-    return RestrictionData(orbit, rvars, sub, tangent, normal)
+    rvars = tuple(f"s{i}" for i in range(1, h + 1)) + alpha_vars(n)[n - m:]
+    roots = tuple(Poly.linear(rvars, **{rvars[i // 2]: -1 if i & 1 else 1}).read_only()
+                  if i < 2 * h else Poly.variable(rvars, rvars[i - h]).read_only()
+                  for i in range(n))
+    tangent, normal, reps = [], [], {}
+    for i, j in combinations(range(n), 2):
+        weight = roots[i] + roots[j]
+        if i >= 2 * h:
+            normal.append(weight)
+        elif not weight.is_zero():
+            tangent.append((weight + 1).read_only())
+            reps.setdefault(j >= 2 * h, tangent[-1])
+    return (rvars, roots, tuple(tangent), tuple(reps.values()),
+            product(tangent + normal, rvars).read_only(), len(tangent) + len(normal))
 
 
 def _pair_branching(lam):
@@ -333,33 +311,13 @@ def _restricted_schur(lam, h, m):
 
 def restrict_schur(coeffs, probe):
     """The Schur dict coeffs restricted to the torus of the probe orbit, a
-    polynomial in restriction_data(probe).vars, by _restricted_schur."""
+    polynomial in _probe's vars, by _restricted_schur."""
     n, m = probe.n, probe.r
     out = defaultdict(int)
     for lam, c in coeffs.items():
         for e, k in _restricted_schur(lam, (n - m) // 2, m).items():
             out[e] += c * k
     return Poly(_probe(n, m)[0], {e: _norm(c) for e, c in out.items() if c}, _clean=False)
-
-
-@lru_cache(maxsize=None)
-def _probe(n, m):
-    """(vars, tangent factor representatives, c(T)e(N), degree bound) at
-    the probe Sigma_{n,m}, the polynomials read-only.
-
-    The image of a symmetric polynomial at the probe is invariant under
-    permutations of the b = a_{n-m+1}..a_n, permutations of the pairs and
-    each s_i -> -s_i.  These act transitively on each class of tangent
-    factors, 1 +- s_i +- s_j and 1 +- s_i + b_j, and distinct linear
-    factors each divide exactly when their product does, so 1 + s_1 + s_2
-    and 1 + s_1 + b_1 stand for c(T) (as in ktheory._over_pairs)."""
-    data = restriction_data(OrbitId(Family.WEDGE, n, m))
-    h, b1 = (n - m) // 2, f"a{n - m + 1}"
-    reps = [Poly.linear(data.vars, 1, s1=1, s2=1)] if h >= 2 else []
-    if h and m:
-        reps.append(Poly.linear(data.vars, 1, s1=1, **{b1: 1}))
-    return (data.vars, tuple(rep.read_only() for rep in reps),
-            (data.tangent_chern * data.normal_euler).read_only(), data.bound_degree())
 
 
 @dataclass
@@ -426,7 +384,7 @@ def verify_axioms(orbit, candidate=None):
             if m != r:
                 entry.axiom3 = max(map(sum, coeffs), default=-1) < comb(n, 2)
         else:
-            _, factors, tangent_normal, bound = _probe(n, m)
+            _, _, _, factors, tangent_normal, bound = _probe(n, m)
             image = restrict_schur(coeffs, entry.probe)
             if m < r:
                 entry.vanishing = image.is_zero()

@@ -8,7 +8,7 @@ production classes against.  No production module imports this.
   Kostka route and the Pieri strips.
 - total_chern and euler_class expand c(V) and e(V) in the Chern roots, one
   factor per weight (weight_pairs); they check chern_schur, the smooth
-  Chern-Mather class and the restriction data.
+  Chern-Mather class and the probes' c(T)e(N).
   chern_schur_bareiss computes each of Lascoux's coefficients of c(V) by its
   own determinant; it checks chern_schur's shared expansion.
 - to_chern_basis, chern_to_alpha and to_schur_basis convert through the full
@@ -45,7 +45,7 @@ from operator import add as _add
 from types import MappingProxyType
 
 from .classes import ClassExpr, add_schur
-from .interp import AxiomCheck, AxiomReport, restriction_data, w_function
+from .interp import AxiomCheck, AxiomReport, _probe, w_function
 from .laurent import LaurentFraction
 from .orbits import (Family, OrbitId, alpha_vars, as_family, chern_vars, coranks,
                      inside_weights)
@@ -674,10 +674,11 @@ def phi_from_ssm(orbit, D):
     return add_schur(*pieces, coeffs=coeffs)
 
 
-def restrict(data, poly):
-    """poly in a_1..a_n restricted to the probe torus of data (a
-    RestrictionData) by substituting each root."""
-    return poly.substitute(data.substitution, data.vars)
+def restrict(probe, poly):
+    """poly in a_1..a_n restricted to the torus of the probe orbit by
+    substituting each root of interp._probe."""
+    rvars, roots = _probe(probe.n, probe.r)[:2]
+    return poly.substitute(dict(zip(alpha_vars(probe.n), roots)), rvars)
 
 
 def verify_axioms_by_substitution(orbit, candidate=None):
@@ -690,16 +691,16 @@ def verify_axioms_by_substitution(orbit, candidate=None):
     checks = []
     for m in coranks(Family.WEDGE, n):
         probe = OrbitId(Family.WEDGE, n, m)
-        data = restriction_data(probe)
-        image = restrict(data, candidate)
+        _, _, tangent, _, tangent_normal, bound = _probe(n, m)
+        image = restrict(probe, candidate)
         entry = AxiomCheck(probe)
         if m < r:
             entry.vanishing = image.is_zero()
         if m == r:
-            entry.axiom1 = (image == data.tangent_chern * data.normal_euler)
+            entry.axiom1 = (image == tangent_normal)
         rem = image
         ok2 = True
-        for f in data.tangent_factors:
+        for f in tangent:
             try:
                 rem = rem.exact_divide(f)
             except ExactDivisionError:
@@ -707,7 +708,7 @@ def verify_axioms_by_substitution(orbit, candidate=None):
                 break
         entry.axiom2 = ok2
         if m != r:
-            entry.axiom3 = image.total_degree() < data.bound_degree()
+            entry.axiom3 = image.total_degree() < bound
         checks.append(entry)
     return AxiomReport(orbit, checks)
 

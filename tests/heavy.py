@@ -15,6 +15,8 @@ differs.
   - "phi sym <n> <r> <D>": repr(sorted(phi_schur(o, D).items())); the time
     is split into the kernel (phi_cv_schur, its inner c(V) included) and
     the division by c(V) that follows.
+  - "axioms <n>": the lines of verify.suite_axioms(n) joined by newlines,
+    which `verify --suite axioms --max-n n` prints before its verdict.
 
 Standard library only, and not collected by pytest.  The n = 9 checks take
 minutes and several hundred MB each.
@@ -37,6 +39,7 @@ CHECKS = {
     "w sym 9": "0e4ab997f13204fe",
     "phi sym 8 2 24": "5cb062ac1f5a644b",
     "phi sym 9 2 30": "cfae303d482b6ea6",
+    "axioms 7": "090168ca0b7af718",
 }
 
 
@@ -52,16 +55,23 @@ def run_check(name):
     from csmloci.interp import w_schur
     from csmloci.orbits import OrbitId, as_family, orbits
     from csmloci.sieve import phi_cv_schur, phi_schur
+    from csmloci.verify import suite_axioms
 
-    kind, family, *args = name.split()
-    family, n = as_family(family), int(args[0])
+    kind, *args = name.split()
+    if kind == "axioms":
+        start = time.process_time()
+        _, lines = suite_axioms(int(args[0]))
+        value = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+        return {"digest": value, "cpu_s": time.process_time() - start}
+    family, n, *args = args
+    family, n = as_family(family), int(n)
     if kind == "w":
         for orbit in orbits(family, n - 1):
             w_schur(orbit)
         start = time.process_time()
         value = digest(w_schur(orbit) for orbit in orbits(family, n))
         return {"digest": value, "cpu_s": time.process_time() - start}
-    orbit, D = OrbitId(family, n, int(args[1])), int(args[2])
+    orbit, D = OrbitId(family, n, int(args[0])), int(args[1])
     start = time.process_time()
     phi_cv_schur(orbit, D)
     kernel = time.process_time()

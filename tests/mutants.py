@@ -123,7 +123,13 @@ MUTANTS = [
     ("verify_axioms: keys taken as given", "interp.py",
      "{partition(lam): c}", "{lam: c}", ("tests/test_interp.py",)),
     ("_probe: b-factor representative dropped", "interp.py",
-     "if h and m:\n        reps.append(", "if False:\n        reps.append("),
+     "reps.setdefault(j >= 2 * h, ", "reps.setdefault(False, "),
+    ("_probe: second root of a pair not negated", "interp.py",
+     "-1 if i & 1 else 1", "1"),
+    ("_probe: normal weights taken as tangent", "interp.py",
+     "if i >= 2 * h:", "if i > 2 * h:"),
+    ("_probe: vanishing weight kept as a factor", "interp.py",
+     "elif not weight.is_zero():", "else:"),
     ("_over_pairs: trial division by the last pair", "ktheory.py",
      "quo = num.exact_divide(factors[0]) if factors else num\n"
      "    except ExactDivisionError:\n"

@@ -1,23 +1,25 @@
-"""W-functions, restriction data and the interpolation axiom verifier."""
+"""W-functions, the axiom probes and the interpolation axiom verifier."""
 
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csmloci.classes import add_schur
-from csmloci.interp import (_cv_rows, _restricted_schur, chern_schur, csm_class,
-                            restrict_schur, restriction_data, ssm_interp, ssm_interp_schur,
-                            verify_axioms, w_function, w_schur)
+from csmloci.interp import (_cv_rows, _probe, _restricted_schur, chern_schur, csm_class,
+                            restrict_schur, ssm_interp, ssm_interp_schur, verify_axioms,
+                            w_function, w_schur)
 from csmloci.oracles import (_require_symmetric, csm_to_ssm, restrict, schur_dict_value,
                              to_chern_basis, total_chern, verify_axioms_by_substitution,
                              w_inner_value, w_value)
 from csmloci.orbits import Family, OrbitId, alpha_vars, ambient_dim, coranks, orbits
 from csmloci.partitions import partition, staircase
-from csmloci.poly import Poly
+from csmloci.poly import Poly, product
 from csmloci.schur import NotSymmetricError, schur_dict_to_alpha
 from csmloci.sieve import ssm_schur, ssm_sieve
 
@@ -258,9 +260,10 @@ def test_cached_results_are_read_only():
         assert (poly.vars, dict(poly.terms)) == was
     assert dict(phi_wedge_k(2, 2).value.num.terms) == num
     assert q_binomial(4, 2).terms[(2,)] == 2 and q_factorial(3).terms[(1,)] == 2
-    # the axiom verifier's probe: its tangent-factor representatives and c(T)e(N)
-    _, reps, tangent_normal, _ = _probe(5, 1)
-    for poly in reps + (tangent_normal,):
+    # the axiom verifier's probe: its roots, tangent factors, their
+    # representatives and c(T)e(N)
+    _, roots, tangent, reps, tangent_normal, _ = _probe(5, 1)
+    for poly in roots + tangent + reps + (tangent_normal,):
         was = dict(poly.terms)
         with pytest.raises(TypeError):
             poly.terms[next(iter(was))] = 999
@@ -403,45 +406,68 @@ def test_stable_schur_output():
 
 
 def test_restriction_data_smallest():
-    data = restriction_data(OrbitId(W, 2, 0))
-    assert data.substitution["a1"] == Poly.variable(data.vars, "s1")
-    assert data.substitution["a2"] == Poly.variable(data.vars, "s1").scale(-1)
-    assert data.tangent_chern == Poly.const(data.vars, 1)
-    assert data.normal_euler == Poly.const(data.vars, 1)
+    rvars, roots, tangent, reps, tangent_normal, bound = _probe(2, 0)
+    s1 = Poly.variable(rvars, "s1")
+    assert (rvars, roots) == (("s1",), (s1, s1.scale(-1)))
+    assert (tangent, reps, bound) == ((), (), 0)
+    assert tangent_normal == Poly.const(rvars, 1)
 
 
 def test_restriction_data_full_corank():
     from csmloci.oracles import euler_class
-    data = restriction_data(OrbitId(W, 3, 3))
-    assert data.vars == alpha_vars(3)
-    assert data.normal_euler == euler_class(W, 3)
-    assert all(data.substitution[v] == Poly.variable(data.vars, v) for v in data.vars)
+    rvars, roots, tangent, reps, tangent_normal, bound = _probe(3, 3)
+    assert rvars == alpha_vars(3)
+    assert roots == tuple(Poly.variable(rvars, v) for v in rvars)
+    assert (tangent, reps, bound) == ((), (), 3)
+    assert tangent_normal == euler_class(W, 3)
 
 
 def test_restriction_data_4_2():
-    data = restriction_data(OrbitId(W, 4, 2))
-    assert data.vars == ("s1", "a3", "a4")
-    assert data.normal_euler == Poly.linear(data.vars, 0, a3=1, a4=1)
-    expect = Poly.linear(data.vars, 1, s1=1, a3=1) * Poly.linear(data.vars, 1, s1=-1, a3=1) \
-        * Poly.linear(data.vars, 1, s1=1, a4=1) * Poly.linear(data.vars, 1, s1=-1, a4=1)
-    assert data.tangent_chern == expect
+    rvars, _, tangent, reps, tangent_normal, _ = _probe(4, 2)
+    assert rvars == ("s1", "a3", "a4")
+    expect = [Poly.linear(rvars, 1, s1=1, a3=1), Poly.linear(rvars, 1, s1=1, a4=1),
+              Poly.linear(rvars, 1, s1=-1, a3=1), Poly.linear(rvars, 1, s1=-1, a4=1)]
+    assert list(tangent) == expect and reps == (expect[0],)
+    assert tangent_normal == product(expect) * Poly.linear(rvars, 0, a3=1, a4=1)
 
 
-def test_restriction_data_sym_unavailable():
-    with pytest.raises(ValueError):
-        restriction_data(OrbitId(S, 3, 1))
+def test_verify_axioms_refuses_sym():
+    with pytest.raises(ValueError, match="only available for the wedge family"):
+        verify_axioms(OrbitId(S, 3, 1))
 
 
 def test_restriction_degree_bound():
     # deg(c(T) e(N)) = binom(n,2) - (n-m)/2, and e(N) is never zero
-    from math import comb
     for n in (2, 3, 4, 5):
         for m in coranks(W, n):
-            data = restriction_data(OrbitId(W, n, m))
-            prod = data.tangent_chern * data.normal_euler
-            assert not data.normal_euler.is_zero()
-            assert prod.total_degree() == data.bound_degree() == \
-                comb(n, 2) - (n - m) // 2
+            _, _, _, _, tangent_normal, bound = _probe(n, m)
+            assert tangent_normal.total_degree() == bound == comb(n, 2) - (n - m) // 2
+
+
+def test_probe_matches_hand_enumeration():
+    # the probe's rule from the weights of V against the factors written
+    # out by hand: 1 +- s_i +- s_j (i < j <= h) and 1 +- s_i + b_j tangent,
+    # b_i + b_j normal, one representative per non-empty class
+    def key(poly):
+        return tuple(sorted(poly.terms.items()))
+
+    for n in range(1, 8):
+        for m in coranks(W, n):
+            h = (n - m) // 2
+            rvars, roots, tangent, reps, tangent_normal, bound = _probe(n, m)
+            s = [Poly.variable(rvars, f"s{i}") for i in range(1, h + 1)]
+            b = [Poly.variable(rvars, f"a{j}") for j in range(n - m + 1, n + 1)]
+            signed = [(x, x.scale(-1)) for x in s]
+            assert roots == sum(signed, ()) + tuple(b)
+            pairs = [x + y + 1 for i, xs in enumerate(signed) for ys in signed[i + 1:]
+                     for x in xs for y in ys]
+            mixed = [x + y + 1 for xs in signed for x in xs for y in b]
+            normal = [x + y for i, x in enumerate(b) for y in b[i + 1:]]
+            assert Counter(map(key, tangent)) == Counter(map(key, pairs + mixed)), (n, m)
+            assert tangent_normal == product(pairs + mixed + normal, rvars)
+            assert bound == comb(n, 2) - h
+            assert [key(f) for f in reps] == [key(c[0]) for c in (pairs, mixed) if c]
+            assert {key(f) for f in reps} <= set(map(key, tangent))
 
 
 @pytest.mark.parametrize("n,r", [(2, 0), (2, 2), (3, 1), (3, 3), (4, 0), (4, 2), (4, 4)])
@@ -475,8 +501,7 @@ def test_branching_restriction_matches_substitution(h, m, data):
     if n == 0:
         return
     lam = partition(sorted(data.draw(st.lists(st.integers(0, 5), max_size=n)), reverse=True))
-    probe = restriction_data(OrbitId(W, n, m))
-    expect = restrict(probe, schur_dict_to_alpha({lam: 1}, n))
+    expect = restrict(OrbitId(W, n, m), schur_dict_to_alpha({lam: 1}, n))
     assert dict(_restricted_schur(lam, h, m)) == expect.terms
 
 
@@ -490,7 +515,7 @@ def test_axiom_routes_agree_for_n_le_5():
             for m in coranks(W, n):
                 probe = OrbitId(W, n, m)
                 assert restrict_schur(w_schur(orbit), probe) == \
-                    restrict(restriction_data(probe), poly), (orbit, probe)
+                    restrict(probe, poly), (orbit, probe)
             report = verify_axioms(orbit)
             assert report.ok
             assert report == verify_axioms_by_substitution(orbit) == verify_axioms(orbit, poly)

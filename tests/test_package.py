@@ -1,7 +1,9 @@
-"""The package namespace: every public name resolves, submodules load lazily."""
+"""The package namespace: every public name resolves, submodules load lazily,
+and README's library example runs."""
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -29,3 +31,15 @@ def test_cli_import_skips_the_math_layers():
                   "oracles"):
         assert f"csmloci.{heavy}" not in loaded
     assert "json" not in loaded  # emit imports it when a document is written
+
+
+def test_readme_library_example(capsys):
+    # the code block under "## Library" prints the class that `csmloci class`
+    # prints for the same orbit
+    from csmloci.cli import run
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    code = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(code, {})
+    printed = capsys.readouterr().out
+    assert run(["class", "--family", "wedge", "--n", "4", "--r", "2"]) == 0
+    assert printed.splitlines()[-1] == capsys.readouterr().out.rstrip("\n")
