@@ -12,10 +12,14 @@ polynomials in a_J, the factors over I x J enter by the Pieri rule, and the
 bialternant identity gives Schur coefficients.  The open orbit comes from
 additivity: the csm classes of all orbits add up to c(V), so
 W_{n,0} = c(V) - sum_{r>=1} W_{n,r}, and the recursion closes because
-W_{n,r} needs only W_{n-r,0}; c(V) in Schur form comes from Lascoux's
-closed formula (chern_schur).  Each class of V_n (c(V), W and the sieve's
-Phi c(V)) is one cached function, exact, or cut at D by a trailing cut
-(D,) that it passes on to every class it is built from.
+W_{n,r} needs only W_{n-r,0}.  c(V) in Schur form (chern_schur) is
+coeff s_lam(a + 1/2), and comes from one box-removal recurrence: with
+D = sum_i d/da_i, s_lam(a + t) = exp(t D) s_lam(a), and D takes off one
+box of content c with weight n + c.  Lascoux's determinants
+(oracles.chern_schur_bareiss) are the test oracle.  Each class of V_n
+(c(V), W and the sieve's Phi c(V)) is one cached function, exact, or cut
+at D by a trailing cut (D,) that it passes on to every class it is built
+from.
 
 The ssm class through degree D is W_{n,r} / c(V); both routes divide by
 c(V) through over_cv, the one bound check, by one long division in
@@ -48,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
-from math import comb
+from math import comb, factorial
 from types import MappingProxyType
 
 from .classes import add_schur, schur_class
@@ -56,8 +60,8 @@ from .orbits import (Family, OrbitId, alpha_vars, ambient_dim, coranks, inside_w
                      suborbit_coranks)
 from .partitions import partition
 from .poly import ExactDivisionError, Poly, _norm, product
-from .schur import (_staircase_shift, packed_chern_rows, packed_chern_to_schur,
-                    pushforward_schur, schur_dict_to_alpha, symmetric_schur_coeffs)
+from .schur import (packed_chern_rows, packed_chern_to_schur, pushforward_schur,
+                    schur_dict_to_alpha, symmetric_schur_coeffs)
 
 
 # -- the W-functions ----------------------------------------------------
@@ -120,50 +124,38 @@ def chern_schur(family, n, *cut):
     degree D when cut is (D,).
 
     With y_i = 1/2 + a_i, c(V) = prod (y_i + y_j) = coeff s_lam(y) for
-    (lam, coeff) = inside_weights(family, n).  Lascoux's formula (Macdonald,
-    Symmetric Functions, I.3 Ex. 10) expands s_lam(1 + x) over the mu inside
-    lam with the positive coefficients det(C(t_i, b_j)), t = lam + delta_n
-    and b = mu + delta_n, so c(V) = coeff sum_mu 2^(|mu| - |lam|) det s_mu(a);
-    the power of 2 is taken off by a shift, checked exact.
-
-    Every determinant comes from one Laplace expansion, column by column with
-    mu_1 first: the minor on a set R of k rows and the columns b_1..b_k is
-    the sum over i in R of C(t_i, b_k) times the minor on R - {i} and
-    b_1..b_(k-1), with the sign (-1)^(number of rows of R after i).  One minor
-    is kept per row set, so the mu that share a prefix share its minors; a
-    prefix stops once its size passes the cut."""
+    (lam, coeff) = inside_weights(family, n).  Let D = sum_i d/da_i.  Then
+    s_lam(a + t) = exp(t D) s_lam(a), and D takes off one box:
+    D s_nu = sum (n + c(nu/mu)) s_mu over the mu = nu less one box, c the
+    content (column less row) of that box.  So the coefficient of s_mu in
+    c(V) is coeff g(mu) / (2^k k!), k = |lam/mu|, where g(lam) = 1 and
+    g(mu) = sum g(nu) (n + c(nu/mu)) over the nu = mu plus one box inside
+    lam.  g is built one size at a time from lam down to (), every size
+    within the cut is divided exactly (checked), and the dict is sorted
+    once.  The walk visits every partition inside lam whatever the cut, so
+    a cut c(V) costs about what the exact one does.
+    oracles.chern_schur_bareiss, one Lascoux determinant per mu
+    (Macdonald, Symmetric Functions, I.3 Ex. 10), is the reference."""
     lam, coeff = inside_weights(family, n)
     top = sum(lam)
     max_size = cut[0] if cut else top
-    lam += (0,) * (n - len(lam))
-    tops = _staircase_shift(lam, n)
-    out = {}
-
-    def expand(mu, size, minors):
-        k = len(mu)
-        if k == n:
-            value, drop = coeff * minors.get((1 << n) - 1, 0), top - size
-            if value & ((1 << drop) - 1):
-                raise ExactDivisionError(f"c(V) coefficient of s{mu} is not an integer: "
-                                         f"{Fraction(value, 1 << drop)}")
-            out[mu[:n - mu.count(0)]] = value >> drop
-            return
-        for part in range(min(mu[-1:] + (lam[k],)) + 1):
-            if size + part > max_size:
-                break
-            b = part + n - 1 - k
-            column = [comb(t, b) for t in tops if t >= b]  # C(t, b) = 0 below
-            extended = {}
-            for used, minor in minors.items():
-                for i, entry in enumerate(column):
-                    if not used >> i & 1:
-                        key = used | 1 << i
-                        signed = -entry if (used >> i).bit_count() & 1 else entry
-                        extended[key] = extended.get(key, 0) + signed * minor
-            expand(mu + (part,), size + part, extended)
-
-    expand((), 0, {0: 1})
-    return MappingProxyType(out)
+    level, out = {lam: 1}, {}
+    for k in range(top + 1):  # level: {mu: g(mu)} over the mu of size top - k
+        if top - k <= max_size:
+            scale = factorial(k) << k
+            for mu, g in level.items():
+                value, rest = divmod(coeff * g, scale)
+                if rest:
+                    raise ExactDivisionError(f"c(V) coefficient of s{mu} is not an integer: "
+                                             f"{Fraction(coeff * g, scale)}")
+                out[mu] = value
+        below = defaultdict(int)
+        for nu, g in level.items():
+            for i, part in enumerate(nu):
+                if i + 1 == len(nu) or nu[i + 1] < part:  # a box to take off row i
+                    below[nu[:i] + (part - 1,) * (part > 1) + nu[i + 1:]] += g * (n + part - 1 - i)
+        level = below
+    return MappingProxyType(dict(sorted(out.items())))
 
 
 def divide_by_cv(coeffs, family, n, D):

@@ -10,7 +10,7 @@ production classes against.  No production module imports this.
   factor per weight (weight_pairs); they check chern_schur, the smooth
   Chern-Mather class and the probes' c(T)e(N).
   chern_schur_bareiss computes each of Lascoux's coefficients of c(V) by its
-  own determinant; it checks chern_schur's shared expansion.
+  own determinant; it checks chern_schur's box-removal recurrence.
 - to_chern_basis, chern_to_alpha and to_schur_basis convert through the full
   polynomial in the roots.  They check schur_to_chern, chern_to_schur and
   each other.
@@ -500,7 +500,7 @@ def schur_dict_value(coeffs, vals):
 def chern_schur_bareiss(family, n):
     """c(V) in Schur form by Lascoux's formula with one Bareiss determinant
     det(C(lam_i + n - i, mu_j + n - j)) and one exact Fraction per mu inside
-    lam: the reference for interp.chern_schur's shared column expansion."""
+    lam: the reference for interp.chern_schur's box-removal recurrence."""
     lam, coeff = inside_weights(family, n)
     mus = [()]
     for part in lam:

@@ -35,7 +35,13 @@ polynomials in a_J that multiply that monomial in a_I, each named by its
 tail mask; a cross factor enters by the vertical strips (e_k) of the mask
 table, a truncated product is cut by the degree its factors still to come
 must add, and the Schur coefficients are read off once per sorted
-I-exponent by the bialternant identity.
+I-exponent by the bialternant identity.  A cross factor with c = 0 is
+homogeneous of degree m and has its own pass (_exact_pieri_mul), which keeps
+or drops each term of mu whole.  The state is built one alpha_0 row at a
+time: after the passes on a_0, each row runs alone through the passes on
+a_1..a_(r-1) and is read off before the next row starts.  That is exact,
+since those passes never change alpha_0 and the read-off is a sum over
+rows, and the transient state is then one row's, not the whole state.
 alternant_schur_coeffs reads them off a full polynomial in the roots, for
 K theory.  Both read-offs write each strictly decreasing exponent tuple as
 the bitmask of its entries: one sort-and-sign step (_alternant_mask) takes
@@ -152,14 +158,6 @@ def alternant_schur_coeffs(poly, n_alt):
 
 # -- Grassmannian pushforward -------------------------------------------
 
-def _power_terms(c, q, upto):
-    """[(t, coeff)] of (c + x)^q, q >= 0, through x^upto, ascending; c is 0
-    or 1."""
-    if c == 0:
-        return [(q, 1)] if q <= upto else []
-    return [(t, comb(q, t)) for t in range(min(q, upto) + 1)]
-
-
 def _pieri_mul(state, i, fk, masks, bound):
     """state times sum_k fk[k](a_i) e_k(a_J), where fk[k] lists (t, coeff)
     of a polynomial in a_i by ascending t, and the rows of state are keyed
@@ -193,17 +191,43 @@ def _pieri_mul(state, i, fk, masks, bound):
                     cb = c * b
                     for nu in nus:
                         dest[nu] += cb
-    return _nonzero(out)
+    return out
 
 
-def _nonzero(state):
-    """state without its zero coefficients and empty rows."""
-    return {alpha: kept for alpha, row in state.items()
-            if (kept := {mu: c for mu, c in row.items() if c})}
+def _exact_pieri_mul(state, i, s, m, masks, bound):
+    """state times sum_k s^k a_i^(m - k) e_k(a_J), a cross factor with
+    c = 0, which is homogeneous of degree m; the rows as in _pieri_mul.
+    The terms of (alpha, mu) are kept whole when |mu| <= free - m, free the
+    cut less |alpha|, and else dropped whole.  k runs from
+    max(0, m - (alpha_{i-1} - alpha_i)), so that no alpha_i passes
+    alpha_{i-1}, to m, and the row of each k is looked up once per alpha."""
+    signs = [s ** k for k in range(m + 1)]
+    out = {}
+    for alpha, row in state.items():
+        room = bound - sum(alpha) - m
+        if room < 0:
+            continue
+        head, ai, tail = alpha[:i], alpha[i], alpha[i + 1:]
+        low = max(0, m - alpha[i - 1] + ai) if i else 0
+        dests = []
+        for k in range(low, m + 1):
+            dest = out.get(a2 := head + (ai + m - k,) + tail)
+            if dest is None:
+                dest = out[a2] = defaultdict(int)
+            dests.append(dest)
+        for mu, c in row.items():
+            size, table = masks[mu]
+            if size > room:
+                continue
+            for dest, sign, nus in zip(dests, signs[low:], table[low:]):
+                cs = c * sign
+                for nu in nus:
+                    dest[nu] += cs
+    return out
 
 
 def pushforward_schur(family, n, r, inner, cross, max_deg=None):
-    """Schur coefficients of the sum over the r-subsets I of [n] of
+    """Schur coefficients of the sum over the r-subsets I of [n], r >= 1, of
     P_I / prod_{i in I, j not in I} (a_i - a_j) for an orbit's base-subset
     term P: the Gysin formula of a Grassmann bundle.  Nothing is divided
     here: integer inner coefficients give integer Schur coefficients.
@@ -220,31 +244,36 @@ def pushforward_schur(family, n, r, inner, cross, max_deg=None):
     partition with more than m parts is zero in a_J, so such inner terms are
     dropped on entry, and the rest are mapped to their masks once.  Over J
     a cross factor is sum_k s^k (c + a_i)^(m - k) e_k(a_J), so it enters by
-    vertical Pieri strips: a pass builds each shifted exponent once per
-    (alpha, t) and adds into its row, and takes the size of mu and its
-    strips for every k from the mask table (_mask_strips), looked up once
-    per (alpha, mu).  The sum over I is
+    vertical Pieri strips, with the size of mu and its strips for every k
+    taken from the mask table (_mask_strips) once per (alpha, mu): a factor
+    with c = 1 by _pieri_mul, one with c = 0 by its own degree-exact pass
+    (_exact_pieri_mul).  The sum over I is
     Alt_n(sum coeff a_I^(alpha + lam + delta_r) a_J^(mu + delta_m)) over the
     Vandermonde, whose Schur coefficients the bialternant identity reads
-    off.  A term of degree d
-    gives partitions of size d + |lam| - r m, so with max_deg set, products
-    are cut at degree max_deg + r m - |lam|.
+    off.  A term of degree d gives partitions of size d + |lam| - r m, so
+    with max_deg set, products are cut at degree max_deg + r m - |lam|.
 
     The cut looks ahead.  A cross factor with c = 0 is homogeneous of degree
     exactly m in a_i and a_J, and every other factor only adds degree, so a
     key is dropped once its degree plus m for each such pass still to run,
     over every index, passes the cut: nothing it feeds is kept.  These
     degree-exact passes run last on each index, so the others run with that
-    much less room.
+    much less room, and each keeps or drops a term of mu whole.
 
     Only the descending alpha (alpha_0 >= alpha_1 >= ...) are computed.  P
     is symmetric in a_I (a cut at a total degree keeps it so), so its
     coefficient at (alpha, mu) is that at (sorted alpha, mu).  The cross
     factors commute, so they enter index by index: every factor for a_0,
     then every factor for a_1, and so on; after its passes alpha_i never
-    changes again.  Exponents only grow, so two prunes lose nothing that
-    feeds a descending key: a pass on i makes no alpha_i above alpha_{i-1},
-    and once i is done a key with some later alpha_j > alpha_i is dropped.
+    changes again, and a pass on i makes no alpha_i above alpha_{i-1}.
+
+    The state is built one alpha_0 row at a time.  After the passes on
+    index 0 every key is (alpha_0, 0, ..., 0).  Each row is taken out alone,
+    run through the passes on indices 1..r-1 and read off into the shared
+    sum before the next one starts.  This is exact: a pass on i >= 1 never
+    changes alpha_0, and the read-off is a sum over rows.  So the transient
+    state is one row's, not the whole state.  Zeros are not removed as they
+    arise: the read-off skips them, and each index drops its empty rows.
 
     The read-off still sees every ordering of alpha, since the shift by
     lam + delta_r depends on the order, but sorts them once per alpha: the
@@ -261,40 +290,49 @@ def pushforward_schur(family, n, r, inner, cross, max_deg=None):
     lam, coeff = inside_weights(family, r)
     m = n - r
     bound = inf if max_deg is None else max_deg + r * m - sum(lam)
-    passes = []  # (least degree added, [(t, coeff)] for each k)
-    for c, s in cross:
-        fk = [[(t, s ** k * b) for t, b in _power_terms(c, m - k, bound)] for k in range(m + 1)]
-        passes.append((0 if c else m, fk))
-    passes.sort(key=lambda pss: pss[0])  # the degree-exact factors last
-    ahead = r * sum(degree for degree, _ in passes)
+    # each c = 1 factor as [(t, coeff)] for each k; the c = 0 ones by s, run last
+    shifted = [[[(t, s ** k * comb(m - k, t)) for t in range(min(m - k, bound) + 1)]
+                for k in range(m + 1)] for c, s in cross if c]
+    exact = [s for c, s in cross if not c]
     row = {_tail_mask(mu, m): coeff * c for mu, c in inner.items()
-           if len(mu) <= m and sum(mu) <= bound - ahead}
-    state = {(0,) * r: row} if row else {}
+           if len(mu) <= m and sum(mu) <= bound - r * m * len(exact)}
     masks = _mask_strips(m)
-    for i in range(r):
-        for degree, fk in passes:
-            ahead -= degree
-            state = _pieri_mul(state, i, fk, masks, bound - ahead)
-        state = {alpha: row for alpha, row in state.items() if max(alpha[i:]) == alpha[i]}
 
+    def passes(state, i):
+        """state times every factor on a_i, without its empty rows."""
+        ahead = (r - i) * m * len(exact)  # the degree the c = 0 passes still add
+        for fk in shifted:
+            state = _pieri_mul(state, i, fk, masks, bound - ahead)
+        for s in exact:
+            ahead -= m
+            state = _exact_pieri_mul(state, i, s, m, masks, bound - ahead)
+        return {alpha: row for alpha, row in state.items() if row}
+
+    state = passes({(0,) * r: row}, 0) if row else {}
     shift = _staircase_shift(lam, r)
     aboves = {}
     by_merged = defaultdict(int)
-    while state:  # each row is freed once read
-        alpha, row = state.popitem()
-        heads = _head_masks(alpha, shift).items()
-        for mu, c in row.items():
-            above = aboves.get(mu)
-            if above is None:
-                above, rest = 0, mu
-                while rest:
-                    t = rest.bit_length() - 1
-                    above ^= (1 << t) - 1  # bit v: an odd number of tail entries above v
-                    rest ^= 1 << t
-                aboves[mu] = above
-            for head, k in heads:
-                if not head & mu:
-                    by_merged[head | mu] += -c * k if (head & above).bit_count() & 1 else c * k
+    while state:  # one alpha_0 row at a time
+        group = dict([state.popitem()])
+        for i in range(1, r):
+            group = passes(group, i)
+        while group:  # each row is freed once read
+            alpha, row = group.popitem()
+            heads = _head_masks(alpha, shift).items()
+            for mu, c in row.items():
+                if not c:
+                    continue
+                above = aboves.get(mu)
+                if above is None:
+                    above, rest = 0, mu
+                    while rest:
+                        t = rest.bit_length() - 1
+                        above ^= (1 << t) - 1  # bit v: an odd number of tail entries above v
+                        rest ^= 1 << t
+                    aboves[mu] = above
+                for head, k in heads:
+                    if not head & mu:
+                        by_merged[head | mu] += -c * k if (head & above).bit_count() & 1 else c * k
     return {_mask_partition(merged, n): _norm(c) for merged, c in by_merged.items() if c}
 
 

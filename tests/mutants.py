@@ -43,8 +43,12 @@ MUTANTS = [
      "{(): 1} if coeffs is chern_schur(family, n, *cut) else", "{(): 1} if False else"),
     ("over_cv: no bound check", "interp.py",
      "if D < 0:\n        raise", "if D < -1:\n        raise"),
-    ("chern_schur: cut > to >=", "interp.py",
-     "if size + part > max_size:", "if size + part >= max_size:"),
+    ("chern_schur: cut <= to <", "interp.py",
+     "if top - k <= max_size:", "if top - k < max_size:"),
+    ("chern_schur: content sign flipped", "interp.py",
+     "g * (n + part - 1 - i)", "g * (n - part + 1 + i)"),
+    ("chern_schur: 2^k taken off", "interp.py",
+     "scale = factorial(k) << k", "scale = factorial(k)"),
     ("phi_cv_schur: open orbit widened to r <= 1", "sieve.py",
      "if r == 0:\n        return chern_schur(family, n, *cut)",
      "if r <= 1:\n        return chern_schur(family, n, *cut)"),
@@ -61,8 +65,9 @@ MUTANTS = [
     ("pushforward_schur: parity mask one bit short", "schur.py",
      "above ^= (1 << t) - 1", "above ^= ((1 << t) - 1) >> 1"),
     ("pushforward_schur: look-ahead one degree too far", "schur.py",
-     "ahead = r * sum(degree for degree, _ in passes)",
-     "ahead = r * sum(degree for degree, _ in passes) + 1"),
+     "ahead = (r - i) * m * len(exact)", "ahead = (r - i) * m * len(exact) + 1"),
+    ("pushforward_schur: last alpha_0 row never read off", "schur.py",
+     "while state:  # one alpha_0 row at a time", "while len(state) > 1:"),
     ("pushforward_schur: no kill on a shared entry", "schur.py",
      "if not head & mu:", "if True:"),
     ("_alternant_mask: no sign", "schur.py",
@@ -70,10 +75,13 @@ MUTANTS = [
     ("_mask_partition: delta off by one", "schur.py",
      "part.append(top - k)", "part.append(top - k + 1)"),
     ("pushforward_schur: long mu kept on entry", "schur.py",
-     "if len(mu) <= m and sum(mu) <= bound - ahead}",
-     "if len(mu) <= m + 1 and sum(mu) <= bound - ahead}"),
+     "if len(mu) <= m and", "if len(mu) <= m + 1 and"),
     ("_pieri_mul: room one degree too many", "schur.py",
      "room = free - size", "room = free - size + 1"),
+    ("_exact_pieri_mul: room test > to >=", "schur.py",
+     "if size > room:", "if size >= room:"),
+    ("_exact_pieri_mul: k range one short", "schur.py",
+     "for k in range(low, m + 1):", "for k in range(low, m):"),
     ("_vertical_strips: run length one short", "schur.py",
      "top, length = run.bit_length(), run.bit_count()",
      "top, length = run.bit_length(), run.bit_count() - 1"),

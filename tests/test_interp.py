@@ -152,7 +152,7 @@ def test_chern_schur_is_weight_product():
 
 
 def test_chern_schur_matches_bareiss_oracle():
-    # the shared column expansion against one Bareiss determinant per mu,
+    # the box-removal recurrence against one Bareiss determinant per mu,
     # key order and coefficient types included
     from csmloci.interp import chern_schur
     from csmloci.oracles import chern_schur_bareiss

@@ -14,6 +14,7 @@ from csmloci.oracles import (NotSymmetricError, TruncSeries, _schur_terms,
                              branching_schur_dict_to_alpha, chern_to_alpha,
                              euler_class, schur_dict_value, schur_poly, to_chern_basis,
                              to_schur_basis, weight_pairs)
+from csmloci import schur
 from csmloci.interp import w_schur
 from csmloci.orbits import Family, OrbitId, alpha_vars, chern_vars, orbits
 from csmloci.partitions import conjugate, count_ssyt, partition, staircase
@@ -398,6 +399,10 @@ def pushforward_cases(draw):
 @given(pushforward_cases())
 # an inner term with more than m parts adds nothing: the kernel's entry drops it
 @example((Family.SYM, 4, 2, {(1, 1, 1): 5, (2,): -1}, [(0, 1), (1, -1)]))
+# m = 0 (r = n): J is empty, and the degree-exact factor is 1
+@example((Family.SYM, 3, 3, {(): 2, (1,): 1}, [(0, -1), (1, 1)]))
+# both degree-exact shapes at r >= 3, with no c = 1 factor
+@example((Family.WEDGE, 5, 3, {(1,): 1, (2, 1): -2}, [(0, 1), (0, -1)]))
 def test_pushforward_is_subset_sum(case):
     # the kernel equals the literal Gysin sum over I of the base-subset term,
     # inner(a_J) prod_{i<j in I} (a_i + a_j) (i <= j for sym) times the cross
@@ -422,6 +427,11 @@ def test_pushforward_is_subset_sum(case):
 
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(pushforward_cases(), st.integers(0, 6))
+# the edges of the degree-exact pass: m = 0, where the one term is kept at
+# no room to spare, and both shapes at r >= 3, cut inside the top size; D = 0
+@example((Family.SYM, 3, 3, {(): 2, (1,): 1}, [(0, -1), (1, 1)]), 6)
+@example((Family.WEDGE, 5, 3, {(1,): 1, (2, 1): -2}, [(0, 1), (0, -1)]), 10)
+@example((Family.WEDGE, 4, 2, {(): 1, (1,): 2}, [(1, 1)]), 0)
 def test_truncated_pushforward_is_cut_of_longer(case, D):
     # the cut that looks ahead to the degree-exact passes loses nothing of
     # size <= D, whatever the order of the cross factors
@@ -434,6 +444,29 @@ def test_truncated_pushforward_is_cut_of_longer(case, D):
     assert got == upto_D(pushforward_schur(family, n, r, inner, cross, D + 3))
     assert got == pushforward_schur(family, n, r, inner, cross[::-1], D)
     assert got == upto_D(pushforward_schur(family, n, r, inner, cross))
+
+
+def test_kernel_holds_one_alpha0_row_at_a_time(monkeypatch):
+    # after the passes on index 0 each alpha_0 row runs alone through the
+    # passes on indices 1..r-1 and is read off before the next: every state
+    # a pass on i >= 1 is handed has one alpha_0, and the result is the same
+    cross = ((0, 1), (1, 1))
+    cases = [(Family.WEDGE, 6, 4, w_schur(OrbitId(Family.WEDGE, 2, 0)), ()),
+             (Family.SYM, 7, 3, w_schur(OrbitId(Family.SYM, 4, 0), 9), (9,))]
+    _mask_strips.cache_clear()
+    expect = [pushforward_schur(family, n, r, inner, cross, *cut)
+              for family, n, r, inner, cut in cases]
+    seen = []
+    for name in ("_pieri_mul", "_exact_pieri_mul"):
+        def spy(state, i, *args, real=getattr(schur, name)):
+            if i:
+                seen.append({alpha[0] for alpha in state})
+            return real(state, i, *args)
+        monkeypatch.setattr(schur, name, spy)
+    _mask_strips.cache_clear()
+    for (family, n, r, inner, cut), want in zip(cases, expect):
+        assert pushforward_schur(family, n, r, inner, cross, *cut) == want
+    assert seen and all(len(alpha0s) == 1 for alpha0s in seen)
 
 
 def test_pushforward_does_not_depend_on_the_index():
