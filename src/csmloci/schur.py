@@ -37,11 +37,14 @@ table, a truncated product is cut by the degree its factors still to come
 must add, and the Schur coefficients are read off once per sorted
 I-exponent by the bialternant identity.  A cross factor with c = 0 is
 homogeneous of degree m and has its own pass (_exact_pieri_mul), which keeps
-or drops each term of mu whole.  The state is built one alpha_0 row at a
-time: after the passes on a_0, each row runs alone through the passes on
-a_1..a_(r-1) and is read off before the next row starts.  That is exact,
-since those passes never change alpha_0 and the read-off is a sum over
-rows, and the transient state is then one row's, not the whole state.
+or drops each term of mu whole.  Both passes find the out row of each power
+of a_i once per alpha, collect the mu of a row that fit under the cut once,
+and then run k, the size of the strip, outside mu.  The state is built one
+alpha_0 row at a time: after the passes on a_0, each row runs alone through
+the passes on a_1..a_(r-1) and is read off before the next row starts.
+That is exact, since those passes never change alpha_0 and the read-off is
+a sum over rows, and the transient state is then one row's, not the whole
+state.
 alternant_schur_coeffs reads them off a full polynomial in the roots, for
 K theory.  Both read-offs write each strictly decreasing exponent tuple as
 the bitmask of its entries: one sort-and-sign step (_alternant_mask) takes
@@ -162,32 +165,45 @@ def _pieri_mul(state, i, fk, masks, bound):
     """state times sum_k fk[k](a_i) e_k(a_J), where fk[k] lists (t, coeff)
     of a polynomial in a_i by ascending t, and the rows of state are keyed
     by tail mask, with (size, strips) of each in masks (_mask_strips).  Only
-    alpha_i <= alpha_{i-1} is made: alpha_{i-1} is final by now."""
+    alpha_i <= alpha_{i-1} is made: alpha_{i-1} is final by now.
+
+    Per alpha, (room, strips, coeff) is collected once for each mu with
+    room = free - |mu| >= 0, free the cut less |alpha|, and the out row of
+    each t is found once, for t up to width - 1, alpha_{i-1} - alpha_i and
+    the largest room.  Each of those rows gets a term, when fk[0] lists
+    every t below width, as pushforward_schur's factors do: no out row is
+    empty.  Then k runs outside mu, over the mu with room >= k, and t up to
+    room - k and alpha_{i-1} - alpha_i."""
     width = 1 + max((t for terms in fk for t, _ in terms), default=0)
     out = {}
     for alpha, row in state.items():
         free = bound - sum(alpha)
-        head, ai, tail = alpha[:i], alpha[i], alpha[i + 1:]
-        cap = alpha[i - 1] - ai if i else inf
-        dests = [None] * width  # t -> the out row of head + (ai + t,) + tail
+        kept = []
         for mu, c in row.items():
             size, table = masks[mu]
             room = free - size
-            for k, terms in enumerate(fk):
-                if k > room:
-                    break
+            if room >= 0:
+                kept.append((room, table, c))
+        if not kept:
+            continue
+        head, ai, tail = alpha[:i], alpha[i], alpha[i + 1:]
+        cap = alpha[i - 1] - ai if i else inf
+        dests = []  # t -> the out row of head + (ai + t,) + tail
+        for t in range(min(width - 1, cap, max(room for room, _, _ in kept)) + 1):
+            dest = out.get(a2 := head + (ai + t,) + tail)
+            if dest is None:
+                dest = out[a2] = defaultdict(int)
+            dests.append(dest)
+        for k, terms in enumerate(fk):
+            for room, table, c in kept:
+                if room < k:
+                    continue
                 top = room - k if room - k < cap else cap
                 nus = table[k]
                 for t, b in terms:
                     if t > top:
                         break
                     dest = dests[t]
-                    if dest is None:
-                        a2 = head + (ai + t,) + tail
-                        dest = out.get(a2)
-                        if dest is None:
-                            dest = out[a2] = defaultdict(int)
-                        dests[t] = dest
                     cb = c * b
                     for nu in nus:
                         dest[nu] += cb
@@ -196,33 +212,40 @@ def _pieri_mul(state, i, fk, masks, bound):
 
 def _exact_pieri_mul(state, i, s, m, masks, bound):
     """state times sum_k s^k a_i^(m - k) e_k(a_J), a cross factor with
-    c = 0, which is homogeneous of degree m; the rows as in _pieri_mul.
-    The terms of (alpha, mu) are kept whole when |mu| <= free - m, free the
-    cut less |alpha|, and else dropped whole.  k runs from
+    c = 0 and s = +-1, which is homogeneous of degree m; the rows as in
+    _pieri_mul.  The terms of (alpha, mu) are kept whole when
+    |mu| <= free - m, free the cut less |alpha|, and else dropped whole: the
+    (strips, coeff) of the mu kept are collected once per alpha, and an
+    alpha with none makes no row.  k runs outside mu, from
     max(0, m - (alpha_{i-1} - alpha_i)), so that no alpha_i passes
-    alpha_{i-1}, to m, and the row of each k is looked up once per alpha."""
-    signs = [s ** k for k in range(m + 1)]
+    alpha_{i-1}, to m, with the out row of each k looked up once; e_k is
+    not zero in m variables, so that row is not empty.  An odd k with
+    s = -1 subtracts and every other k adds, so no term is multiplied."""
     out = {}
     for alpha, row in state.items():
         room = bound - sum(alpha) - m
         if room < 0:
             continue
+        kept = []
+        for mu, c in row.items():
+            size, table = masks[mu]
+            if size <= room:
+                kept.append((table, c))
+        if not kept:
+            continue
         head, ai, tail = alpha[:i], alpha[i], alpha[i + 1:]
-        low = max(0, m - alpha[i - 1] + ai) if i else 0
-        dests = []
-        for k in range(low, m + 1):
+        for k in range(max(0, m - alpha[i - 1] + ai) if i else 0, m + 1):
             dest = out.get(a2 := head + (ai + m - k,) + tail)
             if dest is None:
                 dest = out[a2] = defaultdict(int)
-            dests.append(dest)
-        for mu, c in row.items():
-            size, table = masks[mu]
-            if size > room:
-                continue
-            for dest, sign, nus in zip(dests, signs[low:], table[low:]):
-                cs = c * sign
-                for nu in nus:
-                    dest[nu] += cs
+            if s < 0 and k & 1:
+                for table, c in kept:
+                    for nu in table[k]:
+                        dest[nu] -= c
+            else:
+                for table, c in kept:
+                    for nu in table[k]:
+                        dest[nu] += c
     return out
 
 
@@ -247,11 +270,14 @@ def pushforward_schur(family, n, r, inner, cross, max_deg=None):
     vertical Pieri strips, with the size of mu and its strips for every k
     taken from the mask table (_mask_strips) once per (alpha, mu): a factor
     with c = 1 by _pieri_mul, one with c = 0 by its own degree-exact pass
-    (_exact_pieri_mul).  The sum over I is
-    Alt_n(sum coeff a_I^(alpha + lam + delta_r) a_J^(mu + delta_m)) over the
-    Vandermonde, whose Schur coefficients the bialternant identity reads
-    off.  A term of degree d gives partitions of size d + |lam| - r m, so
-    with max_deg set, products are cut at degree max_deg + r m - |lam|.
+    (_exact_pieri_mul).  Each pass finds its out rows, one per power of a_i,
+    once per alpha, collects the mu of the row that fit under the cut once,
+    and runs k outside mu, so no term looks up its out row.  The sum over
+    I is Alt_n(sum coeff a_I^(alpha + lam + delta_r) a_J^(mu + delta_m))
+    over the Vandermonde, whose Schur coefficients the bialternant identity
+    reads off.  A term of degree d gives partitions of size
+    d + |lam| - r m, so with max_deg set, products are cut at degree
+    max_deg + r m - |lam|.
 
     The cut looks ahead.  A cross factor with c = 0 is homogeneous of degree
     exactly m in a_i and a_J, and every other factor only adds degree, so a
@@ -273,7 +299,9 @@ def pushforward_schur(family, n, r, inner, cross, max_deg=None):
     sum before the next one starts.  This is exact: a pass on i >= 1 never
     changes alpha_0, and the read-off is a sum over rows.  So the transient
     state is one row's, not the whole state.  Zeros are not removed as they
-    arise: the read-off skips them, and each index drops its empty rows.
+    arise: the read-off skips them.  No pass makes an empty row: a pass
+    makes a row only for an alpha with some mu under the cut, and gives
+    each of its out rows a term.
 
     The read-off still sees every ordering of alpha, since the shift by
     lam + delta_r depends on the order, but sorts them once per alpha: the
@@ -283,9 +311,11 @@ def pushforward_schur(family, n, r, inner, cross, max_deg=None):
     has bit v set when an odd number of tail entries lie above v.  A head
     sharing an entry with the tail is killed (head & mu); otherwise the
     merged tuple is head | mu, and its sign is the parity of the pairs of a
-    head entry below a tail entry, the parity of head & above.  Each term
-    (alpha, mu, head) is added into its merged mask at once, and each merged
-    mask is decoded once, minus delta_n, to its partition (_mask_partition).
+    head entry below a tail entry, the parity of head & above; that bit
+    picks the head's count or its negative from a pair kept per head.  Each
+    term (alpha, mu, head) is added into its merged mask at once, and each
+    merged mask is decoded once, minus delta_n, to its partition
+    (_mask_partition).
     """
     lam, coeff = inside_weights(family, r)
     m = n - r
@@ -299,14 +329,14 @@ def pushforward_schur(family, n, r, inner, cross, max_deg=None):
     masks = _mask_strips(m)
 
     def passes(state, i):
-        """state times every factor on a_i, without its empty rows."""
+        """state times every factor on a_i."""
         ahead = (r - i) * m * len(exact)  # the degree the c = 0 passes still add
         for fk in shifted:
             state = _pieri_mul(state, i, fk, masks, bound - ahead)
         for s in exact:
             ahead -= m
             state = _exact_pieri_mul(state, i, s, m, masks, bound - ahead)
-        return {alpha: row for alpha, row in state.items() if row}
+        return state
 
     state = passes({(0,) * r: row}, 0) if row else {}
     shift = _staircase_shift(lam, r)
@@ -318,7 +348,7 @@ def pushforward_schur(family, n, r, inner, cross, max_deg=None):
             group = passes(group, i)
         while group:  # each row is freed once read
             alpha, row = group.popitem()
-            heads = _head_masks(alpha, shift).items()
+            heads = [(head, (k, -k)) for head, k in _head_masks(alpha, shift).items()]
             for mu, c in row.items():
                 if not c:
                     continue
@@ -330,9 +360,9 @@ def pushforward_schur(family, n, r, inner, cross, max_deg=None):
                         above ^= (1 << t) - 1  # bit v: an odd number of tail entries above v
                         rest ^= 1 << t
                     aboves[mu] = above
-                for head, k in heads:
+                for head, signed in heads:  # signed[1]: its count with the sign flipped
                     if not head & mu:
-                        by_merged[head | mu] += -c * k if (head & above).bit_count() & 1 else c * k
+                        by_merged[head | mu] += c * signed[(head & above).bit_count() & 1]
     return {_mask_partition(merged, n): _norm(c) for merged, c in by_merged.items() if c}
 
 

@@ -78,10 +78,15 @@ MUTANTS = [
      "if len(mu) <= m and", "if len(mu) <= m + 1 and"),
     ("_pieri_mul: room one degree too many", "schur.py",
      "room = free - size", "room = free - size + 1"),
-    ("_exact_pieri_mul: room test > to >=", "schur.py",
-     "if size > room:", "if size >= room:"),
+    ("_pieri_mul: t range one short", "schur.py",
+     "for t in range(min(width - 1, cap, max(room for room, _, _ in kept)) + 1):",
+     "for t in range(min(width - 1, cap, max(room for room, _, _ in kept))):"),
+    ("_exact_pieri_mul: room test <= to <", "schur.py",
+     "if size <= room:", "if size < room:"),
     ("_exact_pieri_mul: k range one short", "schur.py",
-     "for k in range(low, m + 1):", "for k in range(low, m):"),
+     "if i else 0, m + 1):", "if i else 0, m):"),
+    ("_exact_pieri_mul: odd k with s = -1 added", "schur.py",
+     "dest[nu] -= c", "dest[nu] += c"),
     ("_vertical_strips: run length one short", "schur.py",
      "top, length = run.bit_length(), run.bit_count()",
      "top, length = run.bit_length(), run.bit_count() - 1"),

@@ -449,7 +449,9 @@ def test_truncated_pushforward_is_cut_of_longer(case, D):
 def test_kernel_holds_one_alpha0_row_at_a_time(monkeypatch):
     # after the passes on index 0 each alpha_0 row runs alone through the
     # passes on indices 1..r-1 and is read off before the next: every state
-    # a pass on i >= 1 is handed has one alpha_0, and the result is the same
+    # a pass on i >= 1 is handed has one alpha_0 and no empty row (the out
+    # rows a pass finds up front per alpha are all filled), and the result
+    # is the same
     cross = ((0, 1), (1, 1))
     cases = [(Family.WEDGE, 6, 4, w_schur(OrbitId(Family.WEDGE, 2, 0)), ()),
              (Family.SYM, 7, 3, w_schur(OrbitId(Family.SYM, 4, 0), 9), (9,))]
@@ -460,13 +462,13 @@ def test_kernel_holds_one_alpha0_row_at_a_time(monkeypatch):
     for name in ("_pieri_mul", "_exact_pieri_mul"):
         def spy(state, i, *args, real=getattr(schur, name)):
             if i:
-                seen.append({alpha[0] for alpha in state})
+                seen.append(({alpha[0] for alpha in state}, all(state.values())))
             return real(state, i, *args)
         monkeypatch.setattr(schur, name, spy)
     _mask_strips.cache_clear()
     for (family, n, r, inner, cut), want in zip(cases, expect):
         assert pushforward_schur(family, n, r, inner, cross, *cut) == want
-    assert seen and all(len(alpha0s) == 1 for alpha0s in seen)
+    assert seen and all(len(alpha0s) == 1 and filled for alpha0s, filled in seen)
 
 
 def test_pushforward_does_not_depend_on_the_index():
